@@ -13,10 +13,8 @@ from .converter import (SEPIC, CUK, ConverterSpec, OperatingPointRequest,
                         ValidationError, dcm_predicted, effective_resistance,
                         equivalent_inductance)
 from .switchcell import (CCM, DCM, AveragedPortState, SwitchIntervalDuties,
-                         average_switch_waveforms_ideal,
-                         average_switch_waveforms_nonideal, mu_combined,
-                         port_relations)
-from .avgmodel import PortSolution, derivative, output_voltage, resolve_ports
+                         average_switch_waveforms)
+from .avgmodel import PortSolution, derivative, resolve_ports
 from .dc import (NonConvergence, OperatingPoint, SingularJacobian,
                  SolverError, StateVector, initial_guess, solve_dc,
                  sweep_duty)
@@ -36,9 +34,8 @@ __all__ = [
     "ValidationError", "dcm_predicted", "effective_resistance",
     "equivalent_inductance",
     "CCM", "DCM", "AveragedPortState", "SwitchIntervalDuties",
-    "average_switch_waveforms_ideal", "average_switch_waveforms_nonideal",
-    "mu_combined", "port_relations",
-    "PortSolution", "derivative", "output_voltage", "resolve_ports",
+    "average_switch_waveforms",
+    "PortSolution", "derivative", "resolve_ports",
     "NonConvergence", "OperatingPoint", "SingularJacobian", "SolverError",
     "StateVector", "initial_guess", "solve_dc", "sweep_duty",
     "StepSizeUnderflow", "Stimulus", "Waveform", "simulate",

@@ -195,7 +195,3 @@ def derivative(spec: ConverterSpec, d: float, x, ports: PortSolution = None):
     dv_C2 = ports.i_c2 / spec.C2
     return np.array([di_L1, di_L2, dv_C1, dv_C2])
 
-
-def output_voltage(spec: ConverterSpec, d: float, x) -> float:
-    """Load-node voltage V0 at state x (includes the C2 ESR drop)."""
-    return resolve_ports(spec, d, x).v_out

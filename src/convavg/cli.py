@@ -15,9 +15,10 @@ from importlib import resources
 import numpy as np
 
 from .config import ParseError, parse_config
-from .converter import ConverterSpec, OperatingPointRequest, ValidationError
-from .dc import NonConvergence, SolverError, solve_dc, sweep_duty
-from .smallsignal import default_frequency_grid, frequency_response, linearize
+from .converter import OperatingPointRequest, ValidationError
+from .dc import SolverError, solve_dc, sweep_duty
+from .smallsignal import (_log_grid, default_frequency_grid, frequency_response,
+                          linearize)
 from .switched import SwitchedRunConfig, cycle_average, run_switched
 from .transient import StepSizeUnderflow, Stimulus, simulate
 from .avgmodel import resolve_ports
@@ -43,19 +44,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_config(name):
-    try:
-        if name.endswith(".conf") or "/" in name or "\\" in name:
-            with open(name, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        else:
-            ref = resources.files("convavg").joinpath("configs").joinpath(
-                name + ".conf")
-            if not ref.is_file():
-                raise FileNotFoundError(
-                    "no bundled config named %r" % (name,))
-            text = ref.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise exc
+    if name.endswith(".conf") or "/" in name or "\\" in name:
+        with open(name, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    else:
+        ref = resources.files("convavg").joinpath("configs").joinpath(
+            name + ".conf")
+        if not ref.is_file():
+            raise FileNotFoundError("no bundled config named %r" % (name,))
+        text = ref.read_text(encoding="utf-8")
     return parse_config(text)
 
 
@@ -126,15 +123,14 @@ def _cmd_ac(args):
     duty = _require_duty(args, parsed)
     op = solve_dc(OperatingPointRequest(spec=parsed.spec, D=duty))
     model = linearize(parsed.spec, op)
-    if args.f_min is not None or args.f_max is not None:
+    if args.f_min is None and args.f_max is None:
+        grid = default_frequency_grid(parsed.spec, args.points_per_decade)
+    else:
         f_lo = args.f_min if args.f_min is not None else 10.0
         f_hi = args.f_max if args.f_max is not None else 0.5 * parsed.spec.f_s
         if not (0.0 < f_lo < f_hi):
             raise _UsageError("need 0 < f-min < f-max")
-        n = max(2, int(round(np.log10(f_hi / f_lo) * args.points_per_decade)) + 1)
-        grid = np.logspace(np.log10(f_lo), np.log10(f_hi), n)
-    else:
-        grid = default_frequency_grid(parsed.spec, args.points_per_decade)
+        grid = _log_grid(f_lo, f_hi, args.points_per_decade)
     resp = frequency_response(model, input=args.input, f=grid)
     out, close = _open_out(args.output)
     try:
@@ -157,7 +153,13 @@ def _cmd_ac(args):
 
 def _cmd_sweep(args):
     parsed = _load_config(args.config)
-    points = sweep_duty(parsed.spec, args.d_from, args.d_to, args.d_step)
+    try:
+        points = sweep_duty(parsed.spec, args.d_from, args.d_to, args.d_step)
+    except ValidationError:
+        raise
+    except ValueError as exc:
+        # a non-positive step or a reversed range is a usage problem
+        raise _UsageError(exc) from exc
     out, close = _open_out(args.output)
     try:
         out.write("D,V0,iL1,iL2,mode\n")

@@ -11,7 +11,7 @@ are hard errors carrying line and column.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .converter import ConverterSpec, ValidationError
 

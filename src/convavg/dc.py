@@ -84,11 +84,12 @@ def _residual(spec, d, x):
     return f * np.array([spec.L1, spec.L2, spec.C1, spec.C2])
 
 
-def _residual_norm(spec, d, x):
+def _residual_and_norm(spec, d, x):
+    """Residual at x and its scaled maximum norm."""
     r = _residual(spec, d, x)
     v_scale, i_scale = _scales(spec, x)
-    return max(abs(r[0]) / v_scale, abs(r[1]) / v_scale,
-               abs(r[2]) / i_scale, abs(r[3]) / i_scale)
+    return r, max(abs(r[0]) / v_scale, abs(r[1]) / v_scale,
+                  abs(r[2]) / i_scale, abs(r[3]) / i_scale)
 
 
 def _jacobian(spec, d, x):
@@ -147,7 +148,7 @@ def solve_dc(request: OperatingPointRequest, initial=None, *,
         if x.shape != (4,):
             raise ValueError("initial state must have four entries")
 
-    norm = _residual_norm(spec, d, x)
+    r, norm = _residual_and_norm(spec, d, x)
     iterations = 0
     while norm > tol:
         if iterations >= max_iterations:
@@ -155,7 +156,6 @@ def solve_dc(request: OperatingPointRequest, initial=None, *,
                 "no convergence after %d iterations (residual %.3e)"
                 % (iterations, norm), iterations, norm)
         J = _jacobian(spec, d, x)
-        r = _residual(spec, d, x)
         try:
             step = np.linalg.solve(J, -r)
         except np.linalg.LinAlgError as exc:
@@ -166,27 +166,24 @@ def solve_dc(request: OperatingPointRequest, initial=None, *,
                 "Jacobian produced a non-finite step at iteration %d" % iterations)
 
         lam = 1.0
-        accepted = None
         for _ in range(_MAX_HALVINGS + 1):
             trial = x + lam * step
-            trial_norm = _residual_norm(spec, d, trial)
+            trial_r, trial_norm = _residual_and_norm(spec, d, trial)
             if trial_norm < norm or not np.isfinite(norm):
-                accepted = (trial, trial_norm, lam)
                 break
             lam *= 0.5
-        if accepted is None:
+        else:
             # No damping factor reduced the residual; take the smallest
             # step anyway so kinked regions cannot stall the iteration.
             trial = x + lam * step
-            accepted = (trial, _residual_norm(spec, d, trial), lam)
-        new_x, new_norm, lam = accepted
+            trial_r, trial_norm = _residual_and_norm(spec, d, trial)
 
         v_scale, i_scale = _scales(spec, x)
-        rel_update = max(abs(new_x[0] - x[0]) / i_scale,
-                         abs(new_x[1] - x[1]) / i_scale,
-                         abs(new_x[2] - x[2]) / v_scale,
-                         abs(new_x[3] - x[3]) / v_scale)
-        x, norm = new_x, new_norm
+        rel_update = max(abs(trial[0] - x[0]) / i_scale,
+                         abs(trial[1] - x[1]) / i_scale,
+                         abs(trial[2] - x[2]) / v_scale,
+                         abs(trial[3] - x[3]) / v_scale)
+        x, r, norm = trial, trial_r, trial_norm
         iterations += 1
         if norm <= tol and rel_update <= tol:
             break

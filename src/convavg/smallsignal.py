@@ -135,13 +135,18 @@ def linearize(spec: ConverterSpec, op: OperatingPoint) -> LinearModel:
                        degenerate=bool(degenerate))
 
 
+def _log_grid(f_lo, f_hi, points_per_decade):
+    """Logarithmic grid from f_lo to f_hi, both included."""
+    n = max(2, int(round(np.log10(f_hi / f_lo) * points_per_decade)) + 1)
+    return np.logspace(np.log10(f_lo), np.log10(f_hi), n)
+
+
 def default_frequency_grid(spec: ConverterSpec, points_per_decade: int = 100) -> np.ndarray:
     """Logarithmic grid from 10 Hz up to half the switching frequency."""
     f_lo, f_hi = 10.0, 0.5 * spec.f_s
     if f_hi <= f_lo:
         raise ValidationError("switching frequency too low for the default grid")
-    n = max(2, int(round(np.log10(f_hi / f_lo) * points_per_decade)) + 1)
-    return np.logspace(np.log10(f_lo), np.log10(f_hi), n)
+    return _log_grid(f_lo, f_hi, points_per_decade)
 
 
 def transfer_at(model: LinearModel, input: str, f):

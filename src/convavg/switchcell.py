@@ -15,10 +15,12 @@ Port sign conventions used throughout the package:
 * V2, I2 -- average voltage blocked by / current through the diode
   position, with V2 > 0 while the diode blocks in normal operation.
 
-``average_switch_waveforms_ideal`` and ``..._nonideal`` reconstruct the
-four port averages from a converter state and a measured set of interval
-duty ratios; they are the verification-side counterpart of the mu-based
-model and are compared against cycle averages of the switched circuit.
+The mu-based averaged network itself lives in ``avgmodel``; this module
+holds the mode tags, the effective-duty clamp and the interval-duty
+record.  ``average_switch_waveforms`` reconstructs the four port
+averages from a converter state and a measured set of interval duty
+ratios; it is the verification-side counterpart of the mu-based model
+and is compared against cycle averages of the switched circuit.
 """
 
 from __future__ import annotations
@@ -72,57 +74,16 @@ class AveragedPortState:
     mode: str
 
 
-def mu_combined(D: float, Re: float, I1: float, V1: float) -> float:
-    """Effective duty of the averaged cell for commanded duty D.
-
-    Returns max(D, mu_dcm) where mu_dcm is the effective duty implied by
-    the DCM port law at the given transistor-port operating point, i.e.
-    the value that makes the port absorb V1*I1 through the effective
-    resistance Re.  Degenerate port values (V1 <= 0 or I1 < 0, where the
-    DCM law has no meaning) fall back to the continuous-conduction value
-    D.  The result is clamped to 1 - MU_CLAMP_EPS.
-    """
-    if not (0.0 < D < 1.0):
-        raise ValidationError("duty cycle must lie in (0, 1), got %r" % (D,))
-    if not (Re > 0.0):
-        raise ValidationError("effective resistance must be positive, got %r" % (Re,))
-    if V1 <= 0.0 or I1 < 0.0:
-        return D
-    # The DCM law fixes the diode-port share of the total cell voltage:
-    # mu = V2 / (V2 + Re*I1) with V2 = V1 * mu/(1-mu), which rearranges
-    # to the transistor-port form below.
-    denom = V1 + Re * I1
-    if denom <= 0.0:
-        return D
-    mu_dcm = V1 / denom
-    # mu_dcm from the V1-form equals 1/(1 + Re*I1/V1); feeding it V1 and
-    # I1 of a candidate point answers "what effective duty would make
-    # this point sit on the DCM characteristic".
-    mu = mu_dcm if mu_dcm > D else D
-    return min(mu, 1.0 - MU_CLAMP_EPS)
-
-
-def port_relations(mu: float, V2: float, I1: float) -> tuple:
-    """Ideal-transformer constraints of the averaged cell.
-
-    Given the effective duty and the diode-port voltage and
-    transistor-port current, returns (V1, I2): V1 = V2*(1-mu)/mu and
-    I2 = I1*(1-mu)/mu.  Power balance V1*I1 == V2*I2 holds identically.
-    """
-    if not (0.0 < mu < 1.0):
-        raise ValidationError("effective duty must lie in (0, 1), got %r" % (mu,))
-    ratio = (1.0 - mu) / mu
-    return V2 * ratio, I1 * ratio
-
-
-def _interval_port_averages(kind, duties, state, R_on1, V_d, R_d):
-    """Shared reconstruction of port averages from interval durations.
+def average_switch_waveforms(spec: ConverterSpec, duties: SwitchIntervalDuties,
+                             state) -> AveragedPortState:
+    """Port averages of the cell for the given interval duties.
 
     Interval-by-interval the blocked/conducted voltages are combinations
-    of the capacitor voltages; drops on the conducting device are taken
-    at the conduction-interval mean of the summed inductor current,
-    which is what the triangular current waveform actually averages to
-    over the conducting sub-period.
+    of the capacitor voltages; drops on the conducting device (R_on1,
+    V_d, R_d) are taken at the conduction-interval mean of the summed
+    inductor current, which is what the triangular current waveform
+    actually averages to over the conducting sub-period.  An ideal spec
+    has these drops zeroed, which gives the lossless reconstruction.
     """
     i_L1, i_L2, v_C1, v_C2 = state.i_L1, state.i_L2, state.v_C1, state.v_C2
     D1, D2, D3 = duties.D1, duties.D2, duties.D3
@@ -132,10 +93,10 @@ def _interval_port_averages(kind, duties, state, R_on1, V_d, R_d):
 
     I1 = D1 * i_cond
     I2 = D2 * i_cond
-    drop_on = R_on1 * i_cond
-    drop_d = V_d + R_d * i_cond
+    drop_on = spec.R_on1 * i_cond
+    drop_d = spec.V_d + spec.R_d * i_cond
 
-    if kind == SEPIC:
+    if spec.kind == SEPIC:
         V1 = D1 * drop_on + D2 * (v_C1 + v_C2 + drop_d) + D3 * v_C1
         V2 = D1 * (v_C1 + v_C2 - drop_on) - D2 * drop_d + D3 * v_C2
     else:
@@ -148,20 +109,3 @@ def _interval_port_averages(kind, duties, state, R_on1, V_d, R_d):
     mu = D1 / conducting if conducting > 0.0 else 1.0 - MU_CLAMP_EPS
     mode = DCM if D3 > 1e-9 else CCM
     return AveragedPortState(V1=V1, V2=V2, I1=I1, I2=I2, mu=mu, mode=mode)
-
-
-def average_switch_waveforms_ideal(spec: ConverterSpec, duties: SwitchIntervalDuties,
-                                   state) -> AveragedPortState:
-    """Port averages of the lossless cell for the given interval duties."""
-    return _interval_port_averages(spec.kind, duties, state, 0.0, 0.0, 0.0)
-
-
-def average_switch_waveforms_nonideal(spec: ConverterSpec, duties: SwitchIntervalDuties,
-                                      state) -> AveragedPortState:
-    """Port averages including conduction drops (R_on1, V_d, R_d).
-
-    Reduces exactly to the ideal reconstruction when the parasitic
-    values are zero.
-    """
-    return _interval_port_averages(spec.kind, duties, state,
-                                   spec.R_on1, spec.V_d, spec.R_d)

@@ -78,7 +78,6 @@ class SwitchedWaveform:
     times: np.ndarray
     states: np.ndarray
     v0: np.ndarray
-    mu: np.ndarray
     mode: list
     segments: list
     summaries: list
@@ -400,9 +399,8 @@ def run_switched(config: SwitchedRunConfig, record: str = "last",
     return SwitchedWaveform(
         spec=spec, D=D, steps_per_cycle=steps,
         times=np.array(kept_t), states=np.array(kept_x),
-        v0=np.array(kept_v0), mu=np.full(len(kept_t), D),
-        mode=modes, segments=kept_seg, summaries=summaries,
-        cycles_run=cycles_run, steady=steady)
+        v0=np.array(kept_v0), mode=modes, segments=kept_seg,
+        summaries=summaries, cycles_run=cycles_run, steady=steady)
 
 
 def _port_values(spec, interval, x, open_sys):

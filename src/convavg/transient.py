@@ -2,16 +2,19 @@
 
 Implicit trapezoidal integration with adaptive step control by
 step-doubling (one full step against two half steps, Richardson error
-estimate).  The effective duty is resolved algebraically inside every
-derivative evaluation, so mode transitions need no special handling;
-parameter steps are treated as events at which integration restarts
-with the updated component values.
+estimate).  Each step's Newton iteration uses a forward-difference
+Jacobian taken at the end-of-step duty.  The effective duty is resolved
+algebraically inside every derivative evaluation, so mode transitions
+need no special handling; parameter steps and duty breakpoints are
+events at which integration restarts with the updated values.  Each
+accepted sample is labelled (v0, mu, mode) as it is accepted, and the
+same port resolution gives the derivative that starts the next step.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,18 +105,27 @@ class Waveform:
         return StateVector.from_array(self.states[-1])
 
 
+def _newton_matrix(spec, d, y, f_y, h):
+    """Trapezoidal Newton matrix I - h/2 df/dx at y, by forward
+    differences against f_y = f(d, y)."""
+    J = np.eye(4)
+    for j in range(4):
+        hj = 1e-7 * (abs(y[j]) + 1.0)
+        yp = y.copy()
+        yp[j] += hj
+        J[:, j] -= 0.5 * h * (derivative(spec, d, yp) - f_y) / hj
+    return J
+
+
 def _trapezoid_step(spec, stim, t0, x0, f0, h, rtol, atol):
     """One implicit trapezoidal step; returns the new state or None."""
     t1 = t0 + h
     d1 = stim.duty_at(t1)
     y = x0 + h * f0          # explicit Euler predictor
-    # frozen Jacobian of the residual F(y) = y - x0 - h/2 (f0 + f(y))
-    J = np.eye(4)
-    for j in range(4):
-        hj = 1e-7 * (abs(x0[j]) + 1.0)
-        xp = x0.copy()
-        xp[j] += hj
-        J[:, j] -= 0.5 * h * (derivative(spec, d1, xp) - f0) / hj
+    # frozen Jacobian of the residual F(y) = y - x0 - h/2 (f0 + f(y)),
+    # differenced at the end-of-step duty on both sides
+    f_base = f0 if d1 == stim.duty_at(t0) else derivative(spec, d1, x0)
+    J = _newton_matrix(spec, d1, x0, f_base, h)
     refreshes = 0
     prev_norm = None
     for _ in range(_NEWTON_MAX):
@@ -134,13 +146,7 @@ def _trapezoid_step(spec, stim, t0, x0, f0, h, rtol, atol):
         if prev_norm is not None and norm > 0.5 * prev_norm and refreshes < 2:
             # poor contraction means the Jacobian is stale; rebuild it
             # at the current iterate
-            f_y = derivative(spec, d1, y)
-            for j in range(4):
-                hj = 1e-7 * (abs(y[j]) + 1.0)
-                xp = y.copy()
-                xp[j] += hj
-                J[:, j] = (np.eye(4)[:, j]
-                           - 0.5 * h * (derivative(spec, d1, xp) - f_y) / hj)
+            J = _newton_matrix(spec, d1, y, derivative(spec, d1, y), h)
             refreshes += 1
             prev_norm = None
         else:
@@ -148,8 +154,13 @@ def _trapezoid_step(spec, stim, t0, x0, f0, h, rtol, atol):
     return None
 
 
-def _integrate_segment(spec, stim, t0, t1, x, h, rtol, atol, sink):
-    """Adaptive trapezoidal integration over [t0, t1]; returns (x, h)."""
+def _integrate_segment(spec, stim, t0, t1, x, f0, h, rtol, atol, accept):
+    """Adaptive trapezoidal integration over [t0, t1] from state x with
+    derivative f0; returns (x, f0, h).
+
+    ``accept(t, x)`` records each accepted sample and returns the
+    derivative there, which starts the next step.
+    """
     t = t0
     h_min = max(1e-18, 1e-14 * max(t1, 1.0))
     while t < t1:
@@ -157,7 +168,6 @@ def _integrate_segment(spec, stim, t0, t1, x, h, rtol, atol, sink):
         if h < h_min:
             raise StepSizeUnderflow(
                 "step size underflow at t = %.6e s" % (t,))
-        f0 = derivative(spec, stim.duty_at(t), x)
         big = _trapezoid_step(spec, stim, t, x, f0, h, rtol, atol)
         fine = None
         if big is not None:
@@ -179,9 +189,9 @@ def _integrate_segment(spec, stim, t0, t1, x, h, rtol, atol, sink):
         if err_norm <= 1.0:
             t += h
             x = fine
-            sink(t, x)
+            f0 = accept(t, x)
         h *= min(_STEP_GROW, max(_STEP_SHRINK, factor))
-    return x, h
+    return x, f0, h
 
 
 def simulate(spec: ConverterSpec, stimulus: Stimulus, t_end: float,
@@ -189,7 +199,10 @@ def simulate(spec: ConverterSpec, stimulus: Stimulus, t_end: float,
     """Integrate the averaged model from 0 to t_end under a stimulus.
 
     Integration restarts at every parameter-step time and duty
-    breakpoint; each accepted step contributes one output sample.
+    breakpoint; each accepted step contributes one output sample.  A
+    sample is labelled (v0, mu, mode) with the component values in
+    force at its time, so the sample at a parameter step, and one at
+    exactly t_end, carries the stepped values.
 
     Raises StepSizeUnderflow when the error control cannot proceed.
     """
@@ -208,42 +221,31 @@ def simulate(spec: ConverterSpec, stimulus: Stimulus, t_end: float,
                     | {t for t, _ in stimulus.duty if 0.0 < t < t_end})
     boundaries = [0.0] + events + [t_end]
 
-    times, states = [0.0], [x.copy()]
-
-    def sink(t, y):
-        times.append(t)
-        states.append(y.copy())
-
+    steps = stimulus.parameter_steps
     current = spec
-    for t_step, name, value in stimulus.parameter_steps:
-        if t_step == 0.0:
+    applied = 0
+    times, states, v0, mu, mode = [], [], [], [], []
+
+    def accept(t, y):
+        """Record a sample; return its derivative, which starts the next step."""
+        nonlocal current, applied
+        while applied < len(steps) and steps[applied][0] <= t:
+            _, name, value = steps[applied]
             current = dataclasses.replace(current, **{name: value})
+            applied += 1
+        d = stimulus.duty_at(t)
+        ports = resolve_ports(current, d, y)
+        times.append(t)
+        states.append(y)
+        v0.append(ports.v_out)
+        mu.append(ports.mu)
+        mode.append(ports.mode)
+        return derivative(current, d, y, ports)
+
+    f0 = accept(0.0, x)
     h = min(t_end, 0.5 / spec.f_s)
     for t0, t1 in zip(boundaries, boundaries[1:]):
-        for t_step, name, value in stimulus.parameter_steps:
-            if t_step == t0 and t0 > 0.0:
-                current = dataclasses.replace(current, **{name: value})
-        x, h = _integrate_segment(current, stimulus, t0, t1, x, h, rtol, atol, sink)
-
-    # annotate samples with output voltage, effective duty and mode;
-    # parameter steps are reapplied in sequence so each sample is
-    # resolved against the component values in force at its time
-    v0 = np.empty(len(times))
-    mu = np.empty(len(times))
-    mode = []
-    current = spec
-    step_iter = iter(stimulus.parameter_steps)
-    pending = next(step_iter, None)
-    while pending is not None and pending[0] == 0.0:
-        current = dataclasses.replace(current, **{pending[1]: pending[2]})
-        pending = next(step_iter, None)
-    for i, t in enumerate(times):
-        while pending is not None and t >= pending[0]:
-            current = dataclasses.replace(current, **{pending[1]: pending[2]})
-            pending = next(step_iter, None)
-        ports = resolve_ports(current, stimulus.duty_at(t), states[i])
-        v0[i] = ports.v_out
-        mu[i] = ports.mu
-        mode.append(ports.mode)
+        x, f0, h = _integrate_segment(current, stimulus, t0, t1, x, f0, h,
+                                      rtol, atol, accept)
     return Waveform(times=np.array(times), states=np.array(states),
-                    v0=v0, mu=mu, mode=mode)
+                    v0=np.array(v0), mu=np.array(mu), mode=mode)

@@ -174,8 +174,28 @@ def test_compare_report(tmp_path, capsys):
 # --- exit codes -----------------------------------------------------
 
 def test_usage_error_is_exit_1(capsys):
-    assert main(["sweep", "--config", "sepic_bench", "--from", "0.2"]) == 1
-    assert main(["dc"]) == 1
+    for argv in (
+        ["sweep", "--config", "sepic_bench", "--from", "0.2"],
+        ["dc"],
+        ["sweep", "--config", "sepic_bench", "--from", "0.9", "--to", "0.2",
+         "--step", "0.1"],
+        ["sweep", "--config", "sepic_bench", "--from", "0.2", "--to", "0.3",
+         "--step", "0"],
+        ["sweep", "--config", "sepic_bench", "--from", "0.2", "--to", "0.3",
+         "--step", "-0.05"],
+        ["ac", "--config", "sepic_bench", "--f-min", "3000", "--f-max", "5"],
+    ):
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: "), argv
+        assert "Traceback" not in err
+
+
+def test_sweep_duty_out_of_range_is_exit_2(capsys):
+    rc = main(["sweep", "--config", "sepic_bench", "--from", "0.8",
+               "--to", "1.2", "--step", "0.2"])
+    assert rc == 2
+    assert "config error" in capsys.readouterr().err
 
 
 def test_missing_duty_is_exit_1(tmp_path, capsys):
@@ -196,6 +216,11 @@ def test_invalid_component_is_exit_2(tmp_path, capsys):
     path = tmp_path / "zero.conf"
     path.write_text(MINIMAL_NO_DEFAULTS.replace("L1 = 13 mH", "L1 = 0 H"))
     assert main(["dc", "--config", str(path), "--duty", "0.2"]) == 2
+    # a switching frequency too low for the default frequency grid
+    path.write_text(MINIMAL_NO_DEFAULTS.replace("f_s = 50 kHz", "f_s = 20 Hz"))
+    capsys.readouterr()
+    assert main(["ac", "--config", str(path), "--duty", "0.2"]) == 2
+    assert "default grid" in capsys.readouterr().err
 
 
 def test_solver_failure_is_exit_3(capsys):

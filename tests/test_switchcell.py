@@ -1,6 +1,5 @@
 """Tests for the averaged switch-cell relations."""
 
-import numpy as np
 import pytest
 
 from convavg import (
@@ -11,10 +10,7 @@ from convavg import (
     ConverterSpec,
     SwitchIntervalDuties,
     ValidationError,
-    average_switch_waveforms_ideal,
-    average_switch_waveforms_nonideal,
-    mu_combined,
-    port_relations,
+    average_switch_waveforms,
 )
 from convavg.dc import StateVector
 
@@ -55,76 +51,6 @@ def test_duties_ccm_has_zero_idle():
     assert d.D3 == 0.0
 
 
-# --- combined duty law ----------------------------------------------
-
-def test_mu_combined_dcm_branch():
-    # Re*I1/V1 = 1 -> candidate 0.5 beats D = 0.3
-    assert mu_combined(0.3, 100.0, 1.0, 100.0) == pytest.approx(0.5, rel=1e-12)
-
-
-def test_mu_combined_ccm_branch():
-    # Re*I1/V1 = 9 -> candidate 0.1 loses to D = 0.3
-    assert mu_combined(0.3, 900.0, 1.0, 100.0) == pytest.approx(0.3, rel=1e-12)
-
-
-def test_mu_combined_never_below_commanded_duty():
-    for d in (0.1, 0.4, 0.77):
-        for ratio in (0.01, 1.0, 50.0):
-            mu = mu_combined(d, ratio * 100.0, 1.0, 100.0)
-            assert mu >= d
-
-
-def test_mu_combined_upper_clamp():
-    # vanishing current drives the candidate toward 1; stays below it
-    mu = mu_combined(0.3, 100.0, 1e-15, 100.0)
-    assert mu < 1.0
-    assert mu >= 1.0 - 1e-8
-
-
-def test_mu_combined_degenerate_port_falls_back_to_d():
-    assert mu_combined(0.3, 100.0, -1.0, 100.0) == 0.3
-    assert mu_combined(0.3, 100.0, 1.0, -5.0) == 0.3
-    assert mu_combined(0.3, 100.0, 1.0, 0.0) == 0.3
-
-
-def test_mu_combined_domain_errors():
-    with pytest.raises(ValidationError):
-        mu_combined(0.0, 100.0, 1.0, 100.0)
-    with pytest.raises(ValidationError):
-        mu_combined(0.3, -1.0, 1.0, 100.0)
-
-
-# --- transformer realization ----------------------------------------
-
-def test_port_relations_unity_ratio():
-    v1, i2 = port_relations(0.5, 10.0, 2.0)
-    assert v1 == pytest.approx(10.0)
-    assert i2 == pytest.approx(2.0)
-
-
-def test_port_relations_three_to_one():
-    v1, i2 = port_relations(0.25, 10.0, 1.0)
-    assert v1 == pytest.approx(30.0)
-    assert i2 == pytest.approx(3.0)
-
-
-def test_port_relations_power_identity():
-    rng = np.random.default_rng(7)
-    for _ in range(200):
-        mu = float(rng.uniform(0.01, 0.99))
-        v2 = float(rng.uniform(-100.0, 100.0))
-        i1 = float(rng.uniform(-10.0, 10.0))
-        v1, i2 = port_relations(mu, v2, i1)
-        assert v1 * i1 == pytest.approx(v2 * i2, rel=1e-12, abs=1e-12)
-
-
-def test_port_relations_domain():
-    with pytest.raises(ValidationError):
-        port_relations(0.0, 10.0, 1.0)
-    with pytest.raises(ValidationError):
-        port_relations(1.0, 10.0, 1.0)
-
-
 # --- interval-weighted averages -------------------------------------
 
 def test_ideal_sepic_currents_share_total():
@@ -134,13 +60,13 @@ def test_ideal_sepic_currents_share_total():
     spec = sepic_bench(ideal=True)
     duties = SwitchIntervalDuties(D1=0.2, D2=0.5, D3=0.3)
     state = StateVector(i_L1=0.4, i_L2=0.6, v_C1=62.0, v_C2=22.0)
-    ap = average_switch_waveforms_ideal(spec, duties, state)
+    ap = average_switch_waveforms(spec, duties, state)
     assert ap.I1 == pytest.approx(0.2 / 0.7, rel=1e-12)
     assert ap.I2 == pytest.approx(0.5 / 0.7, rel=1e-12)
     assert ap.I1 / ap.I2 == pytest.approx(duties.D1 / duties.D2, rel=1e-12)
 
     ccm = SwitchIntervalDuties(D1=0.2, D2=0.8, D3=0.0)
-    ap2 = average_switch_waveforms_ideal(spec, ccm, state)
+    ap2 = average_switch_waveforms(spec, ccm, state)
     assert ap2.I1 == pytest.approx(0.2 * 1.0, rel=1e-12)
     assert ap2.I2 == pytest.approx(0.8 * 1.0, rel=1e-12)
 
@@ -149,7 +75,7 @@ def test_ideal_zero_total_current_gives_zero_ports():
     spec = sepic_bench(ideal=True)
     duties = SwitchIntervalDuties(D1=0.2, D2=0.5, D3=0.3)
     state = StateVector(i_L1=0.7, i_L2=-0.7, v_C1=62.0, v_C2=22.0)
-    ap = average_switch_waveforms_ideal(spec, duties, state)
+    ap = average_switch_waveforms(spec, duties, state)
     assert ap.I1 == 0.0
     assert ap.I2 == 0.0
 
@@ -161,8 +87,8 @@ def test_nonideal_reduces_to_ideal_when_parasitics_vanish():
         bare = make(R_L1=0.0, R_L2=0.0, R_on1=0.0, V_d=0.0, R_d=0.0,
                     R_C1=0.0, R_C2=0.0)
         ideal = make(ideal=True)
-        a = average_switch_waveforms_nonideal(bare, duties, state)
-        b = average_switch_waveforms_ideal(ideal, duties, state)
+        a = average_switch_waveforms(bare, duties, state)
+        b = average_switch_waveforms(ideal, duties, state)
         assert a.V1 == pytest.approx(b.V1, rel=1e-12, abs=1e-12)
         assert a.V2 == pytest.approx(b.V2, rel=1e-12, abs=1e-12)
         assert a.I1 == pytest.approx(b.I1, rel=1e-12, abs=1e-12)
@@ -175,7 +101,7 @@ def test_cuk_current_averages_nonideal():
     spec = cuk_bench()
     duties = SwitchIntervalDuties(D1=0.42, D2=0.4, D3=0.18)
     state = StateVector(i_L1=0.22, i_L2=0.23, v_C1=48.0, v_C2=-23.0)
-    ap = average_switch_waveforms_nonideal(spec, duties, state)
+    ap = average_switch_waveforms(spec, duties, state)
     total = state.i_L1 + state.i_L2
     conducting = duties.D1 + duties.D2
     assert ap.I1 == pytest.approx(duties.D1 * total / conducting, rel=1e-12)
@@ -186,9 +112,9 @@ def test_cuk_current_averages_nonideal():
 def test_mode_tag_follows_idle_interval():
     spec = sepic_bench()
     state = StateVector(i_L1=0.15, i_L2=0.42, v_C1=62.0, v_C2=22.0)
-    dcm = average_switch_waveforms_nonideal(
+    dcm = average_switch_waveforms(
         spec, SwitchIntervalDuties(D1=0.2, D2=0.55, D3=0.25), state)
-    ccm = average_switch_waveforms_nonideal(
+    ccm = average_switch_waveforms(
         spec, SwitchIntervalDuties(D1=0.2, D2=0.8, D3=0.0), state)
     assert dcm.mode == DCM
     assert ccm.mode == CCM

@@ -20,7 +20,7 @@ from convavg import (
     StateVector,
     SwitchedRunConfig,
     ValidationError,
-    average_switch_waveforms_nonideal,
+    average_switch_waveforms,
     cycle_average,
     equivalent_inductance,
     run_switched,
@@ -48,7 +48,7 @@ def test_final_cycle_reconstructs_averaged_cell_ports():
     s = wf.summaries[ci]
     xavg = StateVector(i_L1=s.i_L1_avg, i_L2=s.i_L2_avg,
                        v_C1=s.v_C1_avg, v_C2=s.v_C2_avg)
-    ap = average_switch_waveforms_nonideal(SEPIC_BENCH, duties, xavg)
+    ap = average_switch_waveforms(SEPIC_BENCH, duties, xavg)
     for measured, modeled in ((v1_m, ap.V1), (v2_m, ap.V2),
                               (i1_m, ap.I1), (i2_m, ap.I2)):
         assert abs(measured - modeled) / abs(modeled) < 0.02

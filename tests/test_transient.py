@@ -16,7 +16,7 @@ from convavg import (
     simulate,
     solve_dc,
 )
-from convavg.avgmodel import derivative
+from convavg.avgmodel import derivative, resolve_ports
 
 SEPIC_BENCH = ConverterSpec(kind=SEPIC, Vg=62.0, R=52.0, L1=13e-3, L2=166e-6,
                          C1=0.5e-6, C2=1000e-6, f_s=50e3, R_L1=0.13, R_L2=0.11,
@@ -115,18 +115,23 @@ def test_duty_ramp_raises_output_and_input_current():
     """Ramp 0.2 -> 0.9: output voltage and input inductor current climb
     monotonically once the start-up transient has passed.
 
-    Slowest test in the suite: the ramp continuously excites the
-    averaged model's coupling-capacitor resonance, which the adaptive
-    integrator must resolve across the whole continuous-conduction
-    span.  Checked on checkpoints spaced well above the ring period.
-    The second inductor's averaged current equals the load current at
-    every settled duty, so it climbs as well (the interval-level
-    current that falls with duty is the reversed-orientation one).
+    Checked on checkpoints spaced well above the coupling-capacitor ring
+    period.  The second inductor's averaged current equals the load
+    current at every settled duty, so it climbs as well (the
+    interval-level current that falls with duty is the
+    reversed-orientation one).
+
+    The step count bounds the work: the ramp is smooth, so the adaptive
+    integrator needs few steps as long as each step's Newton Jacobian is
+    differenced at one duty.  A Jacobian mixing the start-of-step duty
+    into its base value is wrong by the duty change over the step, and
+    the resulting Newton failures shrink the step by orders of magnitude.
     """
     op0 = solve_dc(OperatingPointRequest(spec=SEPIC_BENCH, D=0.2))
     stim = Stimulus(duty=((0.0, 0.2), (0.12, 0.9)))
     wf = simulate(SEPIC_BENCH, stim, t_end=0.12, initial=op0.state,
                   rtol=1e-3, atol=1e-3)
+    assert len(wf.times) < 1000
     t = np.asarray(wf.times)
     v0 = np.asarray(wf.v0)
     i1 = np.asarray([s[0] for s in wf.states])
@@ -183,6 +188,29 @@ def test_load_step_moves_output():
     op2 = solve_dc(OperatingPointRequest(spec=halved, D=0.2))
     assert abs(wf.v0[-1] - op2.V0) / abs(op2.V0) < 0.005
     assert wf.v0[-1] < op.V0  # heavier load sags the DCM output
+
+
+def test_samples_at_parameter_steps_carry_stepped_values():
+    """A sample is labelled with the component values in force at its
+    time: the one at a step time with the post-step values, the one
+    before it with the pre-step values, and the final sample with a
+    step at exactly t_end, which integration never uses."""
+    op = solve_dc(OperatingPointRequest(spec=SEPIC_BENCH, D=0.2))
+    stim = Stimulus(duty=0.2, parameter_steps=((0.01, "R", 26.0),
+                                               (0.02, "R", 13.0)))
+    wf = simulate(SEPIC_BENCH, stim, t_end=0.02, initial=op.state)
+    t = np.asarray(wf.times)
+    k = int(np.searchsorted(t, 0.01))
+    assert t[k] == 0.01 and t[-1] == 0.02
+    after = dataclasses.replace(SEPIC_BENCH, R=26.0)
+    final = dataclasses.replace(SEPIC_BENCH, R=13.0)
+    for i, spec in ((k - 1, SEPIC_BENCH), (k, after), (-1, final)):
+        ports = resolve_ports(spec, 0.2, wf.states[i])
+        assert wf.v0[i] == ports.v_out
+        assert wf.mu[i] == ports.mu
+        assert wf.mode[i] == ports.mode
+    # the labels differ: the load step moves V0 at a fixed state
+    assert wf.v0[-1] != resolve_ports(after, 0.2, wf.states[-1]).v_out
 
 
 # --- failure modes --------------------------------------------------
