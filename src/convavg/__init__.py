@@ -14,7 +14,7 @@ from .converter import (SEPIC, CUK, ConverterSpec, OperatingPointRequest,
                         equivalent_inductance)
 from .switchcell import (CCM, DCM, AveragedPortState, SwitchIntervalDuties,
                          average_switch_waveforms)
-from .avgmodel import PortSolution, derivative, resolve_ports
+from .avgmodel import PortSolution, derivative, resolve_ports, state_jacobian
 from .dc import (NonConvergence, OperatingPoint, SingularJacobian,
                  SolverError, StateVector, initial_guess, solve_dc,
                  sweep_duty)
@@ -35,7 +35,7 @@ __all__ = [
     "equivalent_inductance",
     "CCM", "DCM", "AveragedPortState", "SwitchIntervalDuties",
     "average_switch_waveforms",
-    "PortSolution", "derivative", "resolve_ports",
+    "PortSolution", "derivative", "resolve_ports", "state_jacobian",
     "NonConvergence", "OperatingPoint", "SingularJacobian", "SolverError",
     "StateVector", "initial_guess", "solve_dc", "sweep_duty",
     "StepSizeUnderflow", "Stimulus", "Waveform", "simulate",

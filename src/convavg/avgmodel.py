@@ -195,3 +195,53 @@ def derivative(spec: ConverterSpec, d: float, x, ports: PortSolution = None):
     dv_C2 = ports.i_c2 / spec.C2
     return np.array([di_L1, di_L2, dv_C1, dv_C2])
 
+
+def state_jacobian(spec: ConverterSpec, d: float, x, ports: PortSolution):
+    """Analytic 4x4 Jacobian d(derivative)/dx on the branch ``ports``
+    resolved at (d, x).
+
+    Each column pushes one unit state direction through the port
+    relations.  a and b are linear in the state, so their change along
+    a unit direction is their value there.  In DCM the effective duty
+    moves by dmu = -g_x/g_mu (implicit function theorem on g); in CCM, at
+    a fallback point and at the clamp mu stays put.  The diode-drop
+    switch at i_sum = 0 is piecewise constant and contributes nothing.
+    """
+    i_L1, i_L2 = float(x[0]), float(x[1])
+    i_sum = i_L1 + i_L2
+    d = min(max(d, _MU_FLOOR), 1.0 - MU_CLAMP_EPS)
+    a, b, c = _loop_coefficients(spec, d, i_L1, i_L2, float(x[2]), float(x[3]))
+    mu = ports.mu
+    w = a + b * mu + c * (1.0 - mu) / mu
+    w_mu = b - c / (mu * mu)
+    re = 0.0
+    k_mu = 0.0              # dmu = k_mu * (change of g at fixed mu)
+    if ports.mode == DCM and mu == ports.mu_candidate:
+        re = effective_resistance(spec, d)
+        k_mu = -1.0 / (w + (mu - 1.0) * w_mu + re * i_sum)
+    sepic = spec.kind == SEPIC
+    cols = []
+    for j in range(4):
+        e = [0.0, 0.0, 0.0, 0.0]
+        e[j] = 1.0
+        ds = e[0] + e[1]
+        da, db, _ = _loop_coefficients(spec, d, *e)
+        dmu = k_mu * ((mu - 1.0) * (da + db * mu) + mu * re * ds)
+        dw = da + db * mu + w_mu * dmu
+        dI1 = mu * ds + i_sum * dmu
+        dI2 = (1.0 - mu) * ds - i_sum * dmu
+        di_c1 = (1.0 - mu) * e[0] - mu * e[1] - i_sum * dmu
+        dv_node1 = (1.0 - mu) * dw - w * dmu + spec.R_on1 * dI1
+        if sepic:
+            di_c2 = (spec.R * dI2 - e[3]) / (spec.R + spec.R_C2)
+            dv_node2 = dv_node1 - e[2] - spec.R_C1 * di_c1
+            df2 = -(dv_node2 + spec.R_L2 * e[1]) / spec.L2
+        else:
+            di_c2 = -(spec.R * e[1] + e[3]) / (spec.R + spec.R_C2)
+            dv_node2 = -(mu * dw + w * dmu) - c / (mu * mu) * dmu + spec.R_d * dI2
+            dv_out = e[3] + spec.R_C2 * di_c2
+            df2 = (dv_out - dv_node2 - spec.R_L2 * e[1]) / spec.L2
+        cols.append(((-spec.R_L1 * e[0] - dv_node1) / spec.L1, df2,
+                     di_c1 / spec.C1, di_c2 / spec.C2))
+    return np.array(cols).T
+

@@ -3,7 +3,7 @@
 Subcommands: dc, tran, ac, sweep, compare.  Converter descriptions come
 from config files (--config accepts a filesystem path or the name of a
 bundled config such as sepic_bench).  Exit codes: 0 success, 1 usage,
-2 config parse/validation, 3 solver non-convergence, 4 I/O.
+2 config parse/validation, 3 solver failure, 4 I/O.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ from .converter import OperatingPointRequest, ValidationError
 from .dc import SolverError, solve_dc, sweep_duty
 from .smallsignal import (_log_grid, default_frequency_grid, frequency_response,
                           linearize)
-from .switched import SwitchedRunConfig, cycle_average, run_switched
+from .switched import (EventDetectionError, SwitchedRunConfig, cycle_average,
+                       run_switched)
 from .transient import StepSizeUnderflow, Stimulus, simulate
 from .avgmodel import resolve_ports
 
@@ -278,7 +279,7 @@ def main(argv=None) -> int:
     except (ParseError, ValidationError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
-    except (SolverError, StepSizeUnderflow) as exc:
+    except (SolverError, StepSizeUnderflow, EventDetectionError) as exc:
         print("solver error: %s" % exc, file=sys.stderr)
         return EXIT_SOLVER
     except OSError as exc:

@@ -21,6 +21,9 @@ _MAX_ITERATIONS = 200
 _TOL = 1e-9
 _MAX_HALVINGS = 20
 _FD_REL_STEP = 1e-6
+# Largest duty grid sweep_duty builds: a tiny step must not ask for
+# unbounded work.
+MAX_SWEEP_POINTS = 100_001
 
 
 class SolverError(RuntimeError):
@@ -212,11 +215,15 @@ def sweep_duty(spec: ConverterSpec, D_from: float, D_to: float,
 
     A point that fails to converge is recorded with ``converged=False``
     (NaN state) and the sweep continues from the closed-form guess at
-    the next duty.
+    the next duty.  A non-positive step, a reversed range or a grid of
+    more than MAX_SWEEP_POINTS raises ValueError before any solve.
     """
-    if D_step <= 0.0:
+    if not (D_step > 0.0):
         raise ValueError("duty step must be positive")
-    n = int(round((D_to - D_from) / D_step))
+    span = (D_to - D_from) / D_step
+    if not (abs(span) < MAX_SWEEP_POINTS - 0.5):    # round(span) + 1 points
+        raise ValueError("duty grid exceeds %d points" % MAX_SWEEP_POINTS)
+    n = int(round(span))
     if n < 0:
         raise ValueError("empty duty range")
     duties = [D_from + k * D_step for k in range(n + 1)]

@@ -1,32 +1,52 @@
 """Large-signal time-domain simulation of the averaged model.
 
-Implicit trapezoidal integration with adaptive step control by
-step-doubling (one full step against two half steps, Richardson error
-estimate).  Each step's Newton iteration uses a forward-difference
-Jacobian taken at the end-of-step duty.  The effective duty is resolved
-algebraically inside every derivative evaluation, so mode transitions
-need no special handling; parameter steps and duty breakpoints are
-events at which integration restarts with the updated values.  Each
-accepted sample is labelled (v0, mu, mode) as it is accepted, and the
-same port resolution gives the derivative that starts the next step.
+TR-BDF2 (Bank et al., IEEE TCAD 1985; Hosea & Shampine, APNUM 1996): a
+trapezoidal stage to t + gamma*h, then a BDF2 stage through the step's
+start and that stage to t + h.  With gamma = 2 - sqrt(2) both stages
+solve with the same Newton matrix I - (gamma/2)*h*J, and an embedded
+estimate, filtered through that matrix, drives the adaptive step size.
+J is the analytic Jacobian of the averaged cell.  It is kept from step
+to step and rebuilt only at a segment start or when the simplified
+Newton iteration fails; the step shrinks only when Newton fails with a
+fresh J.  The stage derivatives are recovered from the stage equations,
+so a step costs one derivative per Newton iteration plus the one that
+starts the next step.
+
+The effective duty is resolved algebraically inside every derivative
+evaluation, so mode transitions need no special handling; parameter
+steps and duty breakpoints are events at which integration restarts
+with the updated values (the method is self-starting).  Each accepted
+sample is labelled (v0, mu, mode) as it is accepted, and the same port
+resolution gives the derivative that starts the next step.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from math import isfinite, sqrt
 
 import numpy as np
 
-from .avgmodel import derivative, resolve_ports
+from .avgmodel import derivative, resolve_ports, state_jacobian
 from .converter import ConverterSpec, ValidationError
 
 # Parameters that a stimulus may step during a run.
 STEPPABLE = ("R_L1", "R_L2", "R")
 
-_NEWTON_MAX = 20
+_NEWTON_MAX = 4
 _STEP_GROW = 5.0
 _STEP_SHRINK = 0.2
+
+# TR-BDF2 stage weights: y1 - (gamma/2) h f(y1) = _B_G*y_g - _B_0*x.
+_GAMMA = 2.0 - sqrt(2.0)
+_B_G = 1.0 / (_GAMMA * (2.0 - _GAMMA))
+_B_0 = (1.0 - _GAMMA) ** 2 / (_GAMMA * (2.0 - _GAMMA))
+# Local error k*h*(f0/gamma - f_g/(gamma*(1-gamma)) + f1/(1-gamma)).
+_ERR_K = (-3.0 * _GAMMA ** 2 + 4.0 * _GAMMA - 2.0) / (6.0 * (2.0 - _GAMMA))
+_ERR_0 = _ERR_K / _GAMMA
+_ERR_G = -_ERR_K / (_GAMMA * (1.0 - _GAMMA))
+_ERR_1 = _ERR_K / (1.0 - _GAMMA)
 
 
 class StepSizeUnderflow(RuntimeError):
@@ -105,57 +125,24 @@ class Waveform:
         return StateVector.from_array(self.states[-1])
 
 
-def _newton_matrix(spec, d, y, f_y, h):
-    """Trapezoidal Newton matrix I - h/2 df/dx at y, by forward
-    differences against f_y = f(d, y)."""
-    J = np.eye(4)
-    for j in range(4):
-        hj = 1e-7 * (abs(y[j]) + 1.0)
-        yp = y.copy()
-        yp[j] += hj
-        J[:, j] -= 0.5 * h * (derivative(spec, d, yp) - f_y) / hj
-    return J
-
-
-def _trapezoid_step(spec, stim, t0, x0, f0, h, rtol, atol):
-    """One implicit trapezoidal step; returns the new state or None."""
-    t1 = t0 + h
-    d1 = stim.duty_at(t1)
-    y = x0 + h * f0          # explicit Euler predictor
-    # frozen Jacobian of the residual F(y) = y - x0 - h/2 (f0 + f(y)),
-    # differenced at the end-of-step duty on both sides
-    f_base = f0 if d1 == stim.duty_at(t0) else derivative(spec, d1, x0)
-    J = _newton_matrix(spec, d1, x0, f_base, h)
-    refreshes = 0
-    prev_norm = None
+def _solve_stage(spec, d, z, rhs, dh, M_inv, tol):
+    """Simplified Newton on z - dh f(d, z) = rhs with the frozen inverse
+    Newton matrix M_inv; returns the stage value or None."""
+    prev = np.inf
     for _ in range(_NEWTON_MAX):
-        F = y - x0 - 0.5 * h * (f0 + derivative(spec, d1, y))
-        try:
-            delta = np.linalg.solve(J, -F)
-        except np.linalg.LinAlgError:
+        delta = M_inv @ (rhs - z + dh * derivative(spec, d, z))
+        z = z + delta
+        norm = float(np.max(np.abs(delta) / tol))
+        if norm <= 1.0:
+            return z
+        if not norm < prev:     # diverging, or not finite
             return None
-        y = y + delta
-        # the implicit system only needs solving to a fraction of the
-        # step error tolerance, not to machine precision
-        tol = 0.05 * (atol + rtol * np.abs(y))
-        if np.all(np.abs(delta) <= np.maximum(tol, 1e-14 * (1.0 + np.abs(y)))):
-            return y
-        if not np.all(np.isfinite(y)):
-            return None
-        norm = float(np.max(np.abs(delta)))
-        if prev_norm is not None and norm > 0.5 * prev_norm and refreshes < 2:
-            # poor contraction means the Jacobian is stale; rebuild it
-            # at the current iterate
-            J = _newton_matrix(spec, d1, y, derivative(spec, d1, y), h)
-            refreshes += 1
-            prev_norm = None
-        else:
-            prev_norm = norm
+        prev = norm
     return None
 
 
 def _integrate_segment(spec, stim, t0, t1, x, f0, h, rtol, atol, accept):
-    """Adaptive trapezoidal integration over [t0, t1] from state x with
+    """Adaptive TR-BDF2 integration over [t0, t1] from state x with
     derivative f0; returns (x, f0, h).
 
     ``accept(t, x)`` records each accepted sample and returns the
@@ -163,33 +150,54 @@ def _integrate_segment(spec, stim, t0, t1, x, f0, h, rtol, atol, accept):
     """
     t = t0
     h_min = max(1e-18, 1e-14 * max(t1, 1.0))
+    J = None                # Jacobian kept across steps within the segment
+    fresh = False           # J was taken at the current (t, x)
     while t < t1:
         h = min(h, t1 - t)
         if h < h_min:
             raise StepSizeUnderflow(
                 "step size underflow at t = %.6e s" % (t,))
-        big = _trapezoid_step(spec, stim, t, x, f0, h, rtol, atol)
-        fine = None
-        if big is not None:
-            half = _trapezoid_step(spec, stim, t, x, f0, 0.5 * h, rtol, atol)
-            if half is not None:
-                f_half = derivative(spec, stim.duty_at(t + 0.5 * h), half)
-                fine = _trapezoid_step(spec, stim, t + 0.5 * h, half, f_half,
-                                       0.5 * h, rtol, atol)
-        if big is None or fine is None:
-            h *= 0.25
+        if J is None:
+            d = stim.duty_at(t)
+            J = state_jacobian(spec, d, x, resolve_ports(spec, d, x))
+            fresh = True
+        dh = 0.5 * _GAMMA * h
+        M_inv = np.linalg.inv(np.eye(4) - dh * J)
+        # the stages only need solving to a fraction of the step error
+        # tolerance, not to machine precision
+        tol = np.maximum(0.05 * (atol + rtol * np.abs(x)), 1e-14 * (1.0 + np.abs(x)))
+        # stage 1: trapezoid to t + gamma*h from an explicit Euler guess
+        rhs = x + dh * f0
+        y_g = _solve_stage(spec, stim.duty_at(t + _GAMMA * h), x + _GAMMA * h * f0,
+                           rhs, dh, M_inv, tol)
+        y1 = None
+        if y_g is not None:
+            f_g = (y_g - rhs) / dh
+            # stage 2: BDF2 through x, y_g to t + h, guessed by the
+            # quadratic through x (slope f0) and y_g
+            rhs = _B_G * y_g - _B_0 * x
+            y1 = _solve_stage(spec, stim.duty_at(t + h),
+                              x + h * f0 + (y_g - x - _GAMMA * h * f0) / _GAMMA ** 2,
+                              rhs, dh, M_inv, tol)
+        if y1 is None:
+            if fresh:
+                h *= 0.25
+            else:
+                J = None
             continue
-        err = np.abs(big - fine) / 3.0
-        scale = atol + rtol * np.maximum(np.abs(x), np.abs(fine))
+        f1 = (y1 - rhs) / dh
+        err = M_inv @ (h * (_ERR_0 * f0 + _ERR_G * f_g + _ERR_1 * f1))
+        scale = atol + rtol * np.maximum(np.abs(x), np.abs(y1))
         with np.errstate(divide="ignore", invalid="ignore"):
-            err_norm = float(np.max(err / scale))
+            err_norm = float(np.max(np.abs(err) / scale))
         if np.isnan(err_norm):
             err_norm = np.inf
         factor = _STEP_GROW if err_norm == 0.0 else 0.9 * err_norm ** (-1.0 / 3.0)
         if err_norm <= 1.0:
             t += h
-            x = fine
+            x = y1
             f0 = accept(t, x)
+            fresh = False
         h *= min(_STEP_GROW, max(_STEP_SHRINK, factor))
     return x, f0, h
 
@@ -204,10 +212,17 @@ def simulate(spec: ConverterSpec, stimulus: Stimulus, t_end: float,
     force at its time, so the sample at a parameter step, and one at
     exactly t_end, carries the stepped values.
 
+    ``rtol`` and ``atol`` must be finite and non-negative; zero is
+    legal and asks for an exactness the error control cannot meet.
+
     Raises StepSizeUnderflow when the error control cannot proceed.
     """
     if not (t_end > 0.0):
         raise ValidationError("t_end must be positive")
+    for name, value in (("rtol", rtol), ("atol", atol)):
+        if not (isfinite(value) and value >= 0.0):
+            raise ValidationError("%s must be finite and non-negative, got %r"
+                                  % (name, value))
     if initial is None:
         x = np.zeros(4)
     elif hasattr(initial, "as_array"):

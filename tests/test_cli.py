@@ -184,6 +184,9 @@ def test_usage_error_is_exit_1(capsys):
         ["sweep", "--config", "sepic_bench", "--from", "0.2", "--to", "0.3",
          "--step", "-0.05"],
         ["ac", "--config", "sepic_bench", "--f-min", "3000", "--f-max", "5"],
+        # a grid above the sweep cap is refused before it is built
+        ["sweep", "--config", "sepic_bench", "--from", "0.1", "--to", "0.8",
+         "--step", "1e-9"],
     ):
         assert main(argv) == 1, argv
         err = capsys.readouterr().err
@@ -228,6 +231,29 @@ def test_solver_failure_is_exit_3(capsys):
                "--rtol", "0", "--atol", "0"])
     assert rc == 3
     assert "solver error" in capsys.readouterr().err
+
+
+def test_bad_tolerance_is_exit_2(capsys):
+    for option in ("--rtol=-1", "--atol=-1e-3", "--rtol=inf", "--atol=nan"):
+        rc = main(["tran", "--config", "sepic_bench", "--t-end", "0.001", option])
+        assert rc == 2, option
+        err = capsys.readouterr().err
+        assert err.startswith("config error: "), option
+        assert "Traceback" not in err
+
+
+def test_switched_event_failure_is_exit_3(monkeypatch, capsys):
+    import convavg.cli
+    from convavg.switched import EventDetectionError
+
+    def fail(*args, **kwargs):
+        raise EventDetectionError("diode turn-off not bracketed")
+
+    monkeypatch.setattr(convavg.cli, "run_switched", fail)
+    assert main(["compare", "--config", "cuk_bench", "--cycles", "5"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solver error: ")
+    assert "Traceback" not in err
 
 
 def test_missing_config_file_is_exit_4(capsys):

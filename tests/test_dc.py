@@ -194,6 +194,19 @@ def test_sweep_rejects_bad_step():
         sweep_duty(SEPIC_BENCH, 0.2, 0.4, -0.01)
 
 
+def test_sweep_rejects_oversized_grid_before_solving(monkeypatch):
+    import convavg.dc
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("sweep_duty solved a point of an oversized grid")
+
+    monkeypatch.setattr(convavg.dc, "solve_dc", no_solve)
+    cap = convavg.dc.MAX_SWEEP_POINTS
+    for step in (1e-9, 1e-320, 0.7 / cap):      # cap + 1 points and beyond
+        with pytest.raises(ValueError, match="exceeds"):
+            sweep_duty(SEPIC_BENCH, 0.1, 0.8, step)
+
+
 def test_cuk_sweep_tracks_ideal_law_within_losses():
     # |V0| through the discontinuous range stays below the loss-free
     # conversion law and within 10% of it

@@ -122,10 +122,10 @@ def test_duty_ramp_raises_output_and_input_current():
     reversed-orientation one).
 
     The step count bounds the work: the ramp is smooth, so the adaptive
-    integrator needs few steps as long as each step's Newton Jacobian is
-    differenced at one duty.  A Jacobian mixing the start-of-step duty
-    into its base value is wrong by the duty change over the step, and
-    the resulting Newton failures shrink the step by orders of magnitude.
+    integrator needs few steps as long as its Newton iteration keeps
+    converging while the duty moves.  Newton failures that shrink the
+    step instead of refreshing the Jacobian cost orders of magnitude
+    more steps.
     """
     op0 = solve_dc(OperatingPointRequest(spec=SEPIC_BENCH, D=0.2))
     stim = Stimulus(duty=((0.0, 0.2), (0.12, 0.9)))
@@ -213,12 +213,46 @@ def test_samples_at_parameter_steps_carry_stepped_values():
     assert wf.v0[-1] != resolve_ports(after, 0.2, wf.states[-1]).v_out
 
 
+# --- work per step --------------------------------------------------
+
+def test_startup_work_per_accepted_step(monkeypatch):
+    """A start-up from zero needs a handful of cell resolutions per
+    accepted step: one per Newton iteration of the two TR-BDF2 stages,
+    one to label the sample, and one per Jacobian rebuild, which the
+    kept Jacobian makes rare."""
+    import convavg.transient as transient
+    calls = [0]
+    derivative_fn, resolve_fn = transient.derivative, transient.resolve_ports
+
+    def counted_derivative(spec, d, x, ports=None):
+        calls[0] += ports is None
+        return derivative_fn(spec, d, x, ports)
+
+    def counted_resolve(spec, d, x):
+        calls[0] += 1
+        return resolve_fn(spec, d, x)
+
+    monkeypatch.setattr(transient, "derivative", counted_derivative)
+    monkeypatch.setattr(transient, "resolve_ports", counted_resolve)
+    wf = simulate(SEPIC_BENCH, Stimulus(duty=0.2), t_end=0.12)
+    accepted = len(wf.times) - 1
+    assert accepted > 100
+    assert calls[0] <= 8 * accepted
+
+
 # --- failure modes --------------------------------------------------
 
 def test_zero_tolerance_underflows():
     with pytest.raises(StepSizeUnderflow):
         simulate(SEPIC_BENCH, Stimulus(duty=0.2), t_end=1e-3,
                  rtol=0.0, atol=0.0)
+
+
+def test_negative_or_non_finite_tolerance_rejected():
+    for tols in ({"rtol": -1.0}, {"atol": -1e-3}, {"rtol": np.inf},
+                 {"atol": np.nan}):
+        with pytest.raises(ValidationError):
+            simulate(SEPIC_BENCH, Stimulus(duty=0.2), t_end=1e-3, **tols)
 
 
 def test_t_end_must_be_positive():
