@@ -197,18 +197,23 @@ def derivative(spec: ConverterSpec, d: float, x, ports: PortSolution = None):
 
 
 def state_jacobian(spec: ConverterSpec, d: float, x, ports: PortSolution):
-    """Analytic 4x4 Jacobian d(derivative)/dx on the branch ``ports``
-    resolved at (d, x).
+    """Analytic derivatives (A, B_d) of derivative() in the state and in
+    the duty, on the branch ``ports`` resolved at (d, x).
 
-    Each column pushes one unit state direction through the port
-    relations.  a and b are linear in the state, so their change along
-    a unit direction is their value there.  In DCM the effective duty
-    moves by dmu = -g_x/g_mu (implicit function theorem on g); in CCM, at
-    a fallback point and at the clamp mu stays put.  The diode-drop
-    switch at i_sum = 0 is piecewise constant and contributes nothing.
+    A is the 4x4 d(derivative)/dx and B_d the 4-vector d(derivative)/dd.
+    Each column pushes one unit direction through the port relations.
+    a and b are linear in the state, so their change along a unit state
+    direction is their value there; along the duty c = V_d*d moves by
+    c/d and Re = 2*L_eq*f_s/d**2 by -2*Re/d.  In DCM the effective duty
+    moves by dmu = -g_p/g_mu (implicit function theorem on g, p the
+    direction); in CCM and at a fallback point mu = d moves with the duty
+    alone; at the mu clamp it stays put.  A duty that resolve_ports
+    clamped gets a zero B_d.  The diode-drop switch at i_sum = 0 is
+    piecewise constant and contributes nothing.
     """
     i_L1, i_L2 = float(x[0]), float(x[1])
     i_sum = i_L1 + i_L2
+    d_in = d
     d = min(max(d, _MU_FLOOR), 1.0 - MU_CLAMP_EPS)
     a, b, c = _loop_coefficients(spec, d, i_L1, i_L2, float(x[2]), float(x[3]))
     mu = ports.mu
@@ -219,15 +224,21 @@ def state_jacobian(spec: ConverterSpec, d: float, x, ports: PortSolution):
     if ports.mode == DCM and mu == ports.mu_candidate:
         re = effective_resistance(spec, d)
         k_mu = -1.0 / (w + (mu - 1.0) * w_mu + re * i_sum)
+    mu_d = 1.0 if ports.mode == CCM else 0.0    # mu = d: CCM and fallback
     sepic = spec.kind == SEPIC
     cols = []
-    for j in range(4):
+    for j in range(5):
         e = [0.0, 0.0, 0.0, 0.0]
-        e[j] = 1.0
+        dc = dre = dmu = 0.0    # duty-driven changes of c, Re and mu
+        if j < 4:
+            e[j] = 1.0
+        elif d == d_in:         # a duty resolve_ports clamped moves nothing
+            dc, dre, dmu = c / d, -2.0 * re / d, mu_d
         ds = e[0] + e[1]
         da, db, _ = _loop_coefficients(spec, d, *e)
-        dmu = k_mu * ((mu - 1.0) * (da + db * mu) + mu * re * ds)
-        dw = da + db * mu + w_mu * dmu
+        dw_fixed = da + db * mu + dc * (1.0 - mu) / mu
+        dmu += k_mu * ((mu - 1.0) * dw_fixed + mu * re * ds + mu * i_sum * dre)
+        dw = dw_fixed + w_mu * dmu
         dI1 = mu * ds + i_sum * dmu
         dI2 = (1.0 - mu) * ds - i_sum * dmu
         di_c1 = (1.0 - mu) * e[0] - mu * e[1] - i_sum * dmu
@@ -238,10 +249,10 @@ def state_jacobian(spec: ConverterSpec, d: float, x, ports: PortSolution):
             df2 = -(dv_node2 + spec.R_L2 * e[1]) / spec.L2
         else:
             di_c2 = -(spec.R * e[1] + e[3]) / (spec.R + spec.R_C2)
-            dv_node2 = -(mu * dw + w * dmu) - c / (mu * mu) * dmu + spec.R_d * dI2
+            dv_node2 = (-(mu * dw + w * dmu) + dc * (1.0 - mu) / mu
+                        - c / (mu * mu) * dmu + spec.R_d * dI2)
             dv_out = e[3] + spec.R_C2 * di_c2
             df2 = (dv_out - dv_node2 - spec.R_L2 * e[1]) / spec.L2
         cols.append(((-spec.R_L1 * e[0] - dv_node1) / spec.L1, df2,
                      di_c1 / spec.C1, di_c2 / spec.C2))
-    return np.array(cols).T
-
+    return np.array(cols[:4]).T, np.array(cols[4])

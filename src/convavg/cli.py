@@ -31,6 +31,8 @@ EXIT_SOLVER = 3
 EXIT_IO = 4
 
 _FMT = "%.11e"          # 12 significant digits
+# Densest frequency grid ac builds: the grid size must stay bounded.
+_MAX_POINTS_PER_DECADE = 10_000
 
 
 class _UsageError(Exception):
@@ -120,6 +122,9 @@ def _fmt_margin(value):
 
 
 def _cmd_ac(args):
+    if not (1 <= args.points_per_decade <= _MAX_POINTS_PER_DECADE):
+        raise _UsageError("--points-per-decade must lie in [1, %d]"
+                          % _MAX_POINTS_PER_DECADE)
     parsed = _load_config(args.config)
     duty = _require_duty(args, parsed)
     op = solve_dc(OperatingPointRequest(spec=parsed.spec, D=duty))

@@ -13,14 +13,13 @@ from math import sqrt
 
 import numpy as np
 
-from .avgmodel import derivative, resolve_ports
+from .avgmodel import derivative, resolve_ports, state_jacobian
 from .converter import (CUK, ConverterSpec, OperatingPointRequest,
                         dcm_predicted, equivalent_inductance)
 
 _MAX_ITERATIONS = 200
 _TOL = 1e-9
 _MAX_HALVINGS = 20
-_FD_REL_STEP = 1e-6
 # Largest duty grid sweep_duty builds: a tiny step must not ask for
 # unbounded work.
 MAX_SWEEP_POINTS = 100_001
@@ -40,7 +39,7 @@ class NonConvergence(SolverError):
 
 
 class SingularJacobian(SolverError):
-    """The finite-difference Jacobian could not be factored."""
+    """The Newton matrix of the DC residual could not be factored."""
 
 
 @dataclass(frozen=True)
@@ -81,30 +80,19 @@ def _scales(spec, x):
     return v_scale, i_scale
 
 
-def _residual(spec, d, x):
-    """Averaged branch residuals in physical units (volts, amps)."""
-    f = derivative(spec, d, x)
-    return f * np.array([spec.L1, spec.L2, spec.C1, spec.C2])
+def _units(spec):
+    """Per-branch factors that turn derivatives into volts and amps."""
+    return np.array([spec.L1, spec.L2, spec.C1, spec.C2])
 
 
 def _residual_and_norm(spec, d, x):
-    """Residual at x and its scaled maximum norm."""
-    r = _residual(spec, d, x)
+    """Averaged branch residuals at x in physical units (volts, amps),
+    their scaled maximum norm, and the port solution they came from."""
+    ports = resolve_ports(spec, d, x)
+    r = derivative(spec, d, x, ports) * _units(spec)
     v_scale, i_scale = _scales(spec, x)
     return r, max(abs(r[0]) / v_scale, abs(r[1]) / v_scale,
-                  abs(r[2]) / i_scale, abs(r[3]) / i_scale)
-
-
-def _jacobian(spec, d, x):
-    J = np.zeros((4, 4))
-    for j in range(4):
-        h = _FD_REL_STEP * (abs(x[j]) + 1.0)
-        xp = x.copy()
-        xm = x.copy()
-        xp[j] += h
-        xm[j] -= h
-        J[:, j] = (_residual(spec, d, xp) - _residual(spec, d, xm)) / (2.0 * h)
-    return J
+                  abs(r[2]) / i_scale, abs(r[3]) / i_scale), ports
 
 
 def initial_guess(spec: ConverterSpec, D: float) -> np.ndarray:
@@ -151,14 +139,15 @@ def solve_dc(request: OperatingPointRequest, initial=None, *,
         if x.shape != (4,):
             raise ValueError("initial state must have four entries")
 
-    r, norm = _residual_and_norm(spec, d, x)
+    r, norm, ports = _residual_and_norm(spec, d, x)
     iterations = 0
     while norm > tol:
         if iterations >= max_iterations:
             raise NonConvergence(
                 "no convergence after %d iterations (residual %.3e)"
                 % (iterations, norm), iterations, norm)
-        J = _jacobian(spec, d, x)
+        A, _ = state_jacobian(spec, d, x, ports)
+        J = _units(spec)[:, None] * A
         try:
             step = np.linalg.solve(J, -r)
         except np.linalg.LinAlgError as exc:
@@ -171,7 +160,7 @@ def solve_dc(request: OperatingPointRequest, initial=None, *,
         lam = 1.0
         for _ in range(_MAX_HALVINGS + 1):
             trial = x + lam * step
-            trial_r, trial_norm = _residual_and_norm(spec, d, trial)
+            trial_r, trial_norm, trial_ports = _residual_and_norm(spec, d, trial)
             if trial_norm < norm or not np.isfinite(norm):
                 break
             lam *= 0.5
@@ -179,21 +168,20 @@ def solve_dc(request: OperatingPointRequest, initial=None, *,
             # No damping factor reduced the residual; take the smallest
             # step anyway so kinked regions cannot stall the iteration.
             trial = x + lam * step
-            trial_r, trial_norm = _residual_and_norm(spec, d, trial)
+            trial_r, trial_norm, trial_ports = _residual_and_norm(spec, d, trial)
 
         v_scale, i_scale = _scales(spec, x)
         rel_update = max(abs(trial[0] - x[0]) / i_scale,
                          abs(trial[1] - x[1]) / i_scale,
                          abs(trial[2] - x[2]) / v_scale,
                          abs(trial[3] - x[3]) / v_scale)
-        x, r, norm = trial, trial_r, trial_norm
+        x, r, norm, ports = trial, trial_r, trial_norm, trial_ports
         iterations += 1
         if norm <= tol and rel_update <= tol:
             break
         if norm <= tol and lam == 1.0 and rel_update <= 10.0 * tol:
             break
 
-    ports = resolve_ports(spec, d, x)
     return OperatingPoint(D=d, state=StateVector.from_array(x), V0=ports.v_out,
                           mu=ports.mu, mode=ports.mode, residual_norm=norm,
                           iterations=iterations, converged=True)

@@ -1,23 +1,24 @@
 """Small-signal linearization and frequency responses.
 
-The averaged model is differentiated numerically around a DC operating
-point to obtain a state-space quadruple per input (duty and source
-voltage).  Differencing is mode-consistent: if a probe point resolves
-to a different conduction mode than the operating point, the difference
-switches to the one-sided form that stays in the operating mode.  An
-operating point lying exactly on the mode boundary is flagged as
-degenerate and linearized one-sided.
+The averaged model is linearized analytically around a DC operating
+point into a state-space quadruple per input (duty and source voltage).
+The derivatives are those of the branch the port resolution picks at
+the operating point: the same chain rule through the port relations
+that the DC Newton iteration and the transient use
+(avgmodel.state_jacobian).  An operating point lying on the mode
+boundary is flagged as degenerate; a tie resolves to continuous
+conduction.  Transfer functions are evaluated over a whole frequency
+grid with one batched solve of the stacked resolvents.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .avgmodel import derivative, resolve_ports
+from .avgmodel import resolve_ports, state_jacobian
 from .converter import ConverterSpec, ValidationError
 from .dc import OperatingPoint
 
@@ -60,37 +61,13 @@ class FrequencyResponse:
     margins: Margins
 
 
-def _eval(spec, d, x):
-    """Derivative, output and mode at one probe point."""
-    ports = resolve_ports(spec, d, x)
-    return derivative(spec, d, x, ports), ports.v_out, ports.mode
-
-
-def _column(spec, d, x, base_mode, probe):
-    """Mode-consistent difference quotient for one input direction.
-
-    probe(s) must return the perturbed (spec, d, x) for offset s.
-    Returns (df, dv0, used_one_sided).
-    """
-    f_p, v_p, m_p = _eval(*probe(+1.0))
-    f_m, v_m, m_m = _eval(*probe(-1.0))
-    if m_p == base_mode and m_m == base_mode:
-        return 0.5 * (f_p - f_m), 0.5 * (v_p - v_m), False
-    f_0, v_0, _ = _eval(spec, d, x)
-    if m_p == base_mode:
-        return f_p - f_0, v_p - v_0, True
-    if m_m == base_mode:
-        return f_0 - f_m, v_0 - v_m, True
-    # neither probe stays in the operating mode; fall back to central
-    return 0.5 * (f_p - f_m), 0.5 * (v_p - v_m), True
-
-
 def linearize(spec: ConverterSpec, op: OperatingPoint) -> LinearModel:
     """Linearize the averaged model around a solved operating point.
 
     The duty and the source voltage are treated as the two inputs; the
-    load voltage is the output.  A degenerate operating point (mode
-    boundary) produces a warning and a flagged model.
+    load voltage is the output.  One port resolution feeds every
+    derivative.  A degenerate operating point (mode boundary) produces a
+    warning and a flagged model.
     """
     if not op.converged:
         raise ValidationError("cannot linearize an unconverged operating point")
@@ -101,38 +78,17 @@ def linearize(spec: ConverterSpec, op: OperatingPoint) -> LinearModel:
     if degenerate:
         warnings.warn(
             "operating point lies on the mode boundary; "
-            "using one-sided differences", DegenerateOperatingPoint)
+            "linearizing the %s branch" % base.mode, DegenerateOperatingPoint)
 
-    A = np.zeros((4, 4))
-    C = np.zeros(4)
-    for j in range(4):
-        h = 1e-6 * (abs(x[j]) + 1.0)
-
-        def probe(s, j=j, h=h):
-            xp = x.copy()
-            xp[j] += s * h
-            return spec, d, xp
-
-        df, dv, _ = _column(spec, d, x, base.mode, probe)
-        A[:, j] = df / h
-        C[j] = dv / h
-
-    h_d = 1e-6 * (abs(d) + 1.0)
-    df, dv, _ = _column(spec, d, x, base.mode,
-                        lambda s: (spec, d + s * h_d, x))
-    B_d = df / h_d
-    D_d = dv / h_d
-
-    h_g = 1e-6 * (abs(spec.Vg) + 1.0)
-    df, dv, _ = _column(
-        spec, d, x, base.mode,
-        lambda s: (dataclasses.replace(spec, Vg=spec.Vg + s * h_g), d, x))
-    B_g = df / h_g
-    D_g = dv / h_g
-
-    return LinearModel(A=A, B_d=B_d, B_g=B_g, C=C, D_d=float(D_d),
-                       D_g=float(D_g), spec=spec, D=d,
-                       degenerate=bool(degenerate))
+    A, B_d = state_jacobian(spec, d, x, base)
+    # Vg drives only the L1 equation and never reaches the cell or v_out.
+    B_g = np.array([1.0 / spec.L1, 0.0, 0.0, 0.0])
+    # v_out = v_C2 + R_C2*i_c2 with i_c2 = C2*dv_C2/dt in both topologies
+    esr = spec.R_C2 * spec.C2
+    C = esr * A[3]
+    C[3] += 1.0
+    return LinearModel(A=A, B_d=B_d, B_g=B_g, C=C, D_d=float(esr * B_d[3]),
+                       D_g=0.0, spec=spec, D=d, degenerate=bool(degenerate))
 
 
 def _log_grid(f_lo, f_hi, points_per_decade):
@@ -158,15 +114,19 @@ def transfer_at(model: LinearModel, input: str, f):
     else:
         raise ValidationError("input must be 'duty' or 'source', got %r" % (input,))
     f = np.atleast_1d(np.asarray(f, dtype=float))
+    s = 2j * np.pi * f
+    resolvents = s[:, None, None] * np.eye(model.A.shape[0]) - model.A
+    try:
+        return np.linalg.solve(resolvents, B[:, None])[:, :, 0] @ model.C + D_feed
+    except np.linalg.LinAlgError:
+        pass
+    # some resolvent is singular: an eigenvalue sits on the imaginary
+    # axis at exactly that frequency
     out = np.empty(f.shape, dtype=complex)
-    eye = np.eye(model.A.shape[0])
-    for k, fk in enumerate(f):
-        s = 2j * np.pi * fk
+    for k, resolvent in enumerate(resolvents):
         try:
-            out[k] = model.C @ np.linalg.solve(s * eye - model.A, B) + D_feed
+            out[k] = model.C @ np.linalg.solve(resolvent, B) + D_feed
         except np.linalg.LinAlgError:
-            # resolvent singular: an eigenvalue sits on the imaginary
-            # axis at exactly this frequency
             out[k] = complex(np.inf, 0.0)
     return out
 

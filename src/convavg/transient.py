@@ -159,7 +159,7 @@ def _integrate_segment(spec, stim, t0, t1, x, f0, h, rtol, atol, accept):
                 "step size underflow at t = %.6e s" % (t,))
         if J is None:
             d = stim.duty_at(t)
-            J = state_jacobian(spec, d, x, resolve_ports(spec, d, x))
+            J, _ = state_jacobian(spec, d, x, resolve_ports(spec, d, x))
             fresh = True
         dh = 0.5 * _GAMMA * h
         M_inv = np.linalg.inv(np.eye(4) - dh * J)
@@ -217,8 +217,9 @@ def simulate(spec: ConverterSpec, stimulus: Stimulus, t_end: float,
 
     Raises StepSizeUnderflow when the error control cannot proceed.
     """
-    if not (t_end > 0.0):
-        raise ValidationError("t_end must be positive")
+    if not (t_end > 0.0 and isfinite(t_end)):
+        raise ValidationError("t_end must be positive and finite, got %r"
+                              % (t_end,))
     for name, value in (("rtol", rtol), ("atol", atol)):
         if not (isfinite(value) and value >= 0.0):
             raise ValidationError("%s must be finite and non-negative, got %r"

@@ -1,4 +1,4 @@
-"""Tests for the analytic Jacobian of the averaged cell."""
+"""Tests for the analytic state and duty derivatives of the averaged cell."""
 
 import importlib.resources
 
@@ -24,21 +24,25 @@ def bundled(name):
 
 
 def central_jacobian(spec, d, x, base):
-    """Central differences, or None when a probe leaves the branch
-    (mode or fallback) that ``base`` resolved."""
-    J = np.zeros((4, 4))
-    for j in range(4):
-        h = 1e-6 * (abs(x[j]) + 1.0)
-        cols = []
+    """Central differences (A, B_d) in the state and the duty, or None
+    when a probe leaves the branch (mode or fallback) that ``base``
+    resolved."""
+    cols = []
+    for j in range(5):
+        h = 1e-6 * (abs(x[j] if j < 4 else d) + 1.0)
+        f = []
         for s in (+1.0, -1.0):
-            xp = x.copy()
-            xp[j] += s * h
-            ports = resolve_ports(spec, d, xp)
+            xp, dp = x.copy(), d
+            if j < 4:
+                xp[j] += s * h
+            else:
+                dp += s * h
+            ports = resolve_ports(spec, dp, xp)
             if (ports.mode, ports.fallback) != (base.mode, base.fallback):
                 return None
-            cols.append(derivative(spec, d, xp, ports))
-        J[:, j] = (cols[0] - cols[1]) / (2.0 * h)
-    return J
+            f.append(derivative(spec, dp, xp, ports))
+        cols.append((f[0] - f[1]) / (2.0 * h))
+    return np.array(cols[:4]).T, cols[4]
 
 
 @pytest.mark.parametrize("name", ["sepic_bench", "cuk_bench"])
@@ -53,13 +57,21 @@ def test_state_jacobian_matches_central_differences(name):
             if rng.random() < 0.2:
                 x[0] = -abs(x[0]) - abs(x[1])       # negative i_sum: fallback
             base = resolve_ports(spec, d, x)
-            J_fd = central_jacobian(spec, d, x, base)
-            if J_fd is None:
+            fd = central_jacobian(spec, d, x, base)
+            if fd is None:
                 continue
             seen["fallback" if base.fallback else base.mode] += 1
-            J = state_jacobian(spec, d, x, base)
-            assert np.max(np.abs(J - J_fd)) <= 1e-6 * np.max(np.abs(J_fd))
+            for got, ref in zip(state_jacobian(spec, d, x, base), fd):
+                assert np.max(np.abs(got - ref)) <= 1e-6 * np.max(np.abs(ref))
     assert min(seen.values()) >= 5, seen
+
+
+def test_clamped_duty_has_zero_duty_column():
+    spec = bundled("sepic_bench").spec
+    x = solve_dc(OperatingPointRequest(spec=spec, D=0.2)).state.as_array()
+    for d in (0.0, 1.0):
+        _, B_d = state_jacobian(spec, d, x, resolve_ports(spec, d, x))
+        assert not np.any(B_d)
 
 
 @pytest.mark.parametrize("name", ["sepic_bench", "cuk_bench"])
@@ -68,6 +80,6 @@ def test_state_jacobian_matches_linearize_at_bundled_point(name):
     op = solve_dc(OperatingPointRequest(spec=parsed.spec, D=parsed.duty))
     assert op.mode == DCM
     x = op.state.as_array()
-    J = state_jacobian(parsed.spec, op.D, x, resolve_ports(parsed.spec, op.D, x))
+    J, _ = state_jacobian(parsed.spec, op.D, x, resolve_ports(parsed.spec, op.D, x))
     A = linearize(parsed.spec, op).A
     assert np.max(np.abs(J - A)) <= 1e-8 * np.max(np.abs(A))

@@ -187,6 +187,10 @@ def test_usage_error_is_exit_1(capsys):
         # a grid above the sweep cap is refused before it is built
         ["sweep", "--config", "sepic_bench", "--from", "0.1", "--to", "0.8",
          "--step", "1e-9"],
+        ["ac", "--config", "sepic_bench", "--points-per-decade", "0"],
+        ["ac", "--config", "sepic_bench", "--points-per-decade", "-5"],
+        # a grid above the points-per-decade cap is refused before it is built
+        ["ac", "--config", "sepic_bench", "--points-per-decade", "10001"],
     ):
         assert main(argv) == 1, argv
         err = capsys.readouterr().err
@@ -239,6 +243,15 @@ def test_bad_tolerance_is_exit_2(capsys):
         assert rc == 2, option
         err = capsys.readouterr().err
         assert err.startswith("config error: "), option
+        assert "Traceback" not in err
+
+
+def test_non_finite_t_end_is_exit_2(capsys):
+    for value in ("inf", "nan"):
+        rc = main(["tran", "--config", "sepic_bench", "--t-end", value])
+        assert rc == 2, value
+        err = capsys.readouterr().err
+        assert err.startswith("config error: "), value
         assert "Traceback" not in err
 
 

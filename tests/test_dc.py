@@ -172,6 +172,33 @@ def test_nonconvergence_raises_with_tiny_budget():
     assert info.value.residual_norm > 0.0
 
 
+def test_cold_solve_work_per_newton_iteration(monkeypatch):
+    """A cold solve resolves the cell once at the start and once per
+    Newton iteration: the Newton matrix comes analytically from the
+    ports the residual resolved, and no damping happens at these
+    points."""
+    import convavg.dc as dc
+    calls = [0]
+    derivative_fn, resolve_fn = dc.derivative, dc.resolve_ports
+
+    def counted_derivative(spec, d, x, ports=None):
+        calls[0] += ports is None
+        return derivative_fn(spec, d, x, ports)
+
+    def counted_resolve(spec, d, x):
+        calls[0] += 1
+        return resolve_fn(spec, d, x)
+
+    monkeypatch.setattr(dc, "derivative", counted_derivative)
+    monkeypatch.setattr(dc, "resolve_ports", counted_resolve)
+    for spec, d in ((SEPIC_BENCH, 0.2), (SEPIC_BENCH, 0.3), (SEPIC_BENCH, 0.6),
+                    (CUK_BENCH, 0.42), (CUK_BENCH, 0.3), (CUK_BENCH, 0.6)):
+        calls[0] = 0
+        op = solve_dc(OperatingPointRequest(spec=spec, D=d))
+        assert op.iterations >= 1
+        assert calls[0] <= op.iterations + 1, (spec.kind, d)
+
+
 def test_sweep_matches_pointwise_cold_solves():
     ops = sweep_duty(SEPIC_BENCH, 0.25, 0.45, 0.05)
     assert len(ops) == 5

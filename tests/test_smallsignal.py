@@ -16,9 +16,11 @@ from convavg import (
     StateVector,
     ValidationError,
     default_frequency_grid,
+    derivative,
     extract_margins,
     frequency_response,
     linearize,
+    resolve_ports,
     solve_dc,
     transfer_at,
 )
@@ -41,6 +43,20 @@ def dc_gain(model, input="duty"):
     B, D_f = ((model.B_d, model.D_d) if input == "duty"
               else (model.B_g, model.D_g))
     return float(model.C @ np.linalg.solve(-model.A, B) + D_f)
+
+
+def seeded_operating_points(seed, count):
+    """Non-degenerate operating points of load-scaled bench converters."""
+    rng = np.random.default_rng(seed)
+    points = []
+    while len(points) < count:
+        base = (SEPIC_BENCH, CUK_BENCH)[len(points) % 2]
+        spec = dataclasses.replace(base, R=base.R * np.exp(rng.uniform(-3.0, 1.0)))
+        op = solve_dc(OperatingPointRequest(spec=spec, D=rng.uniform(0.1, 0.85)))
+        ports = resolve_ports(spec, op.D, op.state.as_array())
+        if abs(ports.mu_candidate - op.D) > 1e-6:
+            points.append((spec, op))
+    return points
 
 
 # --- linearization --------------------------------------------------
@@ -78,14 +94,21 @@ def test_dc_gains_regression():
 
 def test_duty_dc_gain_matches_finite_difference():
     # the zero-frequency duty gain must reproduce dV0/dD from the
-    # nonlinear solver itself
-    for spec, d in ((SEPIC_BENCH, 0.2), (CUK_BENCH, 0.42)):
-        _, model = linearized(spec, d)
+    # nonlinear solver itself, in either mode on both topologies
+    points = [(SEPIC_BENCH, 0.2), (CUK_BENCH, 0.42)]
+    points += [(spec, op.D) for spec, op in seeded_operating_points(5, 16)]
+    modes = set()
+    for spec, d in points:
+        op, model = linearized(spec, d)
         h = 1e-4
-        hi = solve_dc(OperatingPointRequest(spec=spec, D=d + h)).V0
-        lo = solve_dc(OperatingPointRequest(spec=spec, D=d - h)).V0
-        fd = (hi - lo) / (2.0 * h)
-        assert abs(dc_gain(model, "duty") - fd) / abs(fd) < 0.005
+        hi = solve_dc(OperatingPointRequest(spec=spec, D=d + h))
+        lo = solve_dc(OperatingPointRequest(spec=spec, D=d - h))
+        if not hi.mode == lo.mode == op.mode:
+            continue
+        modes.add((spec.kind, op.mode))
+        fd = (hi.V0 - lo.V0) / (2.0 * h)
+        assert abs(dc_gain(model, "duty") - fd) / abs(fd) < 1e-5
+    assert len(modes) == 4, modes
 
 
 def test_ccm_source_gain_identity():
@@ -125,6 +148,98 @@ def test_linearize_rejects_unconverged_point():
         linearize(SEPIC_BENCH, bad)
 
 
+# --- analytic linearization against a finite-difference reference ---
+
+def _probe_eval(spec, d, x):
+    ports = resolve_ports(spec, d, x)
+    return derivative(spec, d, x, ports), ports.v_out, ports.mode
+
+
+def _fd_column(spec, d, x, base_mode, probe):
+    """Mode-consistent difference quotient for one input direction:
+    central, or one-sided on the side that stays in ``base_mode``.
+    probe(s) returns the perturbed (spec, d, x) for offset s."""
+    f_p, v_p, m_p = _probe_eval(*probe(+1.0))
+    f_m, v_m, m_m = _probe_eval(*probe(-1.0))
+    if m_p == base_mode and m_m == base_mode:
+        return 0.5 * (f_p - f_m), 0.5 * (v_p - v_m)
+    f_0, v_0, _ = _probe_eval(spec, d, x)
+    if m_p == base_mode:
+        return f_p - f_0, v_p - v_0
+    if m_m == base_mode:
+        return f_0 - f_m, v_0 - v_m
+    return 0.5 * (f_p - f_m), 0.5 * (v_p - v_m)
+
+
+def fd_linearize(spec, op):
+    """(A, B_d, B_g, C, D_d, D_g) by mode-consistent differences."""
+    d = op.D
+    x = op.state.as_array()
+    mode = resolve_ports(spec, d, x).mode
+    A = np.zeros((4, 4))
+    C = np.zeros(4)
+    for j in range(4):
+        h = 1e-6 * (abs(x[j]) + 1.0)
+
+        def probe(s, j=j, h=h):
+            xp = x.copy()
+            xp[j] += s * h
+            return spec, d, xp
+
+        df, dv = _fd_column(spec, d, x, mode, probe)
+        A[:, j] = df / h
+        C[j] = dv / h
+    h_d = 1e-6 * (abs(d) + 1.0)
+    df, dv = _fd_column(spec, d, x, mode, lambda s: (spec, d + s * h_d, x))
+    B_d, D_d = df / h_d, dv / h_d
+    h_g = 1e-6 * (abs(spec.Vg) + 1.0)
+    df, dv = _fd_column(
+        spec, d, x, mode,
+        lambda s: (dataclasses.replace(spec, Vg=spec.Vg + s * h_g), d, x))
+    return A, B_d, df / h_g, C, D_d, dv / h_g
+
+
+def test_linearize_matches_finite_difference_reference():
+    modes = set()
+    for spec, op in seeded_operating_points(3, 40):
+        model = linearize(spec, op)
+        assert not model.degenerate
+        modes.add((spec.kind, op.mode))
+        A, B_d, B_g, C, D_d, D_g = fd_linearize(spec, op)
+        for got, ref in ((model.A, A), (model.B_d, B_d), (model.B_g, B_g),
+                         (model.C, C)):
+            assert np.max(np.abs(got - ref)) <= 1e-6 * np.max(np.abs(ref))
+        assert abs(model.D_d - D_d) <= 1e-6
+        assert abs(model.D_g - D_g) <= 1e-6
+    assert len(modes) == 4, modes
+
+
+def test_linearize_resolves_the_cell_at_most_twice(monkeypatch):
+    """Every derivative of the linear model comes from one port
+    resolution at the operating point."""
+    import convavg.smallsignal as smallsignal
+    calls = [0]
+    resolve_fn = smallsignal.resolve_ports
+
+    def counted_resolve(spec, d, x):
+        calls[0] += 1
+        return resolve_fn(spec, d, x)
+
+    def counted_derivative(spec, d, x, ports=None):
+        calls[0] += ports is None
+        return derivative(spec, d, x, ports)
+
+    points = [(spec, solve_dc(OperatingPointRequest(spec=spec, D=d)))
+              for spec, d in ((SEPIC_BENCH, 0.2), (SEPIC_BENCH, 0.6),
+                              (CUK_BENCH, 0.42), (CUK_BENCH, 0.6))]
+    monkeypatch.setattr(smallsignal, "resolve_ports", counted_resolve)
+    monkeypatch.setattr(smallsignal, "derivative", counted_derivative,
+                        raising=False)
+    for spec, op in points:
+        calls[0] = 0
+        linearize(spec, op)
+        assert calls[0] <= 2
+
 # --- transfer evaluation --------------------------------------------
 
 def synthetic_first_order(k, tau):
@@ -144,6 +259,43 @@ def test_transfer_matches_first_order_lag():
     assert np.abs(H) == pytest.approx(expected_mag, rel=1e-12)
     assert np.angle(H) == pytest.approx(-np.arctan(w * tau), rel=1e-12)
 
+
+
+def test_batched_transfer_matches_per_frequency_solve():
+    for spec, d in ((SEPIC_BENCH, 0.2), (CUK_BENCH, 0.42)):
+        _, model = linearized(spec, d)
+        f = default_frequency_grid(spec)
+        H = transfer_at(model, "duty", f)
+        eye = np.eye(4)
+        ref = np.array([model.C @ np.linalg.solve(2j * np.pi * fk * eye - model.A,
+                                                  model.B_d) + model.D_d
+                        for fk in f])
+        assert np.max(np.abs(H - ref) / np.abs(ref)) <= 1e-12
+
+
+def test_singular_resolvent_maps_to_inf():
+    # a lossless pair rings at exactly w = 2**12 rad/s, and the grid
+    # holds that frequency, where sI - A has no inverse
+    w = 2.0 ** 12
+    A = np.array([[0.0, w, 0.0, 0.0],
+                  [-w, 0.0, 0.0, 0.0],
+                  [50.0, 0.0, -300.0, 0.0],
+                  [0.0, 20.0, 1e3, -5e3]])
+    model = LinearModel(A=A, B_d=np.array([1.0, 0.5, 2.0, -1.0]),
+                        B_g=np.zeros(4), C=np.array([1.0, -1.0, 0.5, 2.0]),
+                        D_d=0.1, D_g=0.0, spec=SEPIC_BENCH, D=0.2)
+    f_ring = w / (2.0 * np.pi)
+    f = np.sort(np.append(np.logspace(1.0, 4.0, 40), f_ring))
+    k = int(np.flatnonzero(f == f_ring)[0])
+    assert (2j * np.pi * f[k]).imag == w
+    H = transfer_at(model, "duty", f)
+    assert H[k] == complex(np.inf, 0.0)
+    for j, fj in enumerate(f):
+        if j == k:
+            continue
+        ref = model.C @ np.linalg.solve(2j * np.pi * fj * np.eye(4) - A,
+                                        model.B_d) + model.D_d
+        assert H[j] == pytest.approx(ref, rel=1e-12)
 
 def test_transfer_rejects_unknown_input():
     model = synthetic_first_order(1.0, 1e-3)

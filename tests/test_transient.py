@@ -260,6 +260,12 @@ def test_t_end_must_be_positive():
         simulate(SEPIC_BENCH, Stimulus(duty=0.2), t_end=0.0)
 
 
+def test_t_end_must_be_finite():
+    for t_end in (np.inf, np.nan):
+        with pytest.raises(ValidationError):
+            simulate(SEPIC_BENCH, Stimulus(duty=0.2), t_end=t_end)
+
+
 def test_waveform_shapes_consistent():
     wf = simulate(SEPIC_BENCH, Stimulus(duty=0.2), t_end=0.01)
     n = len(wf.times)
