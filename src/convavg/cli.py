@@ -9,6 +9,7 @@ bundled config such as sepic_bench).  Exit codes: 0 success, 1 usage,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from importlib import resources
 
@@ -33,6 +34,9 @@ EXIT_IO = 4
 _FMT = "%.11e"          # 12 significant digits
 # Densest frequency grid ac builds: the grid size must stay bounded.
 _MAX_POINTS_PER_DECADE = 10_000
+# Largest --cycles and --steps compare accepts: its work grows with both.
+_MAX_CYCLES = 100_000
+_MAX_STEPS = 100_000
 
 
 class _UsageError(Exception):
@@ -59,10 +63,15 @@ def _load_config(name):
     return parse_config(text)
 
 
-def _open_out(path):
+@contextlib.contextmanager
+def _output(path):
+    """The CSV destination: stdout (left open) for None or "-", else a
+    new file closed on exit."""
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline="\n"), True
+        yield sys.stdout
+        return
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        yield fh
 
 
 def _require_duty(args, parsed):
@@ -99,17 +108,13 @@ def _cmd_tran(args):
         raise _UsageError("no t_end given and the config sets no default")
     wf = simulate(parsed.spec, Stimulus(duty=duty), float(t_end),
                   rtol=args.rtol, atol=args.atol)
-    out, close = _open_out(args.output)
-    try:
+    with _output(args.output) as out:
         out.write("t,iL1,iL2,vC1,vC2,V0,mu,mode\n")
         for i in range(len(wf.times)):
             row = [_FMT % wf.times[i]]
             row += [_FMT % v for v in wf.states[i]]
             row += [_FMT % wf.v0[i], _FMT % wf.mu[i], wf.mode[i]]
             out.write(",".join(row) + "\n")
-    finally:
-        if close:
-            out.close()
     return EXIT_OK
 
 
@@ -138,15 +143,11 @@ def _cmd_ac(args):
             raise _UsageError("need 0 < f-min < f-max")
         grid = _log_grid(f_lo, f_hi, args.points_per_decade)
     resp = frequency_response(model, input=args.input, f=grid)
-    out, close = _open_out(args.output)
-    try:
+    with _output(args.output) as out:
         out.write("f_Hz,mag_dB,phase_deg\n")
         for i in range(resp.f.size):
             out.write(",".join((_FMT % resp.f[i], _FMT % resp.magnitude_db[i],
                                 _FMT % resp.phase_deg[i])) + "\n")
-    finally:
-        if close:
-            out.close()
     m = resp.margins
     print("gain_margin_dB = %s" % _fmt_margin(m.gain_margin_db))
     print("phase_margin_deg = %s" % _fmt_margin(m.phase_margin_deg))
@@ -166,20 +167,20 @@ def _cmd_sweep(args):
     except ValueError as exc:
         # a non-positive step or a reversed range is a usage problem
         raise _UsageError(exc) from exc
-    out, close = _open_out(args.output)
-    try:
+    with _output(args.output) as out:
         out.write("D,V0,iL1,iL2,mode\n")
         for op in points:
             out.write(",".join((_FMT % op.D, _FMT % op.V0,
                                 _FMT % op.state.i_L1, _FMT % op.state.i_L2,
                                 op.mode)) + "\n")
-    finally:
-        if close:
-            out.close()
     return EXIT_OK
 
 
 def _cmd_compare(args):
+    if args.cycles > _MAX_CYCLES:
+        raise _UsageError("--cycles must be at most %d" % _MAX_CYCLES)
+    if args.steps > _MAX_STEPS:
+        raise _UsageError("--steps must be at most %d" % _MAX_STEPS)
     parsed = _load_config(args.config)
     duty = _require_duty(args, parsed)
     spec = parsed.spec
@@ -204,17 +205,13 @@ def _cmd_compare(args):
         ("V1", ports.V1, V1),
         ("V2", ports.V2, V2),
     ]
-    out, close = _open_out(args.output)
-    try:
+    with _output(args.output) as out:
         out.write("quantity,averaged,switched,pct_error\n")
         for name, avg, sw in rows:
             denom = max(abs(avg), 1e-12)
             pct = 100.0 * abs(sw - avg) / denom
             out.write("%s,%s,%s,%s\n" % (name, _FMT % avg, _FMT % sw,
                                          _FMT % pct))
-    finally:
-        if close:
-            out.close()
     print("averaged mode = %s" % op.mode)
     print("switched mode = %s" % summary.mode)
     print("cycles = %d" % wf.cycles_run)

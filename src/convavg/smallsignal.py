@@ -93,6 +93,9 @@ def linearize(spec: ConverterSpec, op: OperatingPoint) -> LinearModel:
 
 def _log_grid(f_lo, f_hi, points_per_decade):
     """Logarithmic grid from f_lo to f_hi, both included."""
+    if not points_per_decade >= 1:
+        raise ValidationError("points per decade must be at least 1, got %r"
+                              % (points_per_decade,))
     n = max(2, int(round(np.log10(f_hi / f_lo) * points_per_decade)) + 1)
     return np.logspace(np.log10(f_lo), np.log10(f_hi), n)
 
@@ -169,6 +172,24 @@ def _interp_at_f(f, y, fc):
     return float(np.interp(np.log10(fc), lf, y))
 
 
+def _crossings(f, y):
+    """Frequencies where the samples y cross zero, in grid order.
+
+    A sample that is exactly zero counts at its own frequency; a sign
+    change between neighbours is interpolated on log f.
+    """
+    hits = []
+    for i in range(f.size - 1):
+        a, b = y[i], y[i + 1]
+        if a == 0.0:
+            hits.append(f[i])
+        elif a * b < 0.0:
+            hits.append(_interp_log_f(f[i], f[i + 1], a, b, 0.0))
+    if y[-1] == 0.0:
+        hits.append(f[-1])
+    return hits
+
+
 def extract_margins(f: np.ndarray, response: np.ndarray,
                     negative_dc_gain=None) -> Margins:
     """Gain and phase margins from sampled frequency-response data.
@@ -188,39 +209,18 @@ def extract_margins(f: np.ndarray, response: np.ndarray,
 
     pm = None
     f_gc = None
-    crossings = []
-    for i in range(f.size - 1):
-        a, b = mag_db[i], mag_db[i + 1]
-        if a == 0.0:
-            crossings.append(f[i])
-        elif a * b < 0.0:
-            crossings.append(_interp_log_f(f[i], f[i + 1], a, b, 0.0))
-    if mag_db[-1] == 0.0:
-        crossings.append(f[-1])
-    if crossings:
-        f_gc = crossings[-1]
+    gain_crossings = _crossings(f, mag_db)
+    if gain_crossings:
+        f_gc = gain_crossings[-1]
         pm = 180.0 + _interp_at_f(f, phase, f_gc)
 
     gm = np.inf
     f_pc = None
-    shifted = phase + 180.0
-    for i in range(f.size - 1):
-        a, b = shifted[i], shifted[i + 1]
-        hit = None
-        if a == 0.0:
-            hit = f[i]
-        elif a * b < 0.0:
-            hit = _interp_log_f(f[i], f[i + 1], a, b, 0.0)
-        if hit is not None:
-            candidate = -_interp_at_f(f, mag_db, hit)
-            if candidate < gm:
-                gm = candidate
-                f_pc = hit
-    if shifted[-1] == 0.0:
-        candidate = -mag_db[-1]
+    for hit in _crossings(f, phase + 180.0):
+        candidate = -_interp_at_f(f, mag_db, hit)
         if candidate < gm:
             gm = candidate
-            f_pc = f[-1]
+            f_pc = hit
 
     return Margins(phase_margin_deg=pm, gain_crossover_hz=f_gc,
                    gain_margin_db=float(gm) if np.isfinite(gm) else np.inf,

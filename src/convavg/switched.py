@@ -9,6 +9,11 @@ current between steps; after it, the remainder of the period runs on the
 constrained dynamics of the isolated series loop, which preserve
 i_L1 + i_L2 = 0 exactly.
 
+Each interval's trapezoid state integral is summed as it is stepped;
+v0 and the switch ports are affine in the state within an interval, so
+every cycle's averages of the states, v0 and the ports follow from
+those integrals, with no pass over stored samples.
+
 This module is the verification counterpart of the averaged model and
 deliberately shares no circuit algebra with it: the interval systems are
 written out element by element from each sub-circuit.
@@ -48,7 +53,8 @@ class SwitchedRunConfig:
 
 @dataclass(frozen=True)
 class CycleSummary:
-    """Per-cycle trapezoidal averages and measured interval durations."""
+    """One cycle's measured interval durations and trapezoidal averages
+    of the states, v0 and the switch ports (V1, V2, I1, I2)."""
 
     index: int
     t_start: float
@@ -58,18 +64,23 @@ class CycleSummary:
     i_L2_avg: float
     v_C1_avg: float
     v_C2_avg: float
+    I1_avg: float
+    I2_avg: float
+    V1_avg: float
+    V2_avg: float
     mode: str
 
 
 @dataclass
 class SwitchedWaveform:
-    """Sampled switched run plus per-cycle summaries.
+    """Samples of the final cycle plus a summary of every cycle.
 
-    ``times``/``states``/``v0`` hold the retained samples (the final
-    cycle by default, the whole run with record="all").  ``segments``
-    lists (cycle_index, interval, first_sample, last_sample) spans into
-    those arrays; trapezoidal averaging of any interval-dependent
-    quantity uses the owning segment's interval id at both endpoints.
+    ``times``/``states``/``v0`` hold the final cycle's samples.
+    ``segments`` lists its (cycle_index, interval, first_sample,
+    last_sample) spans into those arrays; an interval-dependent quantity
+    takes the owning segment's interval id at both endpoints.  The
+    averages in ``summaries`` come from per-interval state integrals, so
+    every cycle has them, retained or not.
     """
 
     spec: ConverterSpec
@@ -78,7 +89,6 @@ class SwitchedWaveform:
     times: np.ndarray
     states: np.ndarray
     v0: np.ndarray
-    mode: list
     segments: list
     summaries: list
     cycles_run: int
@@ -207,18 +217,15 @@ def _v0_coeffs(spec, interval):
     return (0.0, -Rk, 0.0, alpha)
 
 
-def run_switched(config: SwitchedRunConfig, record: str = "last",
+def run_switched(config: SwitchedRunConfig,
                  steady_tol: float = _STEADY_REL_TOL) -> SwitchedWaveform:
     """Integrate the switched converter cycle by cycle.
 
-    record="last" retains samples of the final cycle only (summaries
-    cover every cycle); record="all" retains everything.  Stops early
-    once consecutive cycle-average output voltages agree to steady_tol
-    relative (default 1e-5), capped at n_cycles; steady_tol=0 disables
-    early stopping.
+    Samples of the final cycle are retained; every cycle gets a summary
+    of its averages.  Stops early once consecutive cycle-average output
+    voltages agree to steady_tol relative (default 1e-5), capped at
+    n_cycles; steady_tol=0 disables early stopping.
     """
-    if record not in ("last", "all"):
-        raise ValueError("record must be 'last' or 'all'")
     if steady_tol < 0.0:
         raise ValueError("steady_tol must be non-negative")
     spec, D = config.spec, config.D
@@ -230,14 +237,11 @@ def run_switched(config: SwitchedRunConfig, record: str = "last",
     n_off = steps - n_on
     h_off = (1.0 - D) * Ts / n_off
 
-    sys_on = _interval_system(spec, ON)
-    sys_diode = _interval_system(spec, DIODE)
     sys_open = _interval_system(spec, OPEN)
-    M1, c1 = _step_map(*sys_on, h_on)
-    M2, c2 = _step_map(*sys_diode, h_off)
-    p_on = _v0_coeffs(spec, ON)
-    p_diode = _v0_coeffs(spec, DIODE)
-    p_open = _v0_coeffs(spec, OPEN)
+    M1, c1 = _step_map(*_interval_system(spec, ON), h_on)
+    M2, c2 = _step_map(*_interval_system(spec, DIODE), h_off)
+    p_v0 = {k: _v0_coeffs(spec, k) for k in (ON, DIODE, OPEN)}
+    p_on, p_diode = p_v0[ON], p_v0[DIODE]
 
     if config.initial is None:
         x = [0.0, 0.0, 0.0, 0.0]
@@ -245,81 +249,72 @@ def run_switched(config: SwitchedRunConfig, record: str = "last",
         x = [config.initial.i_L1, config.initial.i_L2,
              config.initial.v_C1, config.initial.v_C2]
 
-    kept_t, kept_x, kept_v0, kept_seg = [], [], [], []
     summaries = []
-    prev_v0_avg = None
     steady = False
-    cycles_run = 0
 
     for cycle in range(config.n_cycles):
         t0 = cycle * Ts
         times = [t0]
         xs = [tuple(x)]
         v0s = [p_on[0] * x[0] + p_on[1] * x[1] + p_on[3] * x[3]]
+        # (interval, first sample, last sample, trapezoid integrals of
+        # (i_L1, i_L2, v_C1, v_C2, 1)); the last is the interval's length
         segments = []
-        # trapezoid accumulators over the cycle
-        acc = [0.0, 0.0, 0.0, 0.0, 0.0]  # v0, iL1, iL2, vC1, vC2
 
-        def run_phase(M, c, pv, n, h, t_from, watch_sign=False):
-            """Advance n fixed steps; returns index of the step whose end
-            crossed i_L1+i_L2 below zero (watch_sign), else None."""
+        def run_phase(interval, M, c, n, h, t_from, watch_sign=False):
+            """Advance n fixed steps and record the interval's segment;
+            returns the index of the step whose end crossed i_L1+i_L2
+            below zero (watch_sign), else None."""
             m00, m01, m02, m03 = M[0]
             m10, m11, m12, m13 = M[1]
             m20, m21, m22, m23 = M[2]
             m30, m31, m32, m33 = M[3]
             k0, k1, k2, k3 = c
-            pv0, pv1, pv3 = pv[0], pv[1], pv[3]
+            pv0, pv1, _, pv3 = p_v0[interval]
             x0, x1, x2, x3 = x
-            v_prev = pv0 * x0 + pv1 * x1 + pv3 * x3
+            s0 = s1 = s2 = s3 = 0.0
+            half = 0.5 * h
+            first = len(times) - 1
             crossed = None
             for k in range(n):
                 y0 = m00 * x0 + m01 * x1 + m02 * x2 + m03 * x3 + k0
                 y1 = m10 * x0 + m11 * x1 + m12 * x2 + m13 * x3 + k1
                 y2 = m20 * x0 + m21 * x1 + m22 * x2 + m23 * x3 + k2
                 y3 = m30 * x0 + m31 * x1 + m32 * x2 + m33 * x3 + k3
-                v_new = pv0 * y0 + pv1 * y1 + pv3 * y3
-                half = 0.5 * h
-                acc[0] += half * (v_prev + v_new)
-                acc[1] += half * (x0 + y0)
-                acc[2] += half * (x1 + y1)
-                acc[3] += half * (x2 + y2)
-                acc[4] += half * (x3 + y3)
+                s0 += half * (x0 + y0)
+                s1 += half * (x1 + y1)
+                s2 += half * (x2 + y2)
+                s3 += half * (x3 + y3)
                 x0, x1, x2, x3 = y0, y1, y2, y3
                 times.append(t_from + (k + 1) * h)
                 xs.append((y0, y1, y2, y3))
-                v0s.append(v_new)
-                v_prev = v_new
+                v0s.append(pv0 * y0 + pv1 * y1 + pv3 * y3)
                 if watch_sign and (y0 + y1) < 0.0:
                     crossed = k
                     break
             x[0], x[1], x[2], x[3] = x0, x1, x2, x3
+            last = len(times) - 1
+            segments.append((interval, first, last,
+                             [s0, s1, s2, s3, (last - first) * h]))
             return crossed
 
         # --- transistor interval -----------------------------------
-        seg_start = len(times) - 1
-        run_phase(M1, c1, p_on, n_on, h_on, t0)
-        segments.append((ON, seg_start, len(times) - 1))
+        run_phase(ON, M1, c1, n_on, h_on, t0)
         t_sw = t0 + D * Ts
-        d1 = D
         d2 = 1.0 - D
         d3 = 0.0
         mode = CCM
 
         # --- diode interval, with zero-crossing watch --------------
-        s_entry = x[0] + x[1]
-        if s_entry <= 0.0:
+        if x[0] + x[1] <= 0.0:
             # no current to hand over: the whole off-time is open
             t_open, T_open, n_open = t_sw, (1.0 - D) * Ts, n_off
             d2, d3 = 0.0, 1.0 - D
             mode = DCM
         else:
-            seg_start = len(times) - 1
-            crossed = run_phase(M2, c2, p_diode, n_off, h_off, t_sw,
+            crossed = run_phase(DIODE, M2, c2, n_off, h_off, t_sw,
                                 watch_sign=True)
-            if crossed is None:
-                segments.append((DIODE, seg_start, len(times) - 1))
-                t_open = None
-            else:
+            if crossed is not None:
                 # interpolate the crossing inside the offending step,
                 # overwrite that step's sample with the event sample
                 xa = xs[-2]
@@ -337,18 +332,15 @@ def run_switched(config: SwitchedRunConfig, record: str = "last",
                 xs[-1] = x_ev
                 v0s[-1] = (p_diode[0] * x_ev[0] + p_diode[1] * x_ev[1]
                            + p_diode[3] * x_ev[3])
-                # roll back the over-counted tail of the trapezoid sums
+                # roll back the over-counted tail of the trapezoid integral
                 half = 0.5 * h_off
                 he = 0.5 * theta * h_off
-                va = p_diode[0] * xa[0] + p_diode[1] * xa[1] + p_diode[3] * xa[3]
-                vb = p_diode[0] * xb[0] + p_diode[1] * xb[1] + p_diode[3] * xb[3]
-                ve = v0s[-1]
-                acc[0] += he * (va + ve) - half * (va + vb)
+                integral = segments[-1][3]
                 for i in range(4):
-                    acc[1 + i] += (he * (xa[i] + x_ev[i])
-                                   - half * (xa[i] + xb[i]))
+                    integral[i] += (he * (xa[i] + x_ev[i])
+                                    - half * (xa[i] + xb[i]))
+                integral[4] -= (1.0 - theta) * h_off
                 x[0], x[1], x[2], x[3] = x_ev
-                segments.append((DIODE, seg_start, len(times) - 1))
                 t_open = t_ev
                 T_open = t0 + Ts - t_ev
                 n_open = max(n_off - crossed, 1)
@@ -360,47 +352,41 @@ def run_switched(config: SwitchedRunConfig, record: str = "last",
         if mode == DCM and T_open > 0.0:
             h3 = T_open / n_open
             M3, c3 = _step_map(*sys_open, h3)
-            seg_start = len(times) - 1
-            run_phase(M3, c3, p_open, n_open, h3, t_open)
-            segments.append((OPEN, seg_start, len(times) - 1))
+            run_phase(OPEN, M3, c3, n_open, h3, t_open)
 
-        cycles_run = cycle + 1
-        v0_avg = acc[0] / Ts
+        # v0 and the ports are affine in the state within an interval, so
+        # the trapezoid of each is its affine map applied to the trapezoid
+        # S of the state: p.S for v0, T*port(S/T) over an interval of length T.
+        totals = [0.0] * 9      # v0, i_L1, i_L2, v_C1, v_C2, V1, V2, I1, I2
+        for interval, _, _, integral in segments:
+            *S, T = integral
+            if T <= 0.0:
+                continue
+            p = p_v0[interval]
+            ports = _port_values(spec, interval, [v / T for v in S], sys_open)
+            parts = [p[0] * S[0] + p[1] * S[1] + p[3] * S[3], *S,
+                     *(T * q for q in ports)]
+            totals = [a + b for a, b in zip(totals, parts)]
+        v0_avg, iL1, iL2, vC1, vC2, V1, V2, I1, I2 = (v / Ts for v in totals)
         summaries.append(CycleSummary(
             index=cycle, t_start=t0,
-            duties=SwitchIntervalDuties(D1=d1, D2=d2, D3=d3),
-            v0_avg=v0_avg, i_L1_avg=acc[1] / Ts, i_L2_avg=acc[2] / Ts,
-            v_C1_avg=acc[3] / Ts, v_C2_avg=acc[4] / Ts, mode=mode))
+            duties=SwitchIntervalDuties(D1=D, D2=d2, D3=d3),
+            v0_avg=v0_avg, i_L1_avg=iL1, i_L2_avg=iL2, v_C1_avg=vC1,
+            v_C2_avg=vC2, I1_avg=I1, I2_avg=I2, V1_avg=V1, V2_avg=V2,
+            mode=mode))
 
-        if prev_v0_avg is not None and steady_tol > 0.0:
-            if abs(v0_avg - prev_v0_avg) <= steady_tol * max(abs(v0_avg), 1e-12):
-                steady = True
-        prev_v0_avg = v0_avg
-
-        last_cycle = steady or (cycle == config.n_cycles - 1)
-        if record == "all" or last_cycle:
-            if kept_t and abs(times[0] - kept_t[-1]) <= 0.5 * h_on:
-                # the cycle's first sample repeats the last retained one
-                base = len(kept_t) - 1
-                kept_t.extend(times[1:])
-                kept_x.extend(xs[1:])
-                kept_v0.extend(v0s[1:])
-            else:
-                base = len(kept_t)
-                kept_t.extend(times)
-                kept_x.extend(xs)
-                kept_v0.extend(v0s)
-            kept_seg.extend((cycle, seg, i0 + base, i1 + base)
-                            for seg, i0, i1 in segments)
-        if steady:
+        if (steady_tol > 0.0 and cycle > 0 and abs(v0_avg - summaries[-2].v0_avg)
+                <= steady_tol * max(abs(v0_avg), 1e-12)):
+            steady = True
             break
 
-    modes = [s.mode for s in summaries]
+    # the loop ran at least once; its last cycle is the retained one
     return SwitchedWaveform(
         spec=spec, D=D, steps_per_cycle=steps,
-        times=np.array(kept_t), states=np.array(kept_x),
-        v0=np.array(kept_v0), mode=modes, segments=kept_seg,
-        summaries=summaries, cycles_run=cycles_run, steady=steady)
+        times=np.array(times), states=np.array(xs), v0=np.array(v0s),
+        segments=[(cycle, interval, first, last)
+                  for interval, first, last, _ in segments],
+        summaries=summaries, cycles_run=len(summaries), steady=steady)
 
 
 def _port_values(spec, interval, x, open_sys):
@@ -435,29 +421,14 @@ def _port_values(spec, interval, x, open_sys):
 
 
 def cycle_average(waveform: SwitchedWaveform, cycle_index: int):
-    """Trapezoidal switch-port averages over one retained cycle.
+    """Switch-port averages over any cycle of the run.
 
-    Returns (I1_avg, I2_avg, V1_avg, V2_avg, duties).  The cycle must
-    have its samples retained in the waveform (the final cycle always
-    does; use record="all" to retain every cycle).
+    Returns (I1_avg, I2_avg, V1_avg, V2_avg, duties), read from the
+    cycle's summary; run_switched computes them from the per-interval
+    trapezoid state integrals.
     """
-    spec = waveform.spec
-    segs = [s for s in waveform.segments if s[0] == cycle_index]
-    if not segs:
-        raise ValueError("cycle %d was not retained in this waveform"
-                         % (cycle_index,))
-    open_sys = _interval_system(spec, OPEN)
-    Ts = 1.0 / spec.f_s
-    sums = [0.0, 0.0, 0.0, 0.0]
-    for _, interval, i0, i1 in segs:
-        prev = None
-        for i in range(i0, i1 + 1):
-            vals = _port_values(spec, interval, waveform.states[i], open_sys)
-            if prev is not None:
-                h = waveform.times[i] - waveform.times[i - 1]
-                for q in range(4):
-                    sums[q] += 0.5 * h * (prev[q] + vals[q])
-            prev = vals
-    V1, V2, I1, I2 = (v / Ts for v in sums)
-    duties = waveform.summaries[cycle_index].duties
-    return I1, I2, V1, V2, duties
+    if not 0 <= cycle_index < waveform.cycles_run:
+        raise ValueError("cycle %r is not in this %d-cycle run"
+                         % (cycle_index, waveform.cycles_run))
+    s = waveform.summaries[cycle_index]
+    return s.I1_avg, s.I2_avg, s.V1_avg, s.V2_avg, s.duties

@@ -95,7 +95,7 @@ def test_criterion_3_averaged_vs_switched(capfd):
         wf = run_switched(SwitchedRunConfig(spec=spec, D=d, n_cycles=2000,
                                             steps_per_cycle=1000,
                                             initial=op.state),
-                          record="last", steady_tol=0.0)
+                          steady_tol=0.0)
         last = wf.cycles_run - 1
         I1, I2, V1, V2, duties = cycle_average(wf, last)
         errs = {"V0": pct(wf.summaries[last].v0_avg, op.V0),

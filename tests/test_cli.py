@@ -173,7 +173,7 @@ def test_compare_report(tmp_path, capsys):
 
 # --- exit codes -----------------------------------------------------
 
-def test_usage_error_is_exit_1(capsys):
+def test_usage_error_is_exit_1(monkeypatch, capsys):
     for argv in (
         ["sweep", "--config", "sepic_bench", "--from", "0.2"],
         ["dc"],
@@ -191,6 +191,23 @@ def test_usage_error_is_exit_1(capsys):
         ["ac", "--config", "sepic_bench", "--points-per-decade", "-5"],
         # a grid above the points-per-decade cap is refused before it is built
         ["ac", "--config", "sepic_bench", "--points-per-decade", "10001"],
+    ):
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: "), argv
+        assert "Traceback" not in err
+
+    # a switched run above the compare caps is refused before any solve
+    import convavg.cli
+
+    def fail(*args, **kwargs):
+        raise AssertionError("compare solved before checking its caps")
+
+    monkeypatch.setattr(convavg.cli, "solve_dc", fail)
+    monkeypatch.setattr(convavg.cli, "run_switched", fail)
+    for argv in (
+        ["compare", "--config", "sepic_bench", "--cycles", "100001"],
+        ["compare", "--config", "sepic_bench", "--steps", "100001"],
     ):
         assert main(argv) == 1, argv
         err = capsys.readouterr().err

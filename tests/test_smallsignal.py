@@ -321,6 +321,13 @@ def test_default_grid_spans_decade_range():
         default_frequency_grid(lowfs)
 
 
+@pytest.mark.parametrize("points_per_decade", [0, -5])
+def test_default_grid_rejects_fewer_than_one_point_per_decade(points_per_decade):
+    # such a count used to give a silent 2-point grid, and margins read off it
+    with pytest.raises(ValidationError):
+        default_frequency_grid(SEPIC_BENCH, points_per_decade)
+
+
 # --- margins --------------------------------------------------------
 
 def test_triple_integrator_margin():
