@@ -34,7 +34,8 @@ EXIT_IO = 4
 _FMT = "%.11e"          # 12 significant digits
 # Densest frequency grid ac builds: the grid size must stay bounded.
 _MAX_POINTS_PER_DECADE = 10_000
-# Largest --cycles and --steps compare accepts: its work grows with both.
+# Largest --cycles and --steps compare accepts, and the longest tran end
+# time in switching periods: the work grows with each.
 _MAX_CYCLES = 100_000
 _MAX_STEPS = 100_000
 
@@ -106,6 +107,9 @@ def _cmd_tran(args):
     t_end = args.t_end if args.t_end is not None else parsed.t_end
     if t_end is None:
         raise _UsageError("no t_end given and the config sets no default")
+    if np.isfinite(t_end) and t_end * parsed.spec.f_s > _MAX_CYCLES:
+        raise _UsageError("t_end must span at most %d switching periods"
+                          % _MAX_CYCLES)
     wf = simulate(parsed.spec, Stimulus(duty=duty), float(t_end),
                   rtol=args.rtol, atol=args.atol)
     with _output(args.output) as out:

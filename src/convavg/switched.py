@@ -1,18 +1,20 @@
 """Cycle-by-cycle switched reference simulation.
 
 Every switching interval of either converter is an affine LTI system
-dx/dt = A x + b, so the reference integrates each interval with a
-fixed-step trapezoidal rule applied through its exact one-step affine
-map x' = M x + c (M and c precomputed per interval).  The diode-opening
-instant is located by linear interpolation of the summed inductor
-current between steps; after it, the remainder of the period runs on the
-constrained dynamics of the isolated series loop, which preserve
-i_L1 + i_L2 = 0 exactly.
+dx/dt = A x + b, integrated with a fixed-step trapezoidal rule whose
+one-step map x' = M x + c is Z = [[M, c], [0, 1]] on the state augmented
+with a constant 1.  There is no per-step loop: the k-th sample of an
+interval entered at x is Z**k x, so a stack of the powers of Z, built by
+doubling, gives all of an interval's samples in one product; the ON and
+DIODE stacks are built once per run, the OPEN one per DCM cycle, since
+its step changes.  The diode-opening instant is the first DIODE sample
+whose summed inductor current is negative, interpolated linearly inside
+that step; the rest of the period then runs on the constrained dynamics
+of the isolated series loop, which preserve i_L1 + i_L2 = 0 exactly.
 
-Each interval's trapezoid state integral is summed as it is stepped;
 v0 and the switch ports are affine in the state within an interval, so
-every cycle's averages of the states, v0 and the ports follow from
-those integrals, with no pass over stored samples.
+every cycle's averages of the states, v0 and the ports follow from each
+interval's trapezoid state integral, with no pass over stored samples.
 
 This module is the verification counterpart of the averaged model and
 deliberately shares no circuit algebra with it: the interval systems are
@@ -103,7 +105,8 @@ class EventDetectionError(RuntimeError):
 
 
 def _interval_system(spec, interval):
-    """(A, b) of dx/dt = A x + b for one switch interval.
+    """F = [[A, b], [0, 0]] of one switch interval: dx/dt = A x + b,
+    written as d/dt (x, 1) = F (x, 1) on the state augmented with 1.
 
     State order (i_L1, i_L2, v_C1, v_C2); i_L2 is taken positive into
     the coupling node for the SEPIC and positive out of the load node
@@ -114,14 +117,13 @@ def _interval_system(spec, interval):
     alpha = R / (R + R_C2)          # load-node divider
     Rk = R * R_C2 / (R + R_C2)      # load || ESR
     gC2 = 1.0 / ((R + R_C2) * C2)
-    A = [[0.0] * 4 for _ in range(4)]
-    b = [0.0] * 4
+    A = np.zeros((5, 5))
 
     if spec.kind == SEPIC:
         if interval == ON:
             A[0][0] = -(spec.R_L1 + spec.R_on1) / L1
             A[0][1] = -spec.R_on1 / L1
-            b[0] = spec.Vg / L1
+            A[0][4] = spec.Vg / L1
             A[1][0] = -spec.R_on1 / L2
             A[1][1] = -(spec.R_on1 + spec.R_C1 + spec.R_L2) / L2
             A[1][2] = 1.0 / L2
@@ -133,11 +135,11 @@ def _interval_system(spec, interval):
             A[0][1] = -rs / L1
             A[0][2] = -1.0 / L1
             A[0][3] = -alpha / L1
-            b[0] = (spec.Vg - spec.V_d) / L1
+            A[0][4] = (spec.Vg - spec.V_d) / L1
             A[1][0] = -rs / L2
             A[1][1] = -(rs + spec.R_L2) / L2
             A[1][3] = -alpha / L2
-            b[1] = -spec.V_d / L2
+            A[1][4] = -spec.V_d / L2
             A[2][0] = 1.0 / C1
             A[3][0] = R * gC2
             A[3][1] = R * gC2
@@ -147,17 +149,17 @@ def _interval_system(spec, interval):
             rs = spec.R_L1 + spec.R_C1 + spec.R_L2
             A[0][0] = -rs / Lt
             A[0][2] = -1.0 / Lt
-            b[0] = spec.Vg / Lt
+            A[0][4] = spec.Vg / Lt
             A[1][0] = rs / Lt
             A[1][2] = 1.0 / Lt
-            b[1] = -spec.Vg / Lt
+            A[1][4] = -spec.Vg / Lt
             A[2][0] = 1.0 / C1
             A[3][3] = -gC2
     else:
         if interval == ON:
             A[0][0] = -(spec.R_L1 + spec.R_on1) / L1
             A[0][1] = -spec.R_on1 / L1
-            b[0] = spec.Vg / L1
+            A[0][4] = spec.Vg / L1
             A[1][0] = -spec.R_on1 / L2
             A[1][1] = -(Rk + spec.R_on1 + spec.R_C1 + spec.R_L2) / L2
             A[1][2] = 1.0 / L2
@@ -169,11 +171,11 @@ def _interval_system(spec, interval):
             A[0][0] = -(spec.R_L1 + spec.R_C1 + spec.R_d) / L1
             A[0][1] = -spec.R_d / L1
             A[0][2] = -1.0 / L1
-            b[0] = (spec.Vg - spec.V_d) / L1
+            A[0][4] = (spec.Vg - spec.V_d) / L1
             A[1][0] = -spec.R_d / L2
             A[1][1] = -(Rk + spec.R_d + spec.R_L2) / L2
             A[1][3] = alpha / L2
-            b[1] = -spec.V_d / L2
+            A[1][4] = -spec.V_d / L2
             A[2][0] = 1.0 / C1
             A[3][1] = -R * gC2
             A[3][3] = -gC2
@@ -183,25 +185,15 @@ def _interval_system(spec, interval):
             A[0][0] = -rs / Lt
             A[0][2] = -1.0 / Lt
             A[0][3] = -alpha / Lt
-            b[0] = spec.Vg / Lt
+            A[0][4] = spec.Vg / Lt
             A[1][0] = rs / Lt
             A[1][2] = 1.0 / Lt
             A[1][3] = alpha / Lt
-            b[1] = -spec.Vg / Lt
+            A[1][4] = -spec.Vg / Lt
             A[2][0] = 1.0 / C1
             A[3][0] = R * gC2
             A[3][3] = -gC2
-    return np.array(A), np.array(b)
-
-
-def _step_map(A, b, h):
-    """Trapezoidal one-step affine map (M, c): x' = M x + c."""
-    eye = np.eye(4)
-    lhs = eye - 0.5 * h * A
-    M = np.linalg.solve(lhs, eye + 0.5 * h * A)
-    c = np.linalg.solve(lhs, h * (b + 0.0))
-    # b enters TR as h/2*(b + b)
-    return M, c
+    return A
 
 
 def _v0_coeffs(spec, interval):
@@ -217,14 +209,45 @@ def _v0_coeffs(spec, interval):
     return (0.0, -Rk, 0.0, alpha)
 
 
+def _powers(Z, n):
+    """Z**k for k = 0..n as an (n+1, m, m) stack, built by doubling."""
+    m = Z.shape[0]
+    P = np.empty((n + 1, m, m))
+    P[0] = np.eye(m)
+    k, Zk = 1, Z
+    while k <= n:
+        j = min(k, n + 1 - k)
+        # Z**(k+i) = Z**i Z**k for i < j, as one product over stacked rows
+        P[k:k + j] = (P[:j].reshape(-1, m) @ Zk).reshape(j, m, m)
+        Zk = Zk @ Zk
+        k *= 2
+    return P
+
+
+def _affine(F, h):
+    """The trapezoidal step x' = M x + c of d/dt (x, 1) = F (x, 1), as
+    Z = [[M, c], [0, 1]]."""
+    I = np.eye(5)
+    return np.linalg.solve(I - 0.5 * h * F, I + 0.5 * h * F)
+
+
+def _trap(X, h):
+    """Trapezoid integral of the samples X, spaced h apart."""
+    return h * (np.ones(len(X)) @ X - 0.5 * (X[0] + X[-1]))
+
+
 def run_switched(config: SwitchedRunConfig,
                  steady_tol: float = _STEADY_REL_TOL) -> SwitchedWaveform:
     """Integrate the switched converter cycle by cycle.
 
     Samples of the final cycle are retained; every cycle gets a summary
-    of its averages.  Stops early once consecutive cycle-average output
-    voltages agree to steady_tol relative (default 1e-5), capped at
-    n_cycles; steady_tol=0 disables early stopping.
+    of its averages.  Stops early, capped at n_cycles, once every
+    component of the cycle-start state x has settled: either it no
+    longer moves, or, with d_n its change over cycle n and rho the
+    larger of its last two ratios d_n / d_n-1, rho < 1 and the geometric
+    remainder d_n rho / (1 - rho) is at most steady_tol (default 1e-5)
+    times the norm of the same-unit pair of x (the two inductor currents
+    or the two capacitor voltages).  steady_tol=0 disables early stopping.
     """
     if steady_tol < 0.0:
         raise ValueError("steady_tol must be non-negative")
@@ -238,155 +261,133 @@ def run_switched(config: SwitchedRunConfig,
     h_off = (1.0 - D) * Ts / n_off
 
     sys_open = _interval_system(spec, OPEN)
-    M1, c1 = _step_map(*_interval_system(spec, ON), h_on)
-    M2, c2 = _step_map(*_interval_system(spec, DIODE), h_off)
-    p_v0 = {k: _v0_coeffs(spec, k) for k in (ON, DIODE, OPEN)}
-    p_on, p_diode = p_v0[ON], p_v0[DIODE]
+    # Z**k of the fixed-length intervals for every step k, side by side:
+    # the samples of an interval entered at x are (x @ stack).reshape(-1, 5)
+    stack_on, stack_d = (np.ascontiguousarray(
+        _powers(_affine(_interval_system(spec, k), h), n).reshape(-1, 5).T)
+        for k, h, n in ((ON, h_on, n_on), (DIODE, h_off, n_off)))
+    p_v0 = {k: _v0_coeffs(spec, k) + (0.0,) for k in (ON, DIODE, OPEN)}
 
-    if config.initial is None:
-        x = [0.0, 0.0, 0.0, 0.0]
-    else:
-        x = [config.initial.i_L1, config.initial.i_L2,
-             config.initial.v_C1, config.initial.v_C2]
-
-    summaries = []
-    steady = False
-
-    for cycle in range(config.n_cycles):
+    def run_cycle(cycle, x):
+        """One period from x = (i_L1, i_L2, v_C1, v_C2, 1): the summary and
+        the segments, whose last sample is the end state."""
         t0 = cycle * Ts
-        times = [t0]
-        xs = [tuple(x)]
-        v0s = [p_on[0] * x[0] + p_on[1] * x[1] + p_on[3] * x[3]]
-        # (interval, first sample, last sample, trapezoid integrals of
-        # (i_L1, i_L2, v_C1, v_C2, 1)); the last is the interval's length
-        segments = []
-
-        def run_phase(interval, M, c, n, h, t_from, watch_sign=False):
-            """Advance n fixed steps and record the interval's segment;
-            returns the index of the step whose end crossed i_L1+i_L2
-            below zero (watch_sign), else None."""
-            m00, m01, m02, m03 = M[0]
-            m10, m11, m12, m13 = M[1]
-            m20, m21, m22, m23 = M[2]
-            m30, m31, m32, m33 = M[3]
-            k0, k1, k2, k3 = c
-            pv0, pv1, _, pv3 = p_v0[interval]
-            x0, x1, x2, x3 = x
-            s0 = s1 = s2 = s3 = 0.0
-            half = 0.5 * h
-            first = len(times) - 1
-            crossed = None
-            for k in range(n):
-                y0 = m00 * x0 + m01 * x1 + m02 * x2 + m03 * x3 + k0
-                y1 = m10 * x0 + m11 * x1 + m12 * x2 + m13 * x3 + k1
-                y2 = m20 * x0 + m21 * x1 + m22 * x2 + m23 * x3 + k2
-                y3 = m30 * x0 + m31 * x1 + m32 * x2 + m33 * x3 + k3
-                s0 += half * (x0 + y0)
-                s1 += half * (x1 + y1)
-                s2 += half * (x2 + y2)
-                s3 += half * (x3 + y3)
-                x0, x1, x2, x3 = y0, y1, y2, y3
-                times.append(t_from + (k + 1) * h)
-                xs.append((y0, y1, y2, y3))
-                v0s.append(pv0 * y0 + pv1 * y1 + pv3 * y3)
-                if watch_sign and (y0 + y1) < 0.0:
-                    crossed = k
-                    break
-            x[0], x[1], x[2], x[3] = x0, x1, x2, x3
-            last = len(times) - 1
-            segments.append((interval, first, last,
-                             [s0, s1, s2, s3, (last - first) * h]))
-            return crossed
-
-        # --- transistor interval -----------------------------------
-        run_phase(ON, M1, c1, n_on, h_on, t0)
         t_sw = t0 + D * Ts
+        X = (x @ stack_on).reshape(-1, 5)
+        # (interval, samples, trapezoid integrals of the augmented state
+        # whose last is the interval's length, start time, step, end time)
+        segs = [(ON, X, _trap(X, h_on), t0, h_on, t0 + n_on * h_on)]
         d2 = 1.0 - D
         d3 = 0.0
         mode = CCM
 
-        # --- diode interval, with zero-crossing watch --------------
-        if x[0] + x[1] <= 0.0:
+        if X[-1, 0] + X[-1, 1] <= 0.0:
             # no current to hand over: the whole off-time is open
             t_open, T_open, n_open = t_sw, (1.0 - D) * Ts, n_off
             d2, d3 = 0.0, 1.0 - D
             mode = DCM
         else:
-            crossed = run_phase(DIODE, M2, c2, n_off, h_off, t_sw,
-                                watch_sign=True)
-            if crossed is not None:
-                # interpolate the crossing inside the offending step,
-                # overwrite that step's sample with the event sample
-                xa = xs[-2]
-                xb = xs[-1]
-                sa = xa[0] + xa[1]
-                sb = xb[0] + xb[1]
+            X = (X[-1] @ stack_d).reshape(-1, 5)
+            below = X[1:, 0] + X[1:, 1] < 0.0
+            j = int(below.argmax()) + 1     # first sample below zero
+            if not below[j - 1]:
+                segs.append((DIODE, X, _trap(X, h_off), t_sw, h_off,
+                             t_sw + n_off * h_off))
+            else:
+                # interpolate the crossing inside step j, make the event
+                # sample the last one and cut the integral there
+                xa, xb = X[j - 1], X[j]
+                sa, sb = xa[0] + xa[1], xb[0] + xb[1]
                 if sa <= 0.0:
                     raise EventDetectionError(
                         "summed inductor current not positive entering the "
                         "step that crossed zero; reduce the step size")
-                theta = sa / (sa - sb)
-                t_ev = times[-2] + theta * h_off
-                x_ev = tuple(xa[i] + theta * (xb[i] - xa[i]) for i in range(4))
-                times[-1] = t_ev
-                xs[-1] = x_ev
-                v0s[-1] = (p_diode[0] * x_ev[0] + p_diode[1] * x_ev[1]
-                           + p_diode[3] * x_ev[3])
-                # roll back the over-counted tail of the trapezoid integral
-                half = 0.5 * h_off
-                he = 0.5 * theta * h_off
-                integral = segments[-1][3]
-                for i in range(4):
-                    integral[i] += (he * (xa[i] + x_ev[i])
-                                    - half * (xa[i] + xb[i]))
-                integral[4] -= (1.0 - theta) * h_off
-                x[0], x[1], x[2], x[3] = x_ev
+                theta = float(sa / (sa - sb))
+                t_ev = (t_sw + (j - 1) * h_off if j > 1
+                        else t0 + n_on * h_on) + theta * h_off
+                X = X[:j + 1]
+                X[j] = xa + theta * (xb - xa)
+                S = _trap(X[:j], h_off) + 0.5 * theta * h_off * (xa + X[j])
+                segs.append((DIODE, X, S, t_sw, h_off, t_ev))
                 t_open = t_ev
                 T_open = t0 + Ts - t_ev
-                n_open = max(n_off - crossed, 1)
+                n_open = max(n_off - j + 1, 1)
                 d2 = (t_ev - t_sw) / Ts
                 d3 = 1.0 - D - d2
                 mode = DCM
 
-        # --- open interval (discontinuous tail) --------------------
+        # --- open interval (discontinuous tail), its map per cycle ----
         if mode == DCM and T_open > 0.0:
             h3 = T_open / n_open
-            M3, c3 = _step_map(*sys_open, h3)
-            run_phase(OPEN, M3, c3, n_open, h3, t_open)
+            P = _powers(_affine(sys_open, h3), n_open)
+            X = (P.reshape(-1, 5) @ X[-1]).reshape(-1, 5)
+            segs.append((OPEN, X, _trap(X, h3), t_open, h3,
+                         t_open + n_open * h3))
 
         # v0 and the ports are affine in the state within an interval, so
         # the trapezoid of each is its affine map applied to the trapezoid
         # S of the state: p.S for v0, T*port(S/T) over an interval of length T.
         totals = [0.0] * 9      # v0, i_L1, i_L2, v_C1, v_C2, V1, V2, I1, I2
-        for interval, _, _, integral in segments:
-            *S, T = integral
-            if T <= 0.0:
-                continue
-            p = p_v0[interval]
-            ports = _port_values(spec, interval, [v / T for v in S], sys_open)
-            parts = [p[0] * S[0] + p[1] * S[1] + p[3] * S[3], *S,
-                     *(T * q for q in ports)]
-            totals = [a + b for a, b in zip(totals, parts)]
+        for interval, _, S, *_ in segs:
+            *S, T = S.tolist()
+            if T > 0.0:
+                p = p_v0[interval]
+                ports = _port_values(spec, interval, [v / T for v in S], sys_open)
+                parts = [p[0] * S[0] + p[1] * S[1] + p[3] * S[3], *S,
+                         *(T * q for q in ports)]
+                totals = [a + b for a, b in zip(totals, parts)]
         v0_avg, iL1, iL2, vC1, vC2, V1, V2, I1, I2 = (v / Ts for v in totals)
-        summaries.append(CycleSummary(
+        summary = CycleSummary(
             index=cycle, t_start=t0,
             duties=SwitchIntervalDuties(D1=D, D2=d2, D3=d3),
             v0_avg=v0_avg, i_L1_avg=iL1, i_L2_avg=iL2, v_C1_avg=vC1,
             v_C2_avg=vC2, I1_avg=I1, I2_avg=I2, V1_avg=V1, V2_avg=V2,
-            mode=mode))
+            mode=mode)
+        return summary, segs
 
-        if (steady_tol > 0.0 and cycle > 0 and abs(v0_avg - summaries[-2].v0_avg)
-                <= steady_tol * max(abs(v0_avg), 1e-12)):
-            steady = True
-            break
+    x = np.append(np.zeros(4) if config.initial is None
+                  else config.initial.as_array(), 1.0)
+    summaries = []
+    steady = False
+    d_prev = rho_prev = np.full(4, np.nan)
+    for cycle in range(config.n_cycles):
+        summary, segs = run_cycle(cycle, x)
+        summaries.append(summary)
+        x_next = segs[-1][1][-1]
+        if steady_tol > 0.0:
+            d = np.abs(x_next - x)[:4]
+            # amps against the currents' norm, volts against the voltages'
+            scale = np.hypot(x_next[0:4:2], x_next[1:4:2]).repeat(2)
+            with np.errstate(all="ignore"):
+                rho = d / d_prev
+                r = np.maximum(rho, rho_prev)   # NaN until two ratios exist
+                if np.all((d == 0.0) | ((r < 1.0) & (
+                        d * r <= steady_tol * (1.0 - r) * scale))):
+                    steady = True
+                    break
+            d_prev = d
+            rho_prev = rho
+        x = x_next
 
-    # the loop ran at least once; its last cycle is the retained one
+    # the last cycle's trace: each interval adds its samples after the first
+    X = segs[0][1][:1]
+    times = [np.array([segs[0][3]])]
+    states = [X]
+    v0 = [X @ p_v0[ON]]
+    spans = []
+    for interval, X, _, t_from, h, t_end in segs:
+        t = t_from + np.arange(1, len(X)) * h
+        t[-1] = t_end
+        first = sum(map(len, times)) - 1
+        spans.append((cycle, interval, first, first + len(t)))
+        times.append(t)
+        states.append(X[1:])
+        v0.append(X[1:] @ p_v0[interval])
     return SwitchedWaveform(
-        spec=spec, D=D, steps_per_cycle=steps,
-        times=np.array(times), states=np.array(xs), v0=np.array(v0s),
-        segments=[(cycle, interval, first, last)
-                  for interval, first, last, _ in segments],
-        summaries=summaries, cycles_run=len(summaries), steady=steady)
+        spec=spec, D=D, steps_per_cycle=steps, times=np.concatenate(times),
+        states=np.concatenate(states)[:, :4], v0=np.concatenate(v0),
+        segments=spans, summaries=summaries, cycles_run=len(summaries),
+        steady=steady)
 
 
 def _port_values(spec, interval, x, open_sys):
@@ -410,8 +411,7 @@ def _port_values(spec, interval, x, open_sys):
             v_node2 = spec.V_d + spec.R_d * s
         V1 = v_node2 + v_C1 + spec.R_C1 * i1
         return V1, V2, 0.0, s
-    A, b = open_sys
-    di1 = A[0][0] * i1 + A[0][1] * i2 + A[0][2] * v_C1 + A[0][3] * v_C2 + b[0]
+    di1 = float(open_sys[0] @ (i1, i2, v_C1, v_C2, 1.0))
     V1 = spec.Vg - spec.R_L1 * i1 - spec.L1 * di1
     if spec.kind == SEPIC:
         V2 = alpha * v_C2 - spec.L2 * di1 - spec.R_L2 * i1

@@ -272,6 +272,44 @@ def test_non_finite_t_end_is_exit_2(capsys):
         assert "Traceback" not in err
 
 
+def test_t_end_above_cap_is_exit_1(monkeypatch, tmp_path, capsys):
+    # an end time past 100 000 switching periods, from the flag or the
+    # config, is refused before the transient runs
+    import convavg.cli
+
+    def fail(*args, **kwargs):
+        raise AssertionError("tran simulated before checking its cap")
+
+    monkeypatch.setattr(convavg.cli, "simulate", fail)
+    path = tmp_path / "long.conf"
+    path.write_text(MINIMAL_NO_DEFAULTS
+                    + "[analysis defaults]\nD = 0.2\nt_end = 2.1 s\n")
+    for argv in (
+        ["tran", "--config", "sepic_bench", "--t-end", "2.00002"],
+        ["tran", "--config", "cuk_bench", "--t-end", "1e300"],
+        ["tran", "--config", str(path)],
+    ):
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: "), argv
+        assert "Traceback" not in err
+    # the bundled 120 ms runs (6000 and 2400 periods) and the cap itself
+    # reach the transient
+    class Reached(Exception):
+        pass
+
+    def reached(spec, stimulus, t_end, **kwargs):
+        raise Reached(t_end)
+
+    monkeypatch.setattr(convavg.cli, "simulate", reached)
+    for argv, t_end in ((["tran", "--config", "sepic_bench"], 0.12),
+                        (["tran", "--config", "cuk_bench"], 0.12),
+                        (["tran", "--config", "sepic_bench", "--t-end", "2"], 2.0)):
+        with pytest.raises(Reached) as info:
+            main(argv)
+        assert info.value.args[0] == pytest.approx(t_end), argv
+
+
 def test_switched_event_failure_is_exit_3(monkeypatch, capsys):
     import convavg.cli
     from convavg.switched import EventDetectionError

@@ -7,9 +7,11 @@ agreement with the averaged cell at matched operating points.
 """
 
 import dataclasses
+import importlib.resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from convavg import (
     CUK,
@@ -24,10 +26,13 @@ from convavg import (
     average_switch_waveforms,
     cycle_average,
     equivalent_inductance,
+    parse_config,
     run_switched,
     solve_dc,
 )
-from convavg.switched import OPEN, _interval_system, _port_values, _v0_coeffs
+from convavg.switched import (DIODE, ON, OPEN, CycleSummary,
+                              _interval_system, _port_values, _v0_coeffs)
+from convavg.switchcell import SwitchIntervalDuties
 
 SEPIC_BENCH = ConverterSpec(kind=SEPIC, Vg=62.0, R=52.0, L1=13e-3, L2=166e-6,
                          C1=0.5e-6, C2=1000e-6, f_s=50e3, R_L1=0.13, R_L2=0.11,
@@ -76,6 +81,146 @@ def sample_walk_cycle_average(wf, cycle_index):
             prev = vals
     V1, V2, I1, I2 = (v / Ts for v in sums)
     return I1, I2, V1, V2
+
+
+def step_map(spec, interval, h):
+    """(M, c) of one interval's trapezoid step x' = M x + c, as lists,
+    solved from (A, b) on the 4-state system, independently of the
+    augmented map run_switched raises to powers."""
+    F = _interval_system(spec, interval)
+    A, b = F[:4, :4], F[:4, 4]
+    eye = np.eye(4)
+    lhs = eye - 0.5 * h * A
+    M = np.linalg.solve(lhs, eye + 0.5 * h * A)
+    c = np.linalg.solve(lhs, h * b)
+    return M.tolist(), c.tolist()
+
+
+def step_loop_run(cfg):
+    """The switched run stepped one trapezoid step at a time in Python.
+
+    The reference for run_switched's power stacks: every cycle of
+    cfg.n_cycles, no early stop.  Returns one (summary, crossing step,
+    segment layout) per cycle; the crossing step is the index of the
+    DIODE step whose end took i_L1 + i_L2 below zero (None without a
+    crossing) and the layout lists (interval, steps) per segment.
+    """
+    spec, D, steps = cfg.spec, cfg.D, cfg.steps_per_cycle
+    Ts = 1.0 / spec.f_s
+    n_on = min(max(int(round(D * steps)), 1), steps - 1)
+    h_on, n_off = D * Ts / n_on, steps - n_on
+    h_off = (1.0 - D) * Ts / n_off
+    sys_open = _interval_system(spec, OPEN)
+    maps = {k: step_map(spec, k, h) for k, h in ((ON, h_on), (DIODE, h_off))}
+    x = [0.0] * 4 if cfg.initial is None else list(cfg.initial.as_array())
+    out = []
+    for cycle in range(cfg.n_cycles):
+        t0 = cycle * Ts
+        times, xs, segments = [t0], [tuple(x)], []
+
+        def run_phase(interval, M, c, n, h, t_from, watch_sign=False):
+            x0, x1, x2, x3 = x
+            s = [0.0] * 4
+            first = len(times) - 1
+            crossed = None
+            for k in range(n):
+                y = [M[i][0] * x0 + M[i][1] * x1 + M[i][2] * x2 + M[i][3] * x3
+                     + c[i] for i in range(4)]
+                for i, xi in enumerate((x0, x1, x2, x3)):
+                    s[i] += 0.5 * h * (xi + y[i])
+                x0, x1, x2, x3 = y
+                times.append(t_from + (k + 1) * h)
+                xs.append(tuple(y))
+                if watch_sign and (y[0] + y[1]) < 0.0:
+                    crossed = k
+                    break
+            x[:] = [x0, x1, x2, x3]
+            last = len(times) - 1
+            segments.append([interval, first, last, s + [(last - first) * h]])
+            return crossed
+
+        run_phase(ON, *maps[ON], n_on, h_on, t0)
+        t_sw = t0 + D * Ts
+        d2, d3, mode, crossed = 1.0 - D, 0.0, CCM, None
+        if x[0] + x[1] <= 0.0:
+            t_open, T_open, n_open = t_sw, (1.0 - D) * Ts, n_off
+            d2, d3, mode = 0.0, 1.0 - D, DCM
+        else:
+            crossed = run_phase(DIODE, *maps[DIODE], n_off, h_off, t_sw, True)
+            if crossed is not None:
+                xa, xb = xs[-2], xs[-1]
+                sa, sb = xa[0] + xa[1], xb[0] + xb[1]
+                assert sa > 0.0
+                theta = sa / (sa - sb)
+                t_ev = times[-2] + theta * h_off
+                x_ev = [xa[i] + theta * (xb[i] - xa[i]) for i in range(4)]
+                times[-1], xs[-1] = t_ev, tuple(x_ev)
+                integral = segments[-1][3]
+                for i in range(4):
+                    integral[i] += (0.5 * theta * h_off * (xa[i] + x_ev[i])
+                                    - 0.5 * h_off * (xa[i] + xb[i]))
+                integral[4] -= (1.0 - theta) * h_off
+                x[:] = x_ev
+                t_open, T_open = t_ev, t0 + Ts - t_ev
+                n_open = max(n_off - crossed, 1)
+                d2 = (t_ev - t_sw) / Ts
+                d3, mode = 1.0 - D - d2, DCM
+        if mode == DCM and T_open > 0.0:
+            h3 = T_open / n_open
+            run_phase(OPEN, *step_map(spec, OPEN, h3), n_open, h3, t_open)
+
+        totals = [0.0] * 9
+        for interval, _, _, integral in segments:
+            *S, T = integral
+            if T <= 0.0:
+                continue
+            p = _v0_coeffs(spec, interval)
+            ports = _port_values(spec, interval, [v / T for v in S], sys_open)
+            parts = [p[0] * S[0] + p[1] * S[1] + p[3] * S[3], *S,
+                     *(T * q for q in ports)]
+            totals = [a + b for a, b in zip(totals, parts)]
+        v0, iL1, iL2, vC1, vC2, V1, V2, I1, I2 = (v / Ts for v in totals)
+        summary = CycleSummary(
+            index=cycle, t_start=t0, duties=SwitchIntervalDuties(D1=D, D2=d2, D3=d3),
+            v0_avg=v0, i_L1_avg=iL1, i_L2_avg=iL2, v_C1_avg=vC1, v_C2_avg=vC2,
+            I1_avg=I1, I2_avg=I2, V1_avg=V1, V2_avg=V2, mode=mode)
+        out.append((summary, crossed,
+                    [(seg[0], seg[2] - seg[1]) for seg in segments]))
+    return out
+
+
+VOLT_FIELDS = ("v0_avg", "v_C1_avg", "v_C2_avg", "V1_avg", "V2_avg")
+AMP_FIELDS = ("i_L1_avg", "i_L2_avg", "I1_avg", "I2_avg")
+
+
+def assert_matches_step_loop(cfg, duty_tol=1e-12):
+    """Every cycle of run_switched agrees with step_loop_run: mode,
+    crossing step and segment layout exactly, D2/D3 to duty_tol and
+    every average to 1e-9 relative.  An average that passes near zero by
+    cancellation (a port voltage during a start-up) is held to 1e-12 of
+    the run's largest value in its unit instead.  The layout and the
+    crossing of cycle c come from the retained final cycle of a run cut
+    after c + 1 cycles."""
+    ref = step_loop_run(cfg)
+    full = run_switched(cfg, steady_tol=0.0).summaries
+    assert len(full) == len(ref)
+    for c, (want, crossed, layout) in enumerate(ref):
+        got = full[c]
+        assert got.mode == want.mode
+        assert got.duties.D2 == pytest.approx(want.duties.D2, rel=0.0, abs=duty_tol)
+        assert got.duties.D3 == pytest.approx(want.duties.D3, rel=0.0, abs=duty_tol)
+        for fields in (VOLT_FIELDS, AMP_FIELDS):
+            scale = max(abs(getattr(s, name)) for s, _, _ in ref for name in fields)
+            for name in fields:
+                assert getattr(got, name) == pytest.approx(
+                    getattr(want, name), rel=1e-9, abs=1e-12 * scale), (c, name)
+        cut = run_switched(dataclasses.replace(cfg, n_cycles=c + 1), steady_tol=0.0)
+        got_layout = [(k, last - first) for _, k, first, last in cut.segments]
+        assert got_layout == layout, c
+        # in a DCM cycle the DIODE segment ends at the crossing sample
+        diode = [n for k, n in got_layout if k == DIODE]
+        dcm = cut.summaries[-1].mode == DCM
+        assert (diode[0] - 1 if diode and dcm else None) == crossed, c
 
 
 def trapezoid(t, y):
@@ -219,6 +364,117 @@ def test_heavy_load_forces_continuous_conduction():
     assert wf.summaries[-1].mode == CCM
     i_sum = wf.states[:, 0] + wf.states[:, 1]
     assert i_sum.min() > 0.0
+
+
+@pytest.mark.parametrize("spec,d,mode", REFERENCE_POINTS, ids=POINT_IDS)
+def test_power_stacks_match_step_loop(spec, d, mode):
+    op = solve_dc(OperatingPointRequest(spec=spec, D=d))
+    cfg = SwitchedRunConfig(spec=spec, D=d, n_cycles=5, initial=op.state)
+    assert_matches_step_loop(cfg)
+
+
+@pytest.mark.parametrize("spec,d,n_cycles", [(SEPIC_BENCH, 0.2, 160),
+                                             (CUK_BENCH, 0.42, 105)],
+                         ids=["sepic", "cuk"])
+def test_power_stacks_match_step_loop_from_cold_start(spec, d, n_cycles):
+    """From zero, through the start-up's CCM cycles into its first DCM
+    ones.  After 100+ start-up cycles the two integrations' rounding
+    leaves the inductor currents about 1e-11 A apart, and the crossing
+    time moves by that over the per-step fall of i_L1 + i_L2 (about
+    3 mA), so D2 and D3 are held to 1e-10 here."""
+    cfg = SwitchedRunConfig(spec=spec, D=d, n_cycles=n_cycles)
+    assert_matches_step_loop(cfg, duty_tol=1e-10)
+    modes = {s.mode for s in run_switched(cfg, steady_tol=0.0).summaries}
+    assert modes == {CCM, DCM}
+
+
+def decades(lo, hi):
+    """Floats spread log-uniformly over 10**lo .. 10**hi."""
+    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+@st.composite
+def switched_runs(draw):
+    """A random valid converter over decades of L, C, R and f_s, ideal
+    or with parasitics, at a duty in (0.05, 0.9), from zero or from a
+    random state that can start any interval sequence."""
+    Vg = draw(decades(0, 3))
+    R = draw(decades(-1, 4))
+    parasitics = {}
+    ideal = draw(st.booleans())
+    if not ideal:
+        parasitics = {name: draw(decades(-4, 0)) for name in
+                      ("R_L1", "R_L2", "R_on1", "R_d", "R_C1", "R_C2")}
+        parasitics["V_d"] = draw(st.floats(0.0, 1.0))
+    spec = ConverterSpec(kind=draw(st.sampled_from([SEPIC, CUK])), Vg=Vg, R=R,
+                         L1=draw(decades(-6, -1)), L2=draw(decades(-6, -1)),
+                         C1=draw(decades(-7, -2)), C2=draw(decades(-7, -2)),
+                         f_s=draw(decades(3, 6)), ideal=ideal, **parasitics)
+    D = draw(st.floats(0.05, 0.9, exclude_min=True, exclude_max=True))
+    initial = None
+    if draw(st.booleans()):
+        amps = st.floats(-2.0, 2.0).map(lambda a: a * Vg / R)
+        volts = st.floats(-2.0, 2.0).map(lambda a: a * Vg)
+        initial = StateVector(i_L1=draw(amps), i_L2=draw(amps),
+                              v_C1=draw(volts), v_C2=draw(volts))
+    return SwitchedRunConfig(spec=spec, D=D, n_cycles=3, initial=initial)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(switched_runs())
+def test_power_stacks_match_step_loop_on_random_converters(cfg):
+    assert_matches_step_loop(cfg)
+
+
+@pytest.mark.parametrize("name", ["sepic_bench", "cuk_bench"])
+def test_default_steady_detector_from_cold_start(name):
+    """A cold start under the default steady_tol either reports no
+    steady state or ends within 2% of the DC point and in its mode.  A
+    check on the cycle-average v0 alone called the Cuk start-up's
+    overshoot steady, 36% from the DC point."""
+    text = (importlib.resources.files("convavg") / "configs"
+            / (name + ".conf")).read_text()
+    parsed = parse_config(text)
+    op = solve_dc(OperatingPointRequest(spec=parsed.spec, D=parsed.duty))
+    wf = run_switched(SwitchedRunConfig(spec=parsed.spec, D=parsed.duty,
+                                        n_cycles=2000))
+    s = wf.summaries[-1]
+    assert not wf.steady or (abs(s.v0_avg - op.V0) <= 0.02 * abs(op.V0)
+                             and s.mode == op.mode)
+
+
+def test_default_steady_detector_stops_at_steady_state():
+    # a heavily loaded Cuk settles within a few thousand cycles; once the
+    # run calls itself steady, 2000 more cycles move v0 by under 1e-4
+    spec = dataclasses.replace(CUK_BENCH, R=20.0)
+    op = solve_dc(OperatingPointRequest(spec=spec, D=0.5))
+    wf = run_switched(SwitchedRunConfig(spec=spec, D=0.5, n_cycles=20000,
+                                        initial=op.state))
+    assert wf.steady and wf.cycles_run < 20000
+    more = run_switched(SwitchedRunConfig(spec=spec, D=0.5, n_cycles=2000,
+                                          initial=wf.final_state()),
+                        steady_tol=0.0)
+    v0, v0_later = wf.summaries[-1].v0_avg, more.summaries[-1].v0_avg
+    assert abs(v0_later - v0) <= 1e-4 * abs(v0)
+
+
+def test_default_steady_detector_holds_currents_to_their_own_scale():
+    """The currents are judged against the currents and the voltages
+    against the voltages.  At D = 0.75 the Cuk's v_C1 is about 100 V and
+    its two inductor currents together 1.7 A, so a bound relative to the
+    whole state stopped the run where 2000 more cycles still moved the
+    currents by 1.3e-4 of their norm; now they move by under 2e-5."""
+    op = solve_dc(OperatingPointRequest(spec=CUK_BENCH, D=0.75))
+    wf = run_switched(SwitchedRunConfig(spec=CUK_BENCH, D=0.75, n_cycles=6000,
+                                        initial=op.state))
+    assert wf.steady
+    x = wf.final_state().as_array()
+    more = run_switched(SwitchedRunConfig(spec=CUK_BENCH, D=0.75, n_cycles=2000,
+                                          initial=wf.final_state()),
+                        steady_tol=0.0)
+    moved = more.final_state().as_array() - x
+    assert np.linalg.norm(moved[:2]) <= 2e-5 * np.linalg.norm(x[:2])
+    assert np.linalg.norm(moved[2:]) <= 2e-5 * np.linalg.norm(x[2:])
 
 
 def test_cold_start_converges_to_dc_solution():
