@@ -18,7 +18,7 @@ from .avgmodel import PortSolution, derivative, resolve_ports, state_jacobian
 from .dc import (NonConvergence, OperatingPoint, SingularJacobian,
                  SolverError, StateVector, initial_guess, solve_dc,
                  sweep_duty)
-from .transient import StepSizeUnderflow, Stimulus, Waveform, simulate
+from .transient import StepSizeUnderflow, Stimulus, TransientStats, Waveform, simulate
 from .smallsignal import (DegenerateOperatingPoint, FrequencyResponse,
                           LinearModel, Margins, default_frequency_grid,
                           extract_margins, frequency_response, linearize,
@@ -38,7 +38,7 @@ __all__ = [
     "PortSolution", "derivative", "resolve_ports", "state_jacobian",
     "NonConvergence", "OperatingPoint", "SingularJacobian", "SolverError",
     "StateVector", "initial_guess", "solve_dc", "sweep_duty",
-    "StepSizeUnderflow", "Stimulus", "Waveform", "simulate",
+    "StepSizeUnderflow", "Stimulus", "TransientStats", "Waveform", "simulate",
     "DegenerateOperatingPoint", "FrequencyResponse", "LinearModel",
     "Margins", "default_frequency_grid", "extract_margins",
     "frequency_response", "linearize", "transfer_at",

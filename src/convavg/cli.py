@@ -136,16 +136,17 @@ def _cmd_ac(args):
                           % _MAX_POINTS_PER_DECADE)
     parsed = _load_config(args.config)
     duty = _require_duty(args, parsed)
-    op = solve_dc(OperatingPointRequest(spec=parsed.spec, D=duty))
-    model = linearize(parsed.spec, op)
     if args.f_min is None and args.f_max is None:
         grid = default_frequency_grid(parsed.spec, args.points_per_decade)
     else:
         f_lo = args.f_min if args.f_min is not None else 10.0
         f_hi = args.f_max if args.f_max is not None else 0.5 * parsed.spec.f_s
-        if not (0.0 < f_lo < f_hi):
-            raise _UsageError("need 0 < f-min < f-max")
-        grid = _log_grid(f_lo, f_hi, args.points_per_decade)
+        try:
+            grid = _log_grid(f_lo, f_hi, args.points_per_decade)
+        except ValidationError as exc:
+            raise _UsageError(exc) from exc
+    op = solve_dc(OperatingPointRequest(spec=parsed.spec, D=duty))
+    model = linearize(parsed.spec, op)
     resp = frequency_response(model, input=args.input, f=grid)
     with _output(args.output) as out:
         out.write("f_Hz,mag_dB,phase_deg\n")

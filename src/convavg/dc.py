@@ -9,7 +9,7 @@ freely across the CCM/DCM boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
+from math import isfinite, sqrt
 
 import numpy as np
 
@@ -203,11 +203,13 @@ def sweep_duty(spec: ConverterSpec, D_from: float, D_to: float,
 
     A point that fails to converge is recorded with ``converged=False``
     (NaN state) and the sweep continues from the closed-form guess at
-    the next duty.  A non-positive step, a reversed range or a grid of
-    more than MAX_SWEEP_POINTS raises ValueError before any solve.
+    the next duty.  A non-positive step, a non-finite bound, a reversed
+    range or a grid above MAX_SWEEP_POINTS raises ValueError first.
     """
     if not (D_step > 0.0):
         raise ValueError("duty step must be positive")
+    if not (isfinite(D_from) and isfinite(D_to)):
+        raise ValueError("duty bounds must be finite")
     span = (D_to - D_from) / D_step
     if not (abs(span) < MAX_SWEEP_POINTS - 0.5):    # round(span) + 1 points
         raise ValueError("duty grid exceeds %d points" % MAX_SWEEP_POINTS)

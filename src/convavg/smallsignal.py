@@ -20,7 +20,7 @@ import numpy as np
 
 from .avgmodel import resolve_ports, state_jacobian
 from .converter import ConverterSpec, ValidationError
-from .dc import OperatingPoint
+from .dc import MAX_SWEEP_POINTS, OperatingPoint
 
 _KINK_TOL = 1e-9
 
@@ -92,12 +92,16 @@ def linearize(spec: ConverterSpec, op: OperatingPoint) -> LinearModel:
 
 
 def _log_grid(f_lo, f_hi, points_per_decade):
-    """Logarithmic grid from f_lo to f_hi, both included."""
+    """Logarithmic grid from f_lo to f_hi, both included, of at most MAX_SWEEP_POINTS."""
     if not points_per_decade >= 1:
         raise ValidationError("points per decade must be at least 1, got %r"
                               % (points_per_decade,))
-    n = max(2, int(round(np.log10(f_hi / f_lo) * points_per_decade)) + 1)
-    return np.logspace(np.log10(f_lo), np.log10(f_hi), n)
+    if not 0.0 < f_lo < f_hi < np.inf:
+        raise ValidationError("need 0 < f_lo < f_hi < inf, got %r and %r" % (f_lo, f_hi))
+    span = (np.log10(f_hi) - np.log10(f_lo)) * points_per_decade
+    if not span < MAX_SWEEP_POINTS - 0.5:    # round(span) + 1 points
+        raise ValidationError("frequency grid exceeds %d points" % MAX_SWEEP_POINTS)
+    return np.logspace(np.log10(f_lo), np.log10(f_hi), max(2, int(round(span)) + 1))
 
 
 def default_frequency_grid(spec: ConverterSpec, points_per_decade: int = 100) -> np.ndarray:

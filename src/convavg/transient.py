@@ -10,7 +10,8 @@ to step and rebuilt only at a segment start or when the simplified
 Newton iteration fails; the step shrinks only when Newton fails with a
 fresh J.  The stage derivatives are recovered from the stage equations,
 so a step costs one derivative per Newton iteration plus the one that
-starts the next step.
+starts the next step.  The step runs on plain Python floats; numpy only
+inverts the per-step Newton matrix and builds the output arrays.
 
 The effective duty is resolved algebraically inside every derivative
 evaluation, so mode transitions need no special handling; parameter
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from math import isfinite, sqrt
+from math import inf, isfinite, isnan, sqrt
 
 import numpy as np
 
@@ -37,6 +38,7 @@ STEPPABLE = ("R_L1", "R_L2", "R")
 _NEWTON_MAX = 4
 _STEP_GROW = 5.0
 _STEP_SHRINK = 0.2
+_EYE = np.eye(4)
 
 # TR-BDF2 stage weights: y1 - (gamma/2) h f(y1) = _B_G*y_g - _B_0*x.
 _GAMMA = 2.0 - sqrt(2.0)
@@ -110,6 +112,19 @@ class Stimulus:
         return points[-1][1]
 
 
+@dataclass(frozen=True)
+class TransientStats:
+    """Work counters of one transient run."""
+
+    accepted: int = 0
+    rejected: int = 0         # steps that failed the error test
+    newton_failures: int = 0  # steps whose stage Newton iteration failed
+    jacobians: int = 0
+    rhs: int = 0              # derivative evaluations that resolve the cell
+    h_min: float = 0.0        # smallest and largest accepted step [s]
+    h_max: float = 0.0
+
+
 @dataclass
 class Waveform:
     """Sampled trajectory of a transient run."""
@@ -119,20 +134,28 @@ class Waveform:
     v0: np.ndarray
     mu: np.ndarray
     mode: list
+    stats: TransientStats = TransientStats()
 
     def final_state(self):
         from .dc import StateVector
         return StateVector.from_array(self.states[-1])
 
 
-def _solve_stage(spec, d, z, rhs, dh, M_inv, tol):
+def _solve_stage(spec, d, z, rhs, dh, M, tol, work):
     """Simplified Newton on z - dh f(d, z) = rhs with the frozen inverse
-    Newton matrix M_inv; returns the stage value or None."""
-    prev = np.inf
+    Newton matrix M; returns the stage value or None."""
+    (r0, r1, r2, r3), (t0, t1, t2, t3) = rhs, tol
+    prev = inf
     for _ in range(_NEWTON_MAX):
-        delta = M_inv @ (rhs - z + dh * derivative(spec, d, z))
-        z = z + delta
-        norm = float(np.max(np.abs(delta) / tol))
+        f0, f1, f2, f3 = derivative(spec, d, z).tolist()
+        work["rhs"] += 1
+        z0, z1, z2, z3 = z
+        v0, v1, v2, v3 = (r0 - z0 + dh * f0, r1 - z1 + dh * f1,
+                          r2 - z2 + dh * f2, r3 - z3 + dh * f3)
+        s0, s1, s2, s3 = [a * v0 + b * v1 + c * v2 + e * v3 for a, b, c, e in M]
+        z = (z0 + s0, z1 + s1, z2 + s2, z3 + s3)
+        # a nan residual makes every s_i nan, and max(); the error test catches the rest
+        norm = max(abs(s0) / t0, abs(s1) / t1, abs(s2) / t2, abs(s3) / t3)
         if norm <= 1.0:
             return z
         if not norm < prev:     # diverging, or not finite
@@ -141,12 +164,13 @@ def _solve_stage(spec, d, z, rhs, dh, M_inv, tol):
     return None
 
 
-def _integrate_segment(spec, stim, t0, t1, x, f0, h, rtol, atol, accept):
+def _integrate_segment(spec, stim, t0, t1, x, f0, h, rtol, atol, accept, work):
     """Adaptive TR-BDF2 integration over [t0, t1] from state x with
-    derivative f0; returns (x, f0, h).
+    derivative f0, each four floats; returns (x, f0, h).
 
     ``accept(t, x)`` records each accepted sample and returns the
-    derivative there, which starts the next step.
+    derivative there, which starts the next step.  The TransientStats
+    counters in the dict ``work`` are updated in place.
     """
     t = t0
     h_min = max(1e-18, 1e-14 * max(t1, 1.0))
@@ -160,44 +184,51 @@ def _integrate_segment(spec, stim, t0, t1, x, f0, h, rtol, atol, accept):
         if J is None:
             d = stim.duty_at(t)
             J, _ = state_jacobian(spec, d, x, resolve_ports(spec, d, x))
+            work["jacobians"] += 1
             fresh = True
         dh = 0.5 * _GAMMA * h
-        M_inv = np.linalg.inv(np.eye(4) - dh * J)
-        # the stages only need solving to a fraction of the step error
-        # tolerance, not to machine precision
-        tol = np.maximum(0.05 * (atol + rtol * np.abs(x)), 1e-14 * (1.0 + np.abs(x)))
+        M = np.linalg.inv(_EYE - dh * J).tolist()
+        # stages are solved to a fraction of the error tolerance, not to round-off
+        tol = [max(0.05 * (atol + rtol * abs(a)), 1e-14 * (1.0 + abs(a))) for a in x]
         # stage 1: trapezoid to t + gamma*h from an explicit Euler guess
-        rhs = x + dh * f0
-        y_g = _solve_stage(spec, stim.duty_at(t + _GAMMA * h), x + _GAMMA * h * f0,
-                           rhs, dh, M_inv, tol)
+        rhs = [a + dh * b for a, b in zip(x, f0)]
+        y_g = _solve_stage(spec, stim.duty_at(t + _GAMMA * h),
+                           [a + _GAMMA * h * b for a, b in zip(x, f0)],
+                           rhs, dh, M, tol, work)
         y1 = None
         if y_g is not None:
-            f_g = (y_g - rhs) / dh
+            f_g = [(a - b) / dh for a, b in zip(y_g, rhs)]
             # stage 2: BDF2 through x, y_g to t + h, guessed by the
             # quadratic through x (slope f0) and y_g
-            rhs = _B_G * y_g - _B_0 * x
+            rhs = [_B_G * a - _B_0 * b for a, b in zip(y_g, x)]
             y1 = _solve_stage(spec, stim.duty_at(t + h),
-                              x + h * f0 + (y_g - x - _GAMMA * h * f0) / _GAMMA ** 2,
-                              rhs, dh, M_inv, tol)
+                              [a + h * b + (c - a - _GAMMA * h * b) / _GAMMA ** 2
+                               for a, b, c in zip(x, f0, y_g)],
+                              rhs, dh, M, tol, work)
         if y1 is None:
+            work["newton_failures"] += 1
             if fresh:
                 h *= 0.25
             else:
                 J = None
             continue
-        f1 = (y1 - rhs) / dh
-        err = M_inv @ (h * (_ERR_0 * f0 + _ERR_G * f_g + _ERR_1 * f1))
-        scale = atol + rtol * np.maximum(np.abs(x), np.abs(y1))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            err_norm = float(np.max(np.abs(err) / scale))
-        if np.isnan(err_norm):
-            err_norm = np.inf
+        r0, r1, r2, r3 = [h * (_ERR_0 * fa + _ERR_G * fg + _ERR_1 * ((y - r) / dh))
+                          for fa, fg, y, r in zip(f0, f_g, y1, rhs)]
+        scale = [atol + rtol * max(abs(a), abs(b)) for a, b in zip(x, y1)]
+        # |M @ r| / scale; a nan ratio, or a division by zero, fails the test
+        ratios = [abs(a * r0 + b * r1 + c * r2 + e * r3) / s if s else inf
+                  for (a, b, c, e), s in zip(M, scale)]
+        err_norm = inf if isnan(sum(ratios)) else max(ratios)
         factor = _STEP_GROW if err_norm == 0.0 else 0.9 * err_norm ** (-1.0 / 3.0)
         if err_norm <= 1.0:
             t += h
             x = y1
             f0 = accept(t, x)
             fresh = False
+            work["accepted"] += 1
+            work["h_min"], work["h_max"] = min(work["h_min"], h), max(work["h_max"], h)
+        else:
+            work["rejected"] += 1
         h *= min(_STEP_GROW, max(_STEP_SHRINK, factor))
     return x, f0, h
 
@@ -224,13 +255,10 @@ def simulate(spec: ConverterSpec, stimulus: Stimulus, t_end: float,
         if not (isfinite(value) and value >= 0.0):
             raise ValidationError("%s must be finite and non-negative, got %r"
                                   % (name, value))
-    if initial is None:
-        x = np.zeros(4)
-    elif hasattr(initial, "as_array"):
-        x = initial.as_array().astype(float)
-    else:
-        x = np.asarray(initial, dtype=float).copy()
-    if not np.all(np.isfinite(x)):
+    if hasattr(initial, "as_array"):
+        initial = initial.as_array()
+    x = [0.0] * 4 if initial is None else np.asarray(initial, dtype=float).tolist()
+    if not all(map(isfinite, x)):
         raise ValidationError("initial state must be finite")
 
     events = sorted({t for t, _, _ in stimulus.parameter_steps if 0.0 < t < t_end}
@@ -241,6 +269,7 @@ def simulate(spec: ConverterSpec, stimulus: Stimulus, t_end: float,
     current = spec
     applied = 0
     times, states, v0, mu, mode = [], [], [], [], []
+    work = dataclasses.asdict(TransientStats(h_min=inf))
 
     def accept(t, y):
         """Record a sample; return its derivative, which starts the next step."""
@@ -256,12 +285,14 @@ def simulate(spec: ConverterSpec, stimulus: Stimulus, t_end: float,
         v0.append(ports.v_out)
         mu.append(ports.mu)
         mode.append(ports.mode)
-        return derivative(current, d, y, ports)
+        work["rhs"] += 1
+        return derivative(current, d, y, ports).tolist()
 
     f0 = accept(0.0, x)
     h = min(t_end, 0.5 / spec.f_s)
     for t0, t1 in zip(boundaries, boundaries[1:]):
         x, f0, h = _integrate_segment(current, stimulus, t0, t1, x, f0, h,
-                                      rtol, atol, accept)
+                                      rtol, atol, accept, work)
     return Waveform(times=np.array(times), states=np.array(states),
-                    v0=np.array(v0), mu=np.array(mu), mode=mode)
+                    v0=np.array(v0), mu=np.array(mu), mode=mode,
+                    stats=TransientStats(**work))

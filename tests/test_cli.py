@@ -1,9 +1,12 @@
 """End-to-end tests for the command-line front end."""
 
+import contextlib
+import io
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from convavg.cli import main
 
@@ -208,11 +211,56 @@ def test_usage_error_is_exit_1(monkeypatch, capsys):
     for argv in (
         ["compare", "--config", "sepic_bench", "--cycles", "100001"],
         ["compare", "--config", "sepic_bench", "--steps", "100001"],
+        # a non-finite frequency bound, and a grid above the sweep cap
+        # (3 000 001 points), are refused before the DC solve
+        ["ac", "--config", "sepic_bench", "--f-max", "inf"],
+        ["ac", "--config", "sepic_bench", "--f-min", "-inf"],
+        ["ac", "--config", "sepic_bench", "--f-min", "1e-150", "--f-max", "1e150",
+         "--points-per-decade", "10000"],
     ):
         assert main(argv) == 1, argv
         err = capsys.readouterr().err
         assert err.startswith("error: "), argv
         assert "Traceback" not in err
+
+    # a non-finite duty bound is named as such, not as an oversized grid
+    for bounds in (["--from", "nan", "--to", "0.3"], ["--from", "0.1", "--to", "inf"]):
+        argv = ["sweep", "--config", "sepic_bench", *bounds, "--step", "0.1"]
+        assert main(argv) == 1, argv
+        assert "must be finite" in capsys.readouterr().err
+
+
+# argv fuzz: every subcommand's flags, each absent or set from a pool of
+# values that are out of range, non-finite or not numbers at all
+FUZZ_VALUES = ("0", "-1", "nan", "inf", "-inf", "1e-300", "1e300", "abc", "")
+FUZZ_FLAGS = {
+    "dc": ("--duty",),
+    "tran": ("--duty", "--t-end", "--rtol", "--atol"),
+    "ac": ("--duty", "--input", "--f-min", "--f-max", "--points-per-decade"),
+    "sweep": ("--from", "--to", "--step"),
+    "compare": ("--duty", "--cycles", "--steps"),
+}
+
+
+@st.composite
+def fuzz_argv(draw):
+    command = draw(st.sampled_from(sorted(FUZZ_FLAGS)))
+    argv = [command, "--config", draw(st.sampled_from(("sepic_bench", "cuk_bench")))]
+    for flag in FUZZ_FLAGS[command]:
+        if draw(st.booleans()):
+            argv += [flag, draw(st.sampled_from(FUZZ_VALUES))]
+    return argv
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@example(["ac", "--config", "sepic_bench", "--f-max", "inf"])
+@given(fuzz_argv())
+def test_argv_fuzz_ends_in_a_documented_exit_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert rc in (0, 1, 2, 3, 4), argv
+    assert "Traceback" not in err.getvalue(), argv
 
 
 def test_sweep_duty_out_of_range_is_exit_2(capsys):

@@ -1,6 +1,7 @@
 """Tests for large-signal time-domain simulation."""
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from convavg import (
     simulate,
     solve_dc,
 )
-from convavg.avgmodel import derivative, resolve_ports
+import convavg.transient as transient
+from convavg.avgmodel import derivative, resolve_ports, state_jacobian
 
 SEPIC_BENCH = ConverterSpec(kind=SEPIC, Vg=62.0, R=52.0, L1=13e-3, L2=166e-6,
                          C1=0.5e-6, C2=1000e-6, f_s=50e3, R_L1=0.13, R_L2=0.11,
@@ -213,6 +215,141 @@ def test_samples_at_parameter_steps_carry_stepped_values():
     assert wf.v0[-1] != resolve_ports(after, 0.2, wf.states[-1]).v_out
 
 
+# --- plain-float kernel against the numpy reference -----------------
+
+def left_to_right(M, v):
+    """M @ v summed in the order the plain-float kernel sums it."""
+    return np.array([a * v[0] + b * v[1] + c * v[2] + e * v[3] for a, b, c, e in M])
+
+
+def numpy_solve_stage(spec, d, z, rhs, dh, M_inv, tol, product):
+    """The stage Newton iteration on numpy arrays, as the integrator ran
+    it before its kernel moved to plain floats."""
+    prev = np.inf
+    for _ in range(transient._NEWTON_MAX):
+        delta = product(M_inv, rhs - z + dh * np.asarray(transient.derivative(spec, d, z)))
+        z = z + delta
+        norm = float(np.max(np.abs(delta) / tol))
+        if norm <= 1.0:
+            return z
+        if not norm < prev:     # diverging, or not finite
+            return None
+        prev = norm
+    return None
+
+
+def numpy_integrate_segment(spec, stim, t0, t1, x, f0, h, rtol, atol, accept, work,
+                            product=np.matmul):
+    """Reference for transient._integrate_segment: the same TR-BDF2
+    step on numpy arrays.  ``work`` is accepted and left alone;
+    ``product`` computes the 4x4 matrix-vector products."""
+    gamma, err_0, err_g, err_1 = (transient._GAMMA, transient._ERR_0,
+                                  transient._ERR_G, transient._ERR_1)
+    x, f0 = np.asarray(x), np.asarray(f0)
+    t = t0
+    h_min = max(1e-18, 1e-14 * max(t1, 1.0))
+    J = None
+    fresh = False
+    while t < t1:
+        h = min(h, t1 - t)
+        if h < h_min:
+            raise StepSizeUnderflow("step size underflow at t = %.6e s" % (t,))
+        if J is None:
+            d = stim.duty_at(t)
+            J, _ = state_jacobian(spec, d, x, transient.resolve_ports(spec, d, x))
+            fresh = True
+        dh = 0.5 * gamma * h
+        M_inv = np.linalg.inv(np.eye(4) - dh * J)
+        tol = np.maximum(0.05 * (atol + rtol * np.abs(x)), 1e-14 * (1.0 + np.abs(x)))
+        rhs = x + dh * f0
+        y_g = numpy_solve_stage(spec, stim.duty_at(t + gamma * h), x + gamma * h * f0,
+                                rhs, dh, M_inv, tol, product)
+        y1 = None
+        if y_g is not None:
+            f_g = (y_g - rhs) / dh
+            rhs = transient._B_G * y_g - transient._B_0 * x
+            y1 = numpy_solve_stage(spec, stim.duty_at(t + h),
+                                   x + h * f0 + (y_g - x - gamma * h * f0) / gamma ** 2,
+                                   rhs, dh, M_inv, tol, product)
+        if y1 is None:
+            if fresh:
+                h *= 0.25
+            else:
+                J = None
+            continue
+        f1 = (y1 - rhs) / dh
+        err = product(M_inv, h * (err_0 * f0 + err_g * f_g + err_1 * f1))
+        scale = atol + rtol * np.maximum(np.abs(x), np.abs(y1))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            err_norm = float(np.max(np.abs(err) / scale))
+        if np.isnan(err_norm):
+            err_norm = np.inf
+        factor = transient._STEP_GROW if err_norm == 0.0 else 0.9 * err_norm ** (-1.0 / 3.0)
+        if err_norm <= 1.0:
+            t += h
+            x = y1
+            f0 = np.asarray(accept(t, x))
+            fresh = False
+        h *= min(transient._STEP_GROW, max(transient._STEP_SHRINK, factor))
+    return x, f0, h
+
+
+# (spec, DCM duty, CCM duty): the bundled duties resolve in DCM, and the
+# CCM targets sit just above each bench's ideal boundary 1 - sqrt(K)
+KERNEL_POINTS = ((SEPIC_BENCH, 0.2, 0.48), (CUK_BENCH, 0.42, 0.6))
+
+
+def kernel_drives(spec, d_dcm, d_ccm):
+    """(stimulus, initial): a start-up from zero, then from the DCM point
+    a DCM->CCM duty step, a duty ramp and a load plus R_L1 step."""
+    start = solve_dc(OperatingPointRequest(spec=spec, D=d_dcm)).state
+    hold = ((0.0, d_dcm), (5e-4, d_dcm))
+    return (
+        (Stimulus(duty=d_ccm), None),
+        (Stimulus(duty=hold + ((5e-4, d_ccm),)), start),
+        (Stimulus(duty=hold + ((1e-3, d_ccm),)), start),
+        (Stimulus(duty=d_dcm, parameter_steps=((5e-4, "R", 2.0 * spec.R),
+                                               (8e-4, "R_L1", 1.5 * spec.R_L1))), start),
+    )
+
+
+@pytest.mark.parametrize("spec,d_dcm,d_ccm", KERNEL_POINTS,
+                         ids=[p[0].kind for p in KERNEL_POINTS])
+def test_float_kernel_matches_numpy_reference(monkeypatch, spec, d_dcm, d_ccm):
+    """The plain-float kernel is the reference's TR-BDF2 step.
+
+    With the reference's 4x4 products summed in the kernel's order, every
+    sample is the same bit for bit.  numpy sums them in another order,
+    and the last-bit differences shift the sample times a little: the
+    runs keep the same sample count and every time within the stage
+    tolerance 0.05*(atol + rtol*|t|), and where both sample the same
+    instant (the start, each event, t_end) every state and v0 is within
+    0.05*(atol + rtol*|x|).  Between those instants a state is compared
+    at slightly different times, which on the SEPIC's fast C1 swing after
+    the duty step moves it by more than the tolerance.
+    """
+    rtol = atol = 1e-6
+    t_end = 1.2e-3
+    for stim, initial in kernel_drives(spec, d_dcm, d_ccm):
+        got = simulate(spec, stim, t_end, initial, rtol=rtol, atol=atol)
+        with monkeypatch.context() as patch:
+            patch.setattr(transient, "_integrate_segment",
+                          functools.partial(numpy_integrate_segment, product=left_to_right))
+            same = simulate(spec, stim, t_end, initial, rtol=rtol, atol=atol)
+            patch.setattr(transient, "_integrate_segment", numpy_integrate_segment)
+            ref = simulate(spec, stim, t_end, initial, rtol=rtol, atol=atol)
+        for a, b in ((got.times, same.times), (got.states, same.states),
+                     (got.v0, same.v0)):
+            assert np.array_equal(a, b)
+        assert got.mode == same.mode
+        assert len(got.times) == len(ref.times)
+        assert np.all(np.abs(got.times - ref.times) <= 0.05 * (atol + rtol * ref.times))
+        both = got.times == ref.times
+        assert both[0] and both[-1]
+        for a, b in ((got.states[both], ref.states[both]), (got.v0[both], ref.v0[both])):
+            assert np.all(np.abs(a - b) <= 0.05 * (atol + rtol * np.abs(b)))
+
+
 # --- work per step --------------------------------------------------
 
 def test_startup_work_per_accepted_step(monkeypatch):
@@ -220,7 +357,6 @@ def test_startup_work_per_accepted_step(monkeypatch):
     accepted step: one per Newton iteration of the two TR-BDF2 stages,
     one to label the sample, and one per Jacobian rebuild, which the
     kept Jacobian makes rare."""
-    import convavg.transient as transient
     calls = [0]
     derivative_fn, resolve_fn = transient.derivative, transient.resolve_ports
 
@@ -238,6 +374,10 @@ def test_startup_work_per_accepted_step(monkeypatch):
     accepted = len(wf.times) - 1
     assert accepted > 100
     assert calls[0] <= 8 * accepted
+    # the run's own counters agree with the count taken from outside
+    assert wf.stats.rhs + wf.stats.jacobians == calls[0]
+    assert wf.stats.accepted == accepted
+    assert 0.0 < wf.stats.h_min <= wf.stats.h_max
 
 
 # --- failure modes --------------------------------------------------
