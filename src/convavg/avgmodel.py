@@ -28,30 +28,36 @@ smooth and bracketed on (0, 1), so a safeguarded Newton iteration from
 the c = 0 closed form converges in a handful of steps.
 
 The larger of the two candidates wins: mu = max(D, mu_dcm), with ties
-resolved to continuous conduction.  Degenerate operating points
-(negative summed current, or no positive loop voltage to drive the
-cell) fall back to mu = D and are flagged.
+resolved to continuous conduction.  h(mu) = mu*g(mu) is a polynomial of
+degree at most 3 with leading coefficient b <= 0, h(0) = -c <= 0 and
+h(1) = Re*i_sum >= 0, so g has exactly one root in (0, 1), below which
+it is negative: the root exceeds D exactly when g(D) < 0.  The root is
+solved only then, at a D on the mu floor (a root below the floor comes
+back just above it, so DCM), or when mu_candidate is read.  Degenerate
+operating points (negative summed current, or no positive loop voltage
+to drive the cell) fall back to mu = D and are flagged.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import sqrt
 
 import numpy as np
 
-from .converter import ConverterSpec, SEPIC, effective_resistance
+from .converter import ConverterSpec, SEPIC, ValidationError, effective_resistance
 from .switchcell import CCM, DCM, MU_CLAMP_EPS
 
 _MU_FLOOR = 1e-12
+_DIRECTIONS = ((1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0),
+               (0.0, 0.0, 0.0, 1.0), (0.0, 0.0, 0.0, 0.0))
 
 
-@dataclass
+@dataclass(slots=True)
 class PortSolution:
     """Resolved averaged-cell operating point at one (state, duty) pair."""
 
     mu: float
-    mu_candidate: float   # DCM-law root before comparison with D
     mode: str
     fallback: bool        # True when the degenerate-point guard tripped
     V1: float             # transformer-port voltages [V]
@@ -63,6 +69,15 @@ class PortSolution:
     v_node1: float        # voltage at the transistor node [V]
     v_node2: float        # voltage at the diode-side coupling node [V]
     v_out: float          # load-node voltage [V]
+    _candidate: float = field(default=None, repr=False, compare=False)
+    _loop: tuple = field(default=None, repr=False, compare=False)  # a, b, c, Re*i_sum
+
+    @property
+    def mu_candidate(self):
+        """DCM-law root before comparison with D (D at a fallback point)."""
+        if self._candidate is None:
+            self._candidate = _solve_mu_dcm(*self._loop)
+        return self._candidate
 
 
 def _loop_coefficients(spec, d, i_L1, i_L2, v_C1, v_C2):
@@ -123,6 +138,14 @@ def _solve_mu_dcm(a, b, c, re_i):
     return mu
 
 
+def state_values(x):
+    """A StateVector or array-like of four values as a list of floats."""
+    x = np.asarray(x.as_array() if hasattr(x, "as_array") else x, dtype=float)
+    if x.shape != (4,):
+        raise ValidationError("initial state must have four entries")
+    return x.tolist()
+
+
 def resolve_ports(spec: ConverterSpec, d: float, x) -> PortSolution:
     """Resolve the averaged cell at state x = (i_L1, i_L2, v_C1, v_C2).
 
@@ -131,51 +154,46 @@ def resolve_ports(spec: ConverterSpec, d: float, x) -> PortSolution:
     commanded duty.
     """
     i_L1, i_L2, v_C1, v_C2 = float(x[0]), float(x[1]), float(x[2]), float(x[3])
-    if d < _MU_FLOOR:
-        d = _MU_FLOOR
-    elif d > 1.0 - MU_CLAMP_EPS:
-        d = 1.0 - MU_CLAMP_EPS
+    d = min(max(d, _MU_FLOOR), 1.0 - MU_CLAMP_EPS)
     i_sum = i_L1 + i_L2
     a, b, c = _loop_coefficients(spec, d, i_L1, i_L2, v_C1, v_C2)
 
     fallback = (i_sum < 0.0) or (a <= 0.0)
-    if fallback:
-        mu = d
-        mu_candidate = d
-        mode = CCM
-    else:
+    mu, mode, mu_candidate, re_i = d, CCM, d, 0.0
+    w = a + b * d + c * (1.0 - d) / d         # W(mu) at mu = d
+    if not fallback:
         re_i = effective_resistance(spec, d) * i_sum
-        mu_candidate = _solve_mu_dcm(a, b, c, re_i)
-        if mu_candidate > d:
-            mu = min(mu_candidate, 1.0 - MU_CLAMP_EPS)
-            mode = DCM
+        if d > _MU_FLOOR and (d - 1.0) * w + d * re_i >= 0.0:    # g(d) >= 0: CCM
+            mu_candidate = None
         else:
-            mu = d
-            mode = CCM
+            mu_candidate = _solve_mu_dcm(a, b, c, re_i)
+            if mu_candidate > d:
+                mu = min(mu_candidate, 1.0 - MU_CLAMP_EPS)
+                mode = DCM
+                w = a + b * mu + c * (1.0 - mu) / mu
 
-    w = a + b * mu + c * (1.0 - mu) / mu
-    V1 = (1.0 - mu) * w
+    nu = 1.0 - mu
+    V1 = nu * w
     V2 = mu * w
     I1 = mu * i_sum
-    I2 = (1.0 - mu) * i_sum
-    i_c1 = (1.0 - mu) * i_L1 - mu * i_L2
+    I2 = nu * i_sum
+    i_c1 = nu * i_L1 - mu * i_L2
     v_node1 = V1 + spec.R_on1 * I1
-    d2e = d * (1.0 - mu) / mu     # diode conduction fraction
-    diode_drop = (spec.V_d * d2e if i_sum > 0.0 else 0.0) + spec.R_d * I2
 
     if spec.kind == SEPIC:
         i_c2 = (spec.R * I2 - v_C2) / (spec.R + spec.R_C2)
         v_out = v_C2 + spec.R_C2 * i_c2
         v_node2 = v_node1 - v_C1 - spec.R_C1 * i_c1
     else:
+        d2e = d * nu / mu     # diode conduction fraction
+        diode_drop = (spec.V_d * d2e if i_sum > 0.0 else 0.0) + spec.R_d * I2
         i_c2 = -(spec.R * i_L2 + v_C2) / (spec.R + spec.R_C2)
         v_out = v_C2 + spec.R_C2 * i_c2
         v_node2 = -V2 + diode_drop
 
-    return PortSolution(mu=mu, mu_candidate=mu_candidate, mode=mode,
-                        fallback=fallback, V1=V1, V2=V2, I1=I1, I2=I2,
-                        i_c1=i_c1, i_c2=i_c2, v_node1=v_node1,
-                        v_node2=v_node2, v_out=v_out)
+    # positional: keyword parsing would cost a third of a CCM resolve
+    return PortSolution(mu, mode, fallback, V1, V2, I1, I2, i_c1, i_c2,
+                        v_node1, v_node2, v_out, mu_candidate, (a, b, c, re_i))
 
 
 def derivative(spec: ConverterSpec, d: float, x, ports: PortSolution = None):
@@ -198,7 +216,8 @@ def derivative(spec: ConverterSpec, d: float, x, ports: PortSolution = None):
 
 def state_jacobian(spec: ConverterSpec, d: float, x, ports: PortSolution):
     """Analytic derivatives (A, B_d) of derivative() in the state and in
-    the duty, on the branch ``ports`` resolved at (d, x).
+    the duty, on the branch ``ports`` = resolve_ports(spec, d, x) picked
+    (its loop coefficients a, b, c are reused).
 
     A is the 4x4 d(derivative)/dx and B_d the 4-vector d(derivative)/dd.
     Each column pushes one unit direction through the port relations.
@@ -211,11 +230,18 @@ def state_jacobian(spec: ConverterSpec, d: float, x, ports: PortSolution):
     clamped gets a zero B_d.  The diode-drop switch at i_sum = 0 is
     piecewise constant and contributes nothing.
     """
-    i_L1, i_L2 = float(x[0]), float(x[1])
-    i_sum = i_L1 + i_L2
+    cols = jacobian_columns(spec, d, x, ports, 5)
+    return np.array(cols[:4]).T, np.array(cols[4])
+
+
+def jacobian_columns(spec: ConverterSpec, d: float, x, ports: PortSolution,
+                     count: int):
+    """The first ``count`` columns of [A | B_d] (see state_jacobian), each
+    a 4-tuple of floats, along _DIRECTIONS: the unit states, then the duty."""
+    i_sum = float(x[0]) + float(x[1])
     d_in = d
     d = min(max(d, _MU_FLOOR), 1.0 - MU_CLAMP_EPS)
-    a, b, c = _loop_coefficients(spec, d, i_L1, i_L2, float(x[2]), float(x[3]))
+    a, b, c, _ = ports._loop
     mu = ports.mu
     w = a + b * mu + c * (1.0 - mu) / mu
     w_mu = b - c / (mu * mu)
@@ -226,33 +252,41 @@ def state_jacobian(spec: ConverterSpec, d: float, x, ports: PortSolution):
         k_mu = -1.0 / (w + (mu - 1.0) * w_mu + re * i_sum)
     mu_d = 1.0 if ports.mode == CCM else 0.0    # mu = d: CCM and fallback
     sepic = spec.kind == SEPIC
+    R, R_C1, R_C2, R_L2, R_d = spec.R, spec.R_C1, spec.R_C2, spec.R_L2, spec.R_d
+    nu, mu_re, mu_i, c_mu = 1.0 - mu, mu * re, mu * i_sum, c / (mu * mu)
+    # _loop_coefficients' a along each direction, summed in its order; b
+    # along a direction is b_s times the direction's summed current.
+    if sepic:
+        share = R * R_C2 / (R + R_C2)
+        a_dir = (R_C1 + share + R_d, share + R_d, 1.0, R / (R + R_C2), 0.0)
+        b_s = -(R_C1 + share + R_d + spec.R_on1)
+    else:
+        a_dir = (R_C1 + R_d, R_d, 1.0, 0.0, 0.0)
+        b_s = -(R_C1 + R_d + spec.R_on1)
     cols = []
-    for j in range(5):
-        e = [0.0, 0.0, 0.0, 0.0]
+    for j in range(count):
+        e0, e1, e2, e3 = _DIRECTIONS[j]
         dc = dre = dmu = 0.0    # duty-driven changes of c, Re and mu
-        if j < 4:
-            e[j] = 1.0
-        elif d == d_in:         # a duty resolve_ports clamped moves nothing
+        if j == 4 and d == d_in:    # a duty resolve_ports clamped moves nothing
             dc, dre, dmu = c / d, -2.0 * re / d, mu_d
-        ds = e[0] + e[1]
-        da, db, _ = _loop_coefficients(spec, d, *e)
-        dw_fixed = da + db * mu + dc * (1.0 - mu) / mu
-        dmu += k_mu * ((mu - 1.0) * dw_fixed + mu * re * ds + mu * i_sum * dre)
+        ds = e0 + e1
+        dw_fixed = a_dir[j] + b_s * ds * mu + dc * nu / mu
+        dmu += k_mu * ((mu - 1.0) * dw_fixed + mu_re * ds + mu_i * dre)
         dw = dw_fixed + w_mu * dmu
         dI1 = mu * ds + i_sum * dmu
-        dI2 = (1.0 - mu) * ds - i_sum * dmu
-        di_c1 = (1.0 - mu) * e[0] - mu * e[1] - i_sum * dmu
-        dv_node1 = (1.0 - mu) * dw - w * dmu + spec.R_on1 * dI1
+        dI2 = nu * ds - i_sum * dmu
+        di_c1 = nu * e0 - mu * e1 - i_sum * dmu
+        dv_node1 = nu * dw - w * dmu + spec.R_on1 * dI1
         if sepic:
-            di_c2 = (spec.R * dI2 - e[3]) / (spec.R + spec.R_C2)
-            dv_node2 = dv_node1 - e[2] - spec.R_C1 * di_c1
-            df2 = -(dv_node2 + spec.R_L2 * e[1]) / spec.L2
+            di_c2 = (R * dI2 - e3) / (R + R_C2)
+            dv_node2 = dv_node1 - e2 - R_C1 * di_c1
+            df2 = -(dv_node2 + R_L2 * e1) / spec.L2
         else:
-            di_c2 = -(spec.R * e[1] + e[3]) / (spec.R + spec.R_C2)
-            dv_node2 = (-(mu * dw + w * dmu) + dc * (1.0 - mu) / mu
-                        - c / (mu * mu) * dmu + spec.R_d * dI2)
-            dv_out = e[3] + spec.R_C2 * di_c2
-            df2 = (dv_out - dv_node2 - spec.R_L2 * e[1]) / spec.L2
-        cols.append(((-spec.R_L1 * e[0] - dv_node1) / spec.L1, df2,
+            di_c2 = -(R * e1 + e3) / (R + R_C2)
+            dv_node2 = (-(mu * dw + w * dmu) + dc * nu / mu
+                        - c_mu * dmu + R_d * dI2)
+            dv_out = e3 + R_C2 * di_c2
+            df2 = (dv_out - dv_node2 - R_L2 * e1) / spec.L2
+        cols.append(((-spec.R_L1 * e0 - dv_node1) / spec.L1, df2,
                      di_c1 / spec.C1, di_c2 / spec.C2))
-    return np.array(cols[:4]).T, np.array(cols[4])
+    return cols

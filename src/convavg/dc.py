@@ -13,7 +13,7 @@ from math import isfinite, sqrt
 
 import numpy as np
 
-from .avgmodel import derivative, resolve_ports, state_jacobian
+from .avgmodel import derivative, jacobian_columns, resolve_ports, state_values
 from .converter import (CUK, ConverterSpec, OperatingPointRequest,
                         dcm_predicted, equivalent_inductance)
 
@@ -80,16 +80,12 @@ def _scales(spec, x):
     return v_scale, i_scale
 
 
-def _units(spec):
-    """Per-branch factors that turn derivatives into volts and amps."""
-    return np.array([spec.L1, spec.L2, spec.C1, spec.C2])
-
-
 def _residual_and_norm(spec, d, x):
     """Averaged branch residuals at x in physical units (volts, amps),
     their scaled maximum norm, and the port solution they came from."""
     ports = resolve_ports(spec, d, x)
-    r = derivative(spec, d, x, ports) * _units(spec)
+    f0, f1, f2, f3 = derivative(spec, d, x, ports).tolist()
+    r = [f0 * spec.L1, f1 * spec.L2, f2 * spec.C1, f3 * spec.C2]
     v_scale, i_scale = _scales(spec, x)
     return r, max(abs(r[0]) / v_scale, abs(r[1]) / v_scale,
                   abs(r[2]) / i_scale, abs(r[3]) / i_scale), ports
@@ -120,24 +116,23 @@ def solve_dc(request: OperatingPointRequest, initial=None, *,
 
     Args:
         request: converter plus commanded duty cycle.
-        initial: optional warm-start state (array-like of four values);
-            defaults to the closed-form lossless estimate.
+        initial: optional warm-start state (a StateVector or array-like
+            of four values); defaults to the closed-form lossless estimate.
         max_iterations: Newton iteration budget.
         tol: relative convergence tolerance.
 
     Raises:
+        ValidationError: ``initial`` does not hold four values.
         NonConvergence: iteration budget exhausted.
         SingularJacobian: the residual Jacobian lost rank.
     """
     spec, d = request.spec, request.D
     if initial is None:
-        x = initial_guess(spec, d)
+        x = initial_guess(spec, d).tolist()
+    elif isinstance(initial, StateVector):
+        x = [initial.i_L1, initial.i_L2, initial.v_C1, initial.v_C2]
     else:
-        if hasattr(initial, "as_array"):
-            initial = initial.as_array()
-        x = np.asarray(initial, dtype=float).copy()
-        if x.shape != (4,):
-            raise ValueError("initial state must have four entries")
+        x = state_values(initial)
 
     r, norm, ports = _residual_and_norm(spec, d, x)
     iterations = 0
@@ -146,28 +141,29 @@ def solve_dc(request: OperatingPointRequest, initial=None, *,
             raise NonConvergence(
                 "no convergence after %d iterations (residual %.3e)"
                 % (iterations, norm), iterations, norm)
-        A, _ = state_jacobian(spec, d, x, ports)
-        J = _units(spec)[:, None] * A
+        c0, c1, c2, c3 = jacobian_columns(spec, d, x, ports, 4)
+        J = [[u * c0[i], u * c1[i], u * c2[i], u * c3[i]]   # volts and amps
+             for i, u in enumerate((spec.L1, spec.L2, spec.C1, spec.C2))]
         try:
-            step = np.linalg.solve(J, -r)
+            step = np.linalg.solve(J, [-v for v in r]).tolist()
         except np.linalg.LinAlgError as exc:
             raise SingularJacobian(
                 "Jacobian singular at iteration %d" % iterations) from exc
-        if not np.all(np.isfinite(step)):
+        if not all(map(isfinite, step)):
             raise SingularJacobian(
                 "Jacobian produced a non-finite step at iteration %d" % iterations)
 
         lam = 1.0
         for _ in range(_MAX_HALVINGS + 1):
-            trial = x + lam * step
+            trial = [xi + lam * si for xi, si in zip(x, step)]
             trial_r, trial_norm, trial_ports = _residual_and_norm(spec, d, trial)
-            if trial_norm < norm or not np.isfinite(norm):
+            if trial_norm < norm or not isfinite(norm):
                 break
             lam *= 0.5
         else:
             # No damping factor reduced the residual; take the smallest
             # step anyway so kinked regions cannot stall the iteration.
-            trial = x + lam * step
+            trial = [xi + lam * si for xi, si in zip(x, step)]
             trial_r, trial_norm, trial_ports = _residual_and_norm(spec, d, trial)
 
         v_scale, i_scale = _scales(spec, x)
@@ -182,9 +178,8 @@ def solve_dc(request: OperatingPointRequest, initial=None, *,
         if norm <= tol and lam == 1.0 and rel_update <= 10.0 * tol:
             break
 
-    return OperatingPoint(D=d, state=StateVector.from_array(x), V0=ports.v_out,
-                          mu=ports.mu, mode=ports.mode, residual_norm=norm,
-                          iterations=iterations, converged=True)
+    return OperatingPoint(d, StateVector(*x), ports.v_out, ports.mu, ports.mode,
+                          norm, iterations, True)
 
 
 def _failed_point(d, exc):
@@ -228,5 +223,5 @@ def sweep_duty(spec: ConverterSpec, D_from: float, D_to: float,
             warm = None
             continue
         points.append(op)
-        warm = op.state.as_array()
+        warm = op.state
     return points

@@ -182,13 +182,9 @@ def _crossings(f, y):
     A sample that is exactly zero counts at its own frequency; a sign
     change between neighbours is interpolated on log f.
     """
-    hits = []
-    for i in range(f.size - 1):
-        a, b = y[i], y[i + 1]
-        if a == 0.0:
-            hits.append(f[i])
-        elif a * b < 0.0:
-            hits.append(_interp_log_f(f[i], f[i + 1], a, b, 0.0))
+    hits = [f[i] if y[i] == 0.0
+            else _interp_log_f(f[i], f[i + 1], y[i], y[i + 1], 0.0)
+            for i in np.flatnonzero((y[:-1] == 0.0) | (y[:-1] * y[1:] < 0.0))]
     if y[-1] == 0.0:
         hits.append(f[-1])
     return hits
@@ -203,6 +199,11 @@ def extract_margins(f: np.ndarray, response: np.ndarray,
     normalized phase (see _normalize_phase; pass negative_dc_gain to
     pin the sign fold instead of inferring it from the samples).
     """
+    return _gain_phase_margins(f, response, negative_dc_gain)[2]
+
+
+def _gain_phase_margins(f, response, negative_dc_gain):
+    """|H| in dB, the normalized phase and the margins read off them."""
     f = np.asarray(f, dtype=float)
     response = np.asarray(response, dtype=complex)
     if f.size < 2:
@@ -226,9 +227,10 @@ def extract_margins(f: np.ndarray, response: np.ndarray,
             gm = candidate
             f_pc = hit
 
-    return Margins(phase_margin_deg=pm, gain_crossover_hz=f_gc,
-                   gain_margin_db=float(gm) if np.isfinite(gm) else np.inf,
-                   phase_crossover_hz=f_pc)
+    return mag_db, phase, Margins(
+        phase_margin_deg=pm, gain_crossover_hz=f_gc,
+        gain_margin_db=float(gm) if np.isfinite(gm) else np.inf,
+        phase_crossover_hz=f_pc)
 
 
 def frequency_response(model: LinearModel, input: str = "duty",
@@ -248,8 +250,6 @@ def frequency_response(model: LinearModel, input: str = "duty",
         negative = g0 < 0.0
     except np.linalg.LinAlgError:
         negative = None
-    mag_db = 20.0 * np.log10(np.maximum(np.abs(H), 1e-300))
-    phase = _normalize_phase(np.degrees(np.unwrap(np.angle(H))), negative)
+    mag_db, phase, margins = _gain_phase_margins(f, H, negative)
     return FrequencyResponse(f=f, response=H, magnitude_db=mag_db,
-                             phase_deg=phase,
-                             margins=extract_margins(f, H, negative))
+                             phase_deg=phase, margins=margins)

@@ -29,7 +29,7 @@ from math import inf, isfinite, isnan, sqrt
 
 import numpy as np
 
-from .avgmodel import derivative, resolve_ports, state_jacobian
+from .avgmodel import derivative, resolve_ports, state_jacobian, state_values
 from .converter import ConverterSpec, ValidationError
 
 # Parameters that a stimulus may step during a run.
@@ -255,9 +255,7 @@ def simulate(spec: ConverterSpec, stimulus: Stimulus, t_end: float,
         if not (isfinite(value) and value >= 0.0):
             raise ValidationError("%s must be finite and non-negative, got %r"
                                   % (name, value))
-    if hasattr(initial, "as_array"):
-        initial = initial.as_array()
-    x = [0.0] * 4 if initial is None else np.asarray(initial, dtype=float).tolist()
+    x = [0.0] * 4 if initial is None else state_values(initial)
     if not all(map(isfinite, x)):
         raise ValidationError("initial state must be finite")
 

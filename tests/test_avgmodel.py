@@ -4,18 +4,24 @@ import importlib.resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from convavg import (
     CCM,
     DCM,
     OperatingPointRequest,
+    avgmodel,
     derivative,
+    effective_resistance,
+    initial_guess,
     linearize,
     parse_config,
     resolve_ports,
     solve_dc,
     state_jacobian,
 )
+from convavg.switchcell import MU_CLAMP_EPS
+from strategies import converter_specs
 
 
 def bundled(name):
@@ -83,3 +89,44 @@ def test_state_jacobian_matches_linearize_at_bundled_point(name):
     J, _ = state_jacobian(parsed.spec, op.D, x, resolve_ports(parsed.spec, op.D, x))
     A = linearize(parsed.spec, op).A
     assert np.max(np.abs(J - A)) <= 1e-8 * np.max(np.abs(A))
+
+
+def root_solve_mode(spec, d, x):
+    """The mode rule before the sign test, kept as the reference: solve
+    the DCM root at every non-fallback point and compare it with D.
+    Returns (mode, mu, mu_candidate)."""
+    d = min(max(d, avgmodel._MU_FLOOR), 1.0 - MU_CLAMP_EPS)
+    a, b, c = avgmodel._loop_coefficients(spec, d, *x)
+    i_sum = x[0] + x[1]
+    if i_sum < 0.0 or a <= 0.0:
+        return CCM, d, d
+    root = avgmodel._solve_mu_dcm(a, b, c, effective_resistance(spec, d) * i_sum)
+    if root > d:
+        return DCM, min(root, 1.0 - MU_CLAMP_EPS), root
+    return CCM, d, root
+
+
+@st.composite
+def cell_points(draw):
+    """A random converter, a duty in [0, 1] (the clamp edges included)
+    and a state, either anywhere in a box scaled by Vg and R or near the
+    closed-form operating point, where the two modes meet."""
+    spec = draw(converter_specs())
+    d = draw(st.sampled_from([0.0, 1e-300, 1.0 - 1e-12]) | st.floats(0.0, 1.0)
+             | st.floats(0.01, 0.99))
+    if draw(st.booleans()):
+        guess = initial_guess(spec, min(max(d, 0.01), 0.99)).tolist()
+        x = [v * (1.0 + draw(st.floats(-0.2, 0.2))) for v in guess]
+    else:
+        amps = st.floats(-0.5, 2.0).map(lambda a: a * spec.Vg / spec.R)
+        volts = st.floats(-2.0, 2.0).map(lambda a: a * spec.Vg)
+        x = [draw(amps), draw(amps), draw(volts), draw(volts)]
+    return spec, d, x
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(cell_points())
+def test_sign_of_g_at_the_duty_picks_the_root_solve_mode(point):
+    spec, d, x = point
+    ports = resolve_ports(spec, d, x)
+    assert (ports.mode, ports.mu, ports.mu_candidate) == root_solve_mode(spec, d, x)

@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from convavg import (
     SEPIC,
@@ -19,7 +20,9 @@ from convavg import (
     ConverterSpec,
     NonConvergence,
     OperatingPointRequest,
+    SingularJacobian,
     StateVector,
+    ValidationError,
     dcm_predicted,
     effective_resistance,
     equivalent_inductance,
@@ -28,6 +31,7 @@ from convavg import (
     solve_dc,
     sweep_duty,
 )
+from strategies import converter_specs
 
 SEPIC_BENCH = ConverterSpec(kind=SEPIC, Vg=62.0, R=52.0, L1=13e-3, L2=166e-6,
                          C1=0.5e-6, C2=1000e-6, f_s=50e3, R_L1=0.13, R_L2=0.11,
@@ -251,3 +255,59 @@ def test_state_vector_round_trip():
     arr = s.as_array()
     assert arr.tolist() == [1.0, -2.0, 3.5, -4.25]
     assert StateVector.from_array(arr) == s
+
+
+# --- properties over random converters ------------------------------
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(converter_specs(), st.floats(0.01, 0.99))
+def test_solve_dc_converges_from_the_closed_form_guess(spec, d):
+    op = solve_dc(OperatingPointRequest(spec=spec, D=d))
+    assert op.converged
+    assert op.residual_norm <= 1e-9
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(converter_specs(ideal=True), st.floats(0.01, 0.99))
+def test_ideal_mode_matches_the_closed_form_predictor(spec, d):
+    K = 2.0 * equivalent_inductance(spec) * spec.f_s / spec.R
+    assume(abs(K - (1.0 - d) ** 2) > 1e-6 * (1.0 - d) ** 2)
+    op = solve_dc(OperatingPointRequest(spec=spec, D=d))
+    assert op.mode == (DCM if dcm_predicted(spec, d) else CCM)
+
+
+# --- failure paths ---------------------------------------------------
+
+def test_rank_deficient_newton_matrix_raises_singular(monkeypatch):
+    import convavg.dc as dc
+    columns = dc.jacobian_columns
+
+    def lose_last_column(spec, d, x, ports, count):
+        cols = columns(spec, d, x, ports, count)
+        cols[3] = (0.0, 0.0, 0.0, 0.0)
+        return cols
+
+    monkeypatch.setattr(dc, "jacobian_columns", lose_last_column)
+    with pytest.raises(SingularJacobian, match="singular at iteration 0"):
+        solve_dc(OperatingPointRequest(spec=SEPIC_BENCH, D=0.2))
+
+
+def test_overflowing_newton_step_raises_singular(monkeypatch):
+    """A Newton matrix of 1e-300 times the identity factors, but its
+    second step overflows."""
+    import convavg.dc as dc
+
+    def tiny_identity(spec, d, x, ports, count):
+        units = (spec.L1, spec.L2, spec.C1, spec.C2)
+        return [tuple(1e-300 / u if i == j else 0.0 for i, u in enumerate(units))
+                for j in range(count)]
+
+    monkeypatch.setattr(dc, "jacobian_columns", tiny_identity)
+    with pytest.raises(SingularJacobian, match="non-finite step"):
+        solve_dc(OperatingPointRequest(spec=SEPIC_BENCH, D=0.2))
+
+
+@pytest.mark.parametrize("initial", [[1.0, 2.0, 3.0], [[1.0, 2.0, 3.0, 4.0]]])
+def test_initial_state_of_wrong_shape_is_a_validation_error(initial):
+    with pytest.raises(ValidationError, match="four entries"):
+        solve_dc(OperatingPointRequest(spec=SEPIC_BENCH, D=0.2), initial=initial)

@@ -25,6 +25,7 @@ from convavg import (
     transfer_at,
 )
 from convavg.converter import equivalent_inductance
+import convavg.smallsignal as smallsignal
 
 SEPIC_BENCH = ConverterSpec(kind=SEPIC, Vg=62.0, R=52.0, L1=13e-3, L2=166e-6,
                          C1=0.5e-6, C2=1000e-6, f_s=50e3, R_L1=0.13, R_L2=0.11,
@@ -397,3 +398,34 @@ def test_response_arrays_are_consistent():
     direct = transfer_at(model, "source", resp.f[0])[0]
     assert resp.response[0] == pytest.approx(direct, rel=1e-12)
     assert abs(direct) < abs(dc_gain(model, "source"))
+
+
+def loop_crossings(f, y):
+    """The per-sample loop that _crossings replaced, kept as its reference."""
+    hits = []
+    for i in range(f.size - 1):
+        a, b = y[i], y[i + 1]
+        if a == 0.0:
+            hits.append(f[i])
+        elif a * b < 0.0:
+            hits.append(smallsignal._interp_log_f(f[i], f[i + 1], a, b, 0.0))
+    if y[-1] == 0.0:
+        hits.append(f[-1])
+    return hits
+
+
+def test_crossings_match_the_sample_loop():
+    f = default_frequency_grid(SEPIC_BENCH)
+    resp = frequency_response(linearized(SEPIC_BENCH, 0.2)[1], "duty")
+    samples = [resp.magnitude_db, resp.phase_deg + 180.0]
+    rng = np.random.default_rng(11)
+    for k in range(40):
+        y = rng.normal(size=f.size) * (1.0 + 0.5 * (k % 3))
+        y[rng.integers(0, f.size, 4)] = 0.0
+        y[[0, -1][k % 2]] = 0.0
+        y[rng.integers(0, f.size)] = (np.nan, np.inf, -np.inf, 1.0)[k % 4]
+        samples.append(y)
+    with np.errstate(invalid="ignore"):     # interpolating next to an inf
+        for y in samples:
+            np.testing.assert_array_equal(smallsignal._crossings(f, y),
+                                          loop_crossings(f, y))

@@ -415,3 +415,9 @@ def test_waveform_shapes_consistent():
     assert len(wf.mode) == n
     assert np.all(np.diff(wf.times) > 0.0)
     assert wf.times[0] == 0.0
+
+
+@pytest.mark.parametrize("initial", [[1.0, 2.0, 3.0], [[1.0, 2.0, 3.0, 4.0]]])
+def test_initial_state_of_wrong_shape_is_a_validation_error(initial):
+    with pytest.raises(ValidationError, match="four entries"):
+        simulate(SEPIC_BENCH, Stimulus(duty=0.2), t_end=1e-4, initial=initial)
