@@ -6,8 +6,11 @@ effective resistance — giving a continuous model that resolves CCM/DCM
 operation by itself.  On top of that sit a DC operating-point solver,
 a large-signal transient integrator, small-signal transfer functions
 with stability margins, and a cycle-by-cycle switched reference
-simulation for validation.
+simulation for validation.  Only the transient, small-signal and
+switched names import numpy, when first used.
 """
+
+import importlib
 
 from .converter import (SEPIC, CUK, ConverterSpec, OperatingPointRequest,
                         ValidationError, dcm_predicted, effective_resistance,
@@ -18,14 +21,24 @@ from .avgmodel import PortSolution, derivative, resolve_ports, state_jacobian
 from .dc import (NonConvergence, OperatingPoint, SingularJacobian,
                  SolverError, StateVector, initial_guess, solve_dc,
                  sweep_duty)
-from .transient import StepSizeUnderflow, Stimulus, TransientStats, Waveform, simulate
-from .smallsignal import (DegenerateOperatingPoint, FrequencyResponse,
-                          LinearModel, Margins, default_frequency_grid,
-                          extract_margins, frequency_response, linearize,
-                          transfer_at)
-from .switched import (CycleSummary, SwitchedRunConfig, SwitchedWaveform,
-                       cycle_average, run_switched)
 from .config import ParseError, ParsedConfig, parse_config
+
+# Names served on first access (PEP 562) by the modules that import numpy.
+_LAZY = {name: module for module, names in (
+    ("transient", "StepSizeUnderflow Stimulus TransientStats Waveform simulate"),
+    ("smallsignal", "DegenerateOperatingPoint FrequencyResponse LinearModel Margins "
+     "default_frequency_grid extract_margins frequency_response linearize transfer_at"),
+    ("switched", "CycleSummary SwitchedRunConfig SwitchedWaveform cycle_average run_switched"),
+) for name in names.split()}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    value = getattr(importlib.import_module("." + _LAZY[name], __name__), name)
+    globals()[name] = value
+    return value
+
 
 __version__ = "0.1.0"
 
@@ -38,12 +51,7 @@ __all__ = [
     "PortSolution", "derivative", "resolve_ports", "state_jacobian",
     "NonConvergence", "OperatingPoint", "SingularJacobian", "SolverError",
     "StateVector", "initial_guess", "solve_dc", "sweep_duty",
-    "StepSizeUnderflow", "Stimulus", "TransientStats", "Waveform", "simulate",
-    "DegenerateOperatingPoint", "FrequencyResponse", "LinearModel",
-    "Margins", "default_frequency_grid", "extract_margins",
-    "frequency_response", "linearize", "transfer_at",
-    "CycleSummary", "SwitchedRunConfig", "SwitchedWaveform",
-    "cycle_average", "run_switched",
+    *_LAZY,
     "ParseError", "ParsedConfig", "parse_config",
     "__version__",
 ]

@@ -43,8 +43,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import sqrt
 
-import numpy as np
-
 from .converter import ConverterSpec, SEPIC, ValidationError, effective_resistance
 from .switchcell import CCM, DCM, MU_CLAMP_EPS
 
@@ -140,6 +138,7 @@ def _solve_mu_dcm(a, b, c, re_i):
 
 def state_values(x):
     """A StateVector or array-like of four values as a list of floats."""
+    import numpy as np
     x = np.asarray(x.as_array() if hasattr(x, "as_array") else x, dtype=float)
     if x.shape != (4,):
         raise ValidationError("initial state must have four entries")
@@ -201,8 +200,14 @@ def derivative(spec: ConverterSpec, d: float, x, ports: PortSolution = None):
 
     Pass a pre-resolved ``ports`` to avoid resolving the cell twice.
     """
+    import numpy as np
     if ports is None:
         ports = resolve_ports(spec, d, x)
+    return np.array(derivative_values(spec, d, x, ports))
+
+
+def derivative_values(spec: ConverterSpec, d: float, x, ports: PortSolution):
+    """derivative() as four floats, from the ports resolve_ports gave."""
     i_L1, i_L2 = float(x[0]), float(x[1])
     di_L1 = (spec.Vg - spec.R_L1 * i_L1 - ports.v_node1) / spec.L1
     if spec.kind == SEPIC:
@@ -211,7 +216,7 @@ def derivative(spec: ConverterSpec, d: float, x, ports: PortSolution = None):
         di_L2 = (ports.v_out - ports.v_node2 - spec.R_L2 * i_L2) / spec.L2
     dv_C1 = ports.i_c1 / spec.C1
     dv_C2 = ports.i_c2 / spec.C2
-    return np.array([di_L1, di_L2, dv_C1, dv_C2])
+    return di_L1, di_L2, dv_C1, dv_C2
 
 
 def state_jacobian(spec: ConverterSpec, d: float, x, ports: PortSolution):
@@ -230,6 +235,7 @@ def state_jacobian(spec: ConverterSpec, d: float, x, ports: PortSolution):
     clamped gets a zero B_d.  The diode-drop switch at i_sum = 0 is
     piecewise constant and contributes nothing.
     """
+    import numpy as np
     cols = jacobian_columns(spec, d, x, ports, 5)
     return np.array(cols[:4]).T, np.array(cols[4])
 

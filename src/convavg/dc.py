@@ -3,7 +3,8 @@
 Finds the state (i_L1, i_L2, v_C1, v_C2) at which every averaged
 inductor voltage and capacitor current vanishes, with the effective duty
 mu resolved inside the residual at every evaluation so the solver walks
-freely across the CCM/DCM boundary.
+freely across the CCM/DCM boundary.  It runs on plain floats, its 4x4
+Newton system included, so only the ndarray returns here import numpy.
 """
 
 from __future__ import annotations
@@ -11,9 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isfinite, sqrt
 
-import numpy as np
-
-from .avgmodel import derivative, jacobian_columns, resolve_ports, state_values
+from .avgmodel import derivative_values, jacobian_columns, resolve_ports, state_values
 from .converter import (CUK, ConverterSpec, OperatingPointRequest,
                         dcm_predicted, equivalent_inductance)
 
@@ -52,6 +51,7 @@ class StateVector:
     v_C2: float
 
     def as_array(self):
+        import numpy as np
         return np.array([self.i_L1, self.i_L2, self.v_C1, self.v_C2])
 
     @classmethod
@@ -84,17 +84,49 @@ def _residual_and_norm(spec, d, x):
     """Averaged branch residuals at x in physical units (volts, amps),
     their scaled maximum norm, and the port solution they came from."""
     ports = resolve_ports(spec, d, x)
-    f0, f1, f2, f3 = derivative(spec, d, x, ports).tolist()
+    f0, f1, f2, f3 = derivative_values(spec, d, x, ports)
     r = [f0 * spec.L1, f1 * spec.L2, f2 * spec.C1, f3 * spec.C2]
     v_scale, i_scale = _scales(spec, x)
     return r, max(abs(r[0]) / v_scale, abs(r[1]) / v_scale,
                   abs(r[2]) / i_scale, abs(r[3]) / i_scale), ports
 
 
-def initial_guess(spec: ConverterSpec, D: float) -> np.ndarray:
+def _solve4(a):
+    """Solve the 4x4 system in augmented rows [A | b] (overwritten) by
+    Gaussian elimination with partial pivoting; None at a zero pivot."""
+    for k in range(4):
+        p = k
+        for i in range(k + 1, 4):
+            if abs(a[i][k]) > abs(a[p][k]):
+                p = i
+        pivot = a[p]
+        if pivot[k] == 0.0:
+            return None
+        a[p], a[k] = a[k], pivot
+        for row in a[k + 1:]:
+            f = row[k] / pivot[k]
+            for j in range(k + 1, 5):
+                row[j] -= f * pivot[j]
+    x = [0.0] * 4
+    for k in (3, 2, 1, 0):
+        row = a[k]
+        s = row[4]
+        for j in range(k + 1, 4):
+            s -= row[j] * x[j]
+        x[k] = s / row[k]
+    return x
+
+
+def initial_guess(spec: ConverterSpec, D: float):
     """Closed-form lossless starting state for the Newton iteration."""
+    import numpy as np
+    return np.array(_guess_values(spec, D))
+
+
+def _guess_values(spec, D):
+    """initial_guess() as a list of four floats."""
     if spec.Vg <= 0.0:
-        return np.array([0.0, 0.0, max(spec.Vg, 0.0), 0.0])
+        return [0.0, 0.0, max(spec.Vg, 0.0), 0.0]
     if dcm_predicted(spec, D):
         v0 = spec.Vg * D * sqrt(spec.R / (2.0 * equivalent_inductance(spec) * spec.f_s))
     else:
@@ -102,8 +134,8 @@ def initial_guess(spec: ConverterSpec, D: float) -> np.ndarray:
     i_out = v0 / spec.R
     i_in = v0 * v0 / (spec.R * spec.Vg)
     if spec.kind == CUK:
-        return np.array([i_in, i_out, spec.Vg + v0, -v0])
-    return np.array([i_in, i_out, spec.Vg, v0])
+        return [i_in, i_out, spec.Vg + v0, -v0]
+    return [i_in, i_out, spec.Vg, v0]
 
 
 def solve_dc(request: OperatingPointRequest, initial=None, *,
@@ -128,7 +160,7 @@ def solve_dc(request: OperatingPointRequest, initial=None, *,
     """
     spec, d = request.spec, request.D
     if initial is None:
-        x = initial_guess(spec, d).tolist()
+        x = _guess_values(spec, d)
     elif isinstance(initial, StateVector):
         x = [initial.i_L1, initial.i_L2, initial.v_C1, initial.v_C2]
     else:
@@ -142,13 +174,10 @@ def solve_dc(request: OperatingPointRequest, initial=None, *,
                 "no convergence after %d iterations (residual %.3e)"
                 % (iterations, norm), iterations, norm)
         c0, c1, c2, c3 = jacobian_columns(spec, d, x, ports, 4)
-        J = [[u * c0[i], u * c1[i], u * c2[i], u * c3[i]]   # volts and amps
-             for i, u in enumerate((spec.L1, spec.L2, spec.C1, spec.C2))]
-        try:
-            step = np.linalg.solve(J, [-v for v in r]).tolist()
-        except np.linalg.LinAlgError as exc:
-            raise SingularJacobian(
-                "Jacobian singular at iteration %d" % iterations) from exc
+        step = _solve4([[u * c0[i], u * c1[i], u * c2[i], u * c3[i], -r[i]]
+                        for i, u in enumerate((spec.L1, spec.L2, spec.C1, spec.C2))])
+        if step is None:    # J step = -r, in volts and amps, lost rank
+            raise SingularJacobian("Jacobian singular at iteration %d" % iterations)
         if not all(map(isfinite, step)):
             raise SingularJacobian(
                 "Jacobian produced a non-finite step at iteration %d" % iterations)

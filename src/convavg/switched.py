@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .converter import ConverterSpec, SEPIC, ValidationError
-from .dc import StateVector
+from .dc import SolverError, StateVector
 from .switchcell import CCM, DCM, SwitchIntervalDuties
 
 ON, DIODE, OPEN = 1, 2, 3
@@ -100,7 +100,7 @@ class SwitchedWaveform:
         return StateVector.from_array(self.states[-1])
 
 
-class EventDetectionError(RuntimeError):
+class EventDetectionError(SolverError):
     """The diode-current zero crossing could not be bracketed cleanly."""
 
 

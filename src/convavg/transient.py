@@ -10,8 +10,9 @@ to step and rebuilt only at a segment start or when the simplified
 Newton iteration fails; the step shrinks only when Newton fails with a
 fresh J.  The stage derivatives are recovered from the stage equations,
 so a step costs one derivative per Newton iteration plus the one that
-starts the next step.  The step runs on plain Python floats; numpy only
-inverts the per-step Newton matrix and builds the output arrays.
+starts the next step.  The step and the cell's derivative run on plain
+floats; numpy only inverts the per-step Newton matrix and builds the
+output arrays.
 
 The effective duty is resolved algebraically inside every derivative
 evaluation, so mode transitions need no special handling; parameter
@@ -29,8 +30,9 @@ from math import inf, isfinite, isnan, sqrt
 
 import numpy as np
 
-from .avgmodel import derivative, resolve_ports, state_jacobian, state_values
+from .avgmodel import derivative_values, resolve_ports, state_jacobian, state_values
 from .converter import ConverterSpec, ValidationError
+from .dc import SolverError, StateVector
 
 # Parameters that a stimulus may step during a run.
 STEPPABLE = ("R_L1", "R_L2", "R")
@@ -51,7 +53,7 @@ _ERR_G = -_ERR_K / (_GAMMA * (1.0 - _GAMMA))
 _ERR_1 = _ERR_K / (1.0 - _GAMMA)
 
 
-class StepSizeUnderflow(RuntimeError):
+class StepSizeUnderflow(SolverError):
     """Adaptive integration failed to meet tolerance at the minimum step."""
 
 
@@ -137,7 +139,6 @@ class Waveform:
     stats: TransientStats = TransientStats()
 
     def final_state(self):
-        from .dc import StateVector
         return StateVector.from_array(self.states[-1])
 
 
@@ -147,7 +148,7 @@ def _solve_stage(spec, d, z, rhs, dh, M, tol, work):
     (r0, r1, r2, r3), (t0, t1, t2, t3) = rhs, tol
     prev = inf
     for _ in range(_NEWTON_MAX):
-        f0, f1, f2, f3 = derivative(spec, d, z).tolist()
+        f0, f1, f2, f3 = derivative_values(spec, d, z, resolve_ports(spec, d, z))
         work["rhs"] += 1
         z0, z1, z2, z3 = z
         v0, v1, v2, v3 = (r0 - z0 + dh * f0, r1 - z1 + dh * f1,
@@ -284,7 +285,7 @@ def simulate(spec: ConverterSpec, stimulus: Stimulus, t_end: float,
         mu.append(ports.mu)
         mode.append(ports.mode)
         work["rhs"] += 1
-        return derivative(current, d, y, ports).tolist()
+        return derivative_values(current, d, y, ports)
 
     f0 = accept(0.0, x)
     h = min(t_end, 0.5 / spec.f_s)

@@ -202,12 +202,13 @@ def test_usage_error_is_exit_1(monkeypatch, capsys):
 
     # a switched run above the compare caps is refused before any solve
     import convavg.cli
+    import convavg.switched
 
     def fail(*args, **kwargs):
         raise AssertionError("compare solved before checking its caps")
 
     monkeypatch.setattr(convavg.cli, "solve_dc", fail)
-    monkeypatch.setattr(convavg.cli, "run_switched", fail)
+    monkeypatch.setattr(convavg.switched, "run_switched", fail)
     for argv in (
         ["compare", "--config", "sepic_bench", "--cycles", "100001"],
         ["compare", "--config", "sepic_bench", "--steps", "100001"],
@@ -323,12 +324,12 @@ def test_non_finite_t_end_is_exit_2(capsys):
 def test_t_end_above_cap_is_exit_1(monkeypatch, tmp_path, capsys):
     # an end time past 100 000 switching periods, from the flag or the
     # config, is refused before the transient runs
-    import convavg.cli
+    import convavg.transient
 
     def fail(*args, **kwargs):
         raise AssertionError("tran simulated before checking its cap")
 
-    monkeypatch.setattr(convavg.cli, "simulate", fail)
+    monkeypatch.setattr(convavg.transient, "simulate", fail)
     path = tmp_path / "long.conf"
     path.write_text(MINIMAL_NO_DEFAULTS
                     + "[analysis defaults]\nD = 0.2\nt_end = 2.1 s\n")
@@ -349,7 +350,7 @@ def test_t_end_above_cap_is_exit_1(monkeypatch, tmp_path, capsys):
     def reached(spec, stimulus, t_end, **kwargs):
         raise Reached(t_end)
 
-    monkeypatch.setattr(convavg.cli, "simulate", reached)
+    monkeypatch.setattr(convavg.transient, "simulate", reached)
     for argv, t_end in ((["tran", "--config", "sepic_bench"], 0.12),
                         (["tran", "--config", "cuk_bench"], 0.12),
                         (["tran", "--config", "sepic_bench", "--t-end", "2"], 2.0)):
@@ -359,13 +360,13 @@ def test_t_end_above_cap_is_exit_1(monkeypatch, tmp_path, capsys):
 
 
 def test_switched_event_failure_is_exit_3(monkeypatch, capsys):
-    import convavg.cli
+    import convavg.switched
     from convavg.switched import EventDetectionError
 
     def fail(*args, **kwargs):
         raise EventDetectionError("diode turn-off not bracketed")
 
-    monkeypatch.setattr(convavg.cli, "run_switched", fail)
+    monkeypatch.setattr(convavg.switched, "run_switched", fail)
     assert main(["compare", "--config", "cuk_bench", "--cycles", "5"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("solver error: ")
@@ -390,3 +391,44 @@ def test_module_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "mode = DCM" in proc.stdout
+
+
+# --- start-up without numpy -----------------------------------------
+
+# Runs the argv through cli.main as `python -m convavg` does, then says
+# whether numpy was imported on the way.
+NUMPY_PROBE = """\
+import sys
+from convavg import cli
+code = cli.main(sys.argv[1:])
+print("numpy imported:", "numpy" in sys.modules)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["dc", "--config", "sepic_bench"],
+    ["dc", "--config", "cuk_bench", "--duty", "0.7"],
+    ["sweep", "--config", "sepic_bench", "--from", "0.05", "--to", "0.9", "--step", "0.01"],
+    ["sweep", "--config", "cuk_bench", "--from", "0.1", "--to", "0.85", "--step", "0.05"],
+], ids=["dc-sepic", "dc-cuk", "sweep-sepic", "sweep-cuk"])
+def test_dc_and_sweep_run_without_numpy(argv):
+    proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE] + argv,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "numpy imported: False"
+
+
+def test_import_and_parse_config_run_without_numpy():
+    code = """\
+import sys
+from importlib import resources
+import convavg
+for name in ("sepic_bench", "cuk_bench"):
+    text = resources.files("convavg").joinpath("configs", name + ".conf").read_text()
+    convavg.parse_config(text)
+print("numpy imported:", "numpy" in sys.modules)
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "numpy imported: False\n"

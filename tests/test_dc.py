@@ -21,6 +21,7 @@ from convavg import (
     NonConvergence,
     OperatingPointRequest,
     SingularJacobian,
+    SolverError,
     StateVector,
     ValidationError,
     dcm_predicted,
@@ -183,7 +184,7 @@ def test_cold_solve_work_per_newton_iteration(monkeypatch):
     points."""
     import convavg.dc as dc
     calls = [0]
-    derivative_fn, resolve_fn = dc.derivative, dc.resolve_ports
+    derivative_fn, resolve_fn = dc.derivative_values, dc.resolve_ports
 
     def counted_derivative(spec, d, x, ports=None):
         calls[0] += ports is None
@@ -193,7 +194,7 @@ def test_cold_solve_work_per_newton_iteration(monkeypatch):
         calls[0] += 1
         return resolve_fn(spec, d, x)
 
-    monkeypatch.setattr(dc, "derivative", counted_derivative)
+    monkeypatch.setattr(dc, "derivative_values", counted_derivative)
     monkeypatch.setattr(dc, "resolve_ports", counted_resolve)
     for spec, d in ((SEPIC_BENCH, 0.2), (SEPIC_BENCH, 0.3), (SEPIC_BENCH, 0.6),
                     (CUK_BENCH, 0.42), (CUK_BENCH, 0.3), (CUK_BENCH, 0.6)):
@@ -311,3 +312,97 @@ def test_overflowing_newton_step_raises_singular(monkeypatch):
 def test_initial_state_of_wrong_shape_is_a_validation_error(initial):
     with pytest.raises(ValidationError, match="four entries"):
         solve_dc(OperatingPointRequest(spec=SEPIC_BENCH, D=0.2), initial=initial)
+
+
+# --- the 4x4 Newton solve -------------------------------------------
+
+def lapack_solve4(a):
+    """Reference for dc._solve4: the np.linalg.solve call that solved
+    the Newton system before it moved to plain Python."""
+    try:
+        return np.linalg.solve([row[:4] for row in a], [row[4] for row in a]).tolist()
+    except np.linalg.LinAlgError:
+        return None
+
+
+def test_elimination_matches_lapack_over_six_decades():
+    """Random systems whose rows (volts next to amps in solve_dc) span
+    six decades of scale."""
+    from convavg.dc import _solve4
+    rng = np.random.default_rng(20261018)
+    for _ in range(500):
+        rows = rng.standard_normal((4, 5)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(4, 1))
+        want = np.array(lapack_solve4(rows.tolist()))
+        got = np.array(_solve4(rows.tolist()))
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_elimination_reports_an_exactly_zero_pivot():
+    from convavg.dc import _solve4
+    zero_column = [[1.0, 0.0, 2.0, 3.0, 1.0], [4.0, 0.0, 5.0, 6.0, 1.0],
+                   [7.0, 0.0, 8.0, 10.0, 1.0], [1.0, 0.0, 1.0, 1.0, 1.0]]
+    doubled_row = [[1.0, 2.0, 3.0, 4.0, 1.0], [2.0, 4.0, 6.0, 8.0, 2.0],
+                   [0.0, 1.0, 0.0, 2.0, 3.0], [5.0, 0.0, 1.0, 0.0, 4.0]]
+    for a in (zero_column, doubled_row):
+        assert lapack_solve4([row[:] for row in a]) is None
+        assert _solve4(a) is None
+
+
+def printed_point(request):
+    """What `convavg dc` prints of a solve, the residual aside (round-off
+    noise near 1e-15), or the solver error it exits with."""
+    from convavg.cli import _FMT
+    try:
+        op = solve_dc(request)
+    except SolverError as exc:
+        return type(exc).__name__
+    values = (op.V0, op.mu, op.state.i_L1, op.state.i_L2, op.state.v_C1, op.state.v_C2)
+    return tuple(_FMT % v for v in values) + (op.mode, op.iterations)
+
+
+@pytest.mark.parametrize("spec", [SEPIC_BENCH, CUK_BENCH], ids=["sepic", "cuk"])
+def test_elimination_prints_the_bench_points_as_lapack_does(spec):
+    """Every duty the bundled-config CLI checks solve: the dc duties and
+    the 0.05..0.9 sweep."""
+    import convavg.dc as dc
+    requests = [OperatingPointRequest(spec=spec, D=0.05 + 0.01 * k) for k in range(86)]
+    requests += [OperatingPointRequest(spec=spec, D=d) for d in (0.2, 0.3, 0.42, 0.7)]
+    got = [printed_point(r) for r in requests]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dc, "_solve4", lapack_solve4)
+        assert [printed_point(r) for r in requests] == got
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(converter_specs(), st.floats(0.01, 0.99))
+def test_elimination_solves_as_lapack_does(spec, d):
+    """Same outcome, conduction mode and Newton iteration count as with
+    LAPACK's solve, and the same state to within the solve's rounding:
+    1e-11 of the scales the Newton test uses (3000 examples came within
+    7e-13).  Printed to 12 digits a value can still differ in its last
+    digit; the first such example here, a SEPIC at D = 0.984375, prints
+    v_C1 as 5.08122402721e-01 against 5.08122402720e-01."""
+    import convavg.dc as dc
+    request = OperatingPointRequest(spec=spec, D=d)
+
+    def solve():
+        try:
+            return solve_dc(request)
+        except SolverError as exc:
+            return type(exc).__name__
+
+    got = solve()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dc, "_solve4", lapack_solve4)
+        want = solve()
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+        return
+    assert (got.mode, got.iterations) == (want.mode, want.iterations)
+    v_scale = abs(spec.Vg) + abs(want.state.v_C1) + abs(want.state.v_C2) + 1.0
+    i_scale = abs(want.state.i_L1) + abs(want.state.i_L2) + 1.0
+    for name, scale in (("V0", v_scale), ("mu", 1.0)):
+        assert abs(getattr(got, name) - getattr(want, name)) <= 1e-11 * scale, name
+    for name, scale in (("i_L1", i_scale), ("i_L2", i_scale),
+                        ("v_C1", v_scale), ("v_C2", v_scale)):
+        assert abs(getattr(got.state, name) - getattr(want.state, name)) <= 1e-11 * scale, name

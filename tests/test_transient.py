@@ -227,7 +227,7 @@ def numpy_solve_stage(spec, d, z, rhs, dh, M_inv, tol, product):
     it before its kernel moved to plain floats."""
     prev = np.inf
     for _ in range(transient._NEWTON_MAX):
-        delta = product(M_inv, rhs - z + dh * np.asarray(transient.derivative(spec, d, z)))
+        delta = product(M_inv, rhs - z + dh * derivative(spec, d, z))
         z = z + delta
         norm = float(np.max(np.abs(delta) / tol))
         if norm <= 1.0:
@@ -358,7 +358,7 @@ def test_startup_work_per_accepted_step(monkeypatch):
     one to label the sample, and one per Jacobian rebuild, which the
     kept Jacobian makes rare."""
     calls = [0]
-    derivative_fn, resolve_fn = transient.derivative, transient.resolve_ports
+    derivative_fn, resolve_fn = transient.derivative_values, transient.resolve_ports
 
     def counted_derivative(spec, d, x, ports=None):
         calls[0] += ports is None
@@ -368,7 +368,7 @@ def test_startup_work_per_accepted_step(monkeypatch):
         calls[0] += 1
         return resolve_fn(spec, d, x)
 
-    monkeypatch.setattr(transient, "derivative", counted_derivative)
+    monkeypatch.setattr(transient, "derivative_values", counted_derivative)
     monkeypatch.setattr(transient, "resolve_ports", counted_resolve)
     wf = simulate(SEPIC_BENCH, Stimulus(duty=0.2), t_end=0.12)
     accepted = len(wf.times) - 1
