@@ -15,19 +15,17 @@ import importlib
 from .converter import (SEPIC, CUK, ConverterSpec, OperatingPointRequest,
                         ValidationError, dcm_predicted, effective_resistance,
                         equivalent_inductance)
-from .switchcell import (CCM, DCM, AveragedPortState, SwitchIntervalDuties,
-                         average_switch_waveforms)
+from .switchcell import CCM, DCM, SwitchIntervalDuties
 from .avgmodel import PortSolution, derivative, resolve_ports, state_jacobian
 from .dc import (NonConvergence, OperatingPoint, SingularJacobian,
-                 SolverError, StateVector, initial_guess, solve_dc,
-                 sweep_duty)
+                 SolverError, StateVector, solve_dc, sweep_duty)
 from .config import ParseError, ParsedConfig, parse_config
 
 # Names served on first access (PEP 562) by the modules that import numpy.
 _LAZY = {name: module for module, names in (
     ("transient", "StepSizeUnderflow Stimulus TransientStats Waveform simulate"),
     ("smallsignal", "DegenerateOperatingPoint FrequencyResponse LinearModel Margins "
-     "default_frequency_grid extract_margins frequency_response linearize transfer_at"),
+     "default_frequency_grid frequency_response linearize transfer_at"),
     ("switched", "CycleSummary SwitchedRunConfig SwitchedWaveform cycle_average run_switched"),
 ) for name in names.split()}
 
@@ -46,11 +44,10 @@ __all__ = [
     "SEPIC", "CUK", "ConverterSpec", "OperatingPointRequest",
     "ValidationError", "dcm_predicted", "effective_resistance",
     "equivalent_inductance",
-    "CCM", "DCM", "AveragedPortState", "SwitchIntervalDuties",
-    "average_switch_waveforms",
+    "CCM", "DCM", "SwitchIntervalDuties",
     "PortSolution", "derivative", "resolve_ports", "state_jacobian",
     "NonConvergence", "OperatingPoint", "SingularJacobian", "SolverError",
-    "StateVector", "initial_guess", "solve_dc", "sweep_duty",
+    "StateVector", "solve_dc", "sweep_duty",
     *_LAZY,
     "ParseError", "ParsedConfig", "parse_config",
     "__version__",

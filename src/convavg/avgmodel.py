@@ -43,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import sqrt
 
-from .converter import ConverterSpec, SEPIC, ValidationError, effective_resistance
+from .converter import ConverterSpec, SEPIC, effective_resistance
 from .switchcell import CCM, DCM, MU_CLAMP_EPS
 
 _MU_FLOOR = 1e-12
@@ -134,15 +134,6 @@ def _solve_mu_dcm(a, b, c, re_i):
             break
         mu = nxt
     return mu
-
-
-def state_values(x):
-    """A StateVector or array-like of four values as a list of floats."""
-    import numpy as np
-    x = np.asarray(x.as_array() if hasattr(x, "as_array") else x, dtype=float)
-    if x.shape != (4,):
-        raise ValidationError("initial state must have four entries")
-    return x.tolist()
 
 
 def resolve_ports(spec: ConverterSpec, d: float, x) -> PortSolution:

@@ -29,10 +29,12 @@ EXIT_IO = 4
 _FMT = "%.11e"          # 12 significant digits
 # Densest frequency grid ac builds: the grid size must stay bounded.
 _MAX_POINTS_PER_DECADE = 10_000
-# Largest --cycles and --steps compare accepts, and the longest tran end
-# time in switching periods: the work grows with each.
+# The longest tran end time in switching periods, the largest --steps
+# compare accepts (one power stack holds that many 5x5 maps) and its
+# largest --cycles x --steps: the work grows with each.
 _MAX_CYCLES = 100_000
 _MAX_STEPS = 100_000
+_MAX_SWITCHED_STEPS = 100_000_000
 
 
 class _UsageError(Exception):
@@ -180,11 +182,12 @@ def _cmd_sweep(args):
 
 
 def _cmd_compare(args):
-    from .switched import SwitchedRunConfig, cycle_average, run_switched
-    if args.cycles > _MAX_CYCLES:
-        raise _UsageError("--cycles must be at most %d" % _MAX_CYCLES)
+    from .switched import SwitchedRunConfig, run_switched
     if args.steps > _MAX_STEPS:
         raise _UsageError("--steps must be at most %d" % _MAX_STEPS)
+    if args.cycles * args.steps > _MAX_SWITCHED_STEPS:
+        raise _UsageError("--cycles times --steps must be at most %d"
+                          % _MAX_SWITCHED_STEPS)
     parsed = _load_config(args.config)
     duty = _require_duty(args, parsed)
     spec = parsed.spec
@@ -195,19 +198,17 @@ def _cmd_compare(args):
                                         steps_per_cycle=args.steps,
                                         initial=op.state),
                       steady_tol=0.0)
-    last = wf.cycles_run - 1
-    summary = wf.summaries[last]
-    I1, I2, V1, V2, duties = cycle_average(wf, last)
+    summary = wf.summaries[-1]
     rows = [
         ("V0", op.V0, summary.v0_avg),
         ("iL1", op.state.i_L1, summary.i_L1_avg),
         ("iL2", op.state.i_L2, summary.i_L2_avg),
         ("vC1", op.state.v_C1, summary.v_C1_avg),
         ("vC2", op.state.v_C2, summary.v_C2_avg),
-        ("I1", ports.I1, I1),
-        ("I2", ports.I2, I2),
-        ("V1", ports.V1, V1),
-        ("V2", ports.V2, V2),
+        ("I1", ports.I1, summary.I1_avg),
+        ("I2", ports.I2, summary.I2_avg),
+        ("V1", ports.V1, summary.V1_avg),
+        ("V2", ports.V2, summary.V2_avg),
     ]
     with _output(args.output) as out:
         out.write("quantity,averaged,switched,pct_error\n")

@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isfinite, sqrt
 
-from .avgmodel import derivative_values, jacobian_columns, resolve_ports, state_values
-from .converter import (CUK, ConverterSpec, OperatingPointRequest,
+from .avgmodel import derivative_values, jacobian_columns, resolve_ports
+from .converter import (CUK, ConverterSpec, OperatingPointRequest, ValidationError,
                         dcm_predicted, equivalent_inductance)
 
 _MAX_ITERATIONS = 200
@@ -54,10 +54,22 @@ class StateVector:
         import numpy as np
         return np.array([self.i_L1, self.i_L2, self.v_C1, self.v_C2])
 
-    @classmethod
-    def from_array(cls, x):
-        return cls(i_L1=float(x[0]), i_L2=float(x[1]),
-                   v_C1=float(x[2]), v_C2=float(x[3]))
+
+def state_values(x):
+    """An initial state, a StateVector or four numbers, as a list of four
+    finite floats; anything else is a ValidationError."""
+    if isinstance(x, StateVector):
+        values = [x.i_L1, x.i_L2, x.v_C1, x.v_C2]
+    else:
+        try:
+            values = [float(v) for v in x]
+        except (TypeError, ValueError):
+            values = []
+        if len(values) != 4:
+            raise ValidationError("initial state must have four entries")
+    if not all(map(isfinite, values)):
+        raise ValidationError("initial state must be finite")
+    return values
 
 
 @dataclass(frozen=True)
@@ -117,14 +129,9 @@ def _solve4(a):
     return x
 
 
-def initial_guess(spec: ConverterSpec, D: float):
-    """Closed-form lossless starting state for the Newton iteration."""
-    import numpy as np
-    return np.array(_guess_values(spec, D))
-
-
 def _guess_values(spec, D):
-    """initial_guess() as a list of four floats."""
+    """Closed-form lossless starting state for the Newton iteration, as a
+    list of four floats."""
     if spec.Vg <= 0.0:
         return [0.0, 0.0, max(spec.Vg, 0.0), 0.0]
     if dcm_predicted(spec, D):
@@ -138,38 +145,31 @@ def _guess_values(spec, D):
     return [i_in, i_out, spec.Vg, v0]
 
 
-def solve_dc(request: OperatingPointRequest, initial=None, *,
-             max_iterations: int = _MAX_ITERATIONS, tol: float = _TOL) -> OperatingPoint:
+def solve_dc(request: OperatingPointRequest, initial=None) -> OperatingPoint:
     """Solve for the DC operating point of the averaged model.
 
     Damped Newton iteration on the four averaged branch equations.  The
     iteration converges when both the scaled residual norm and the
-    relative state update drop below ``tol``.
+    relative state update drop below _TOL, within _MAX_ITERATIONS; a
+    residual that is not finite never counts as converged.
 
     Args:
         request: converter plus commanded duty cycle.
-        initial: optional warm-start state (a StateVector or array-like
-            of four values); defaults to the closed-form lossless estimate.
-        max_iterations: Newton iteration budget.
-        tol: relative convergence tolerance.
+        initial: optional warm-start state (a StateVector or four
+            values); defaults to the closed-form lossless estimate.
 
     Raises:
-        ValidationError: ``initial`` does not hold four values.
+        ValidationError: ``initial`` does not hold four finite values.
         NonConvergence: iteration budget exhausted.
         SingularJacobian: the residual Jacobian lost rank.
     """
     spec, d = request.spec, request.D
-    if initial is None:
-        x = _guess_values(spec, d)
-    elif isinstance(initial, StateVector):
-        x = [initial.i_L1, initial.i_L2, initial.v_C1, initial.v_C2]
-    else:
-        x = state_values(initial)
+    x = _guess_values(spec, d) if initial is None else state_values(initial)
 
     r, norm, ports = _residual_and_norm(spec, d, x)
     iterations = 0
-    while norm > tol:
-        if iterations >= max_iterations:
+    while not norm <= _TOL:     # a NaN norm stays in the loop
+        if iterations >= _MAX_ITERATIONS:
             raise NonConvergence(
                 "no convergence after %d iterations (residual %.3e)"
                 % (iterations, norm), iterations, norm)
@@ -202,9 +202,9 @@ def solve_dc(request: OperatingPointRequest, initial=None, *,
                          abs(trial[3] - x[3]) / v_scale)
         x, r, norm, ports = trial, trial_r, trial_norm, trial_ports
         iterations += 1
-        if norm <= tol and rel_update <= tol:
+        if norm <= _TOL and rel_update <= _TOL:
             break
-        if norm <= tol and lam == 1.0 and rel_update <= 10.0 * tol:
+        if norm <= _TOL and lam == 1.0 and rel_update <= 10.0 * _TOL:
             break
 
     return OperatingPoint(d, StateVector(*x), ports.v_out, ports.mu, ports.mode,

@@ -8,7 +8,8 @@ that the DC Newton iteration and the transient use
 (avgmodel.state_jacobian).  An operating point lying on the mode
 boundary is flagged as degenerate; a tie resolves to continuous
 conduction.  Transfer functions are evaluated over a whole frequency
-grid with one batched solve of the stacked resolvents.
+grid with one batched solve of the stacked resolvents, and
+frequency_response reads the gain and phase margins off those samples.
 """
 
 from __future__ import annotations
@@ -190,20 +191,15 @@ def _crossings(f, y):
     return hits
 
 
-def extract_margins(f: np.ndarray, response: np.ndarray,
-                    negative_dc_gain=None) -> Margins:
-    """Gain and phase margins from sampled frequency-response data.
+def _gain_phase_margins(f, response, negative_dc_gain):
+    """|H| in dB, the normalized phase, and the gain and phase margins
+    read off them, from sampled frequency-response data.
 
     The phase margin is taken at the last unity-gain crossing; the gain
     margin is the worst case over all -180-degree crossings of the
     normalized phase (see _normalize_phase; pass negative_dc_gain to
     pin the sign fold instead of inferring it from the samples).
     """
-    return _gain_phase_margins(f, response, negative_dc_gain)[2]
-
-
-def _gain_phase_margins(f, response, negative_dc_gain):
-    """|H| in dB, the normalized phase and the margins read off them."""
     f = np.asarray(f, dtype=float)
     response = np.asarray(response, dtype=complex)
     if f.size < 2:

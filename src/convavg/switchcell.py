@@ -17,17 +17,14 @@ Port sign conventions used throughout the package:
 
 The mu-based averaged network itself lives in ``avgmodel``; this module
 holds the mode tags, the effective-duty clamp and the interval-duty
-record.  ``average_switch_waveforms`` reconstructs the four port
-averages from a converter state and a measured set of interval duty
-ratios; it is the verification-side counterpart of the mu-based model
-and is compared against cycle averages of the switched circuit.
+record that the switched reference measures each cycle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .converter import ConverterSpec, SEPIC, ValidationError
+from .converter import ValidationError
 
 CCM = "CCM"
 DCM = "DCM"
@@ -60,52 +57,3 @@ class SwitchIntervalDuties:
         if abs(total - 1.0) > 1e-6:
             raise ValidationError(
                 "interval duties must sum to 1, got %.12g" % (total,))
-
-
-@dataclass(frozen=True)
-class AveragedPortState:
-    """Average switch-cell port quantities over one period."""
-
-    V1: float
-    V2: float
-    I1: float
-    I2: float
-    mu: float
-    mode: str
-
-
-def average_switch_waveforms(spec: ConverterSpec, duties: SwitchIntervalDuties,
-                             state) -> AveragedPortState:
-    """Port averages of the cell for the given interval duties.
-
-    Interval-by-interval the blocked/conducted voltages are combinations
-    of the capacitor voltages; drops on the conducting device (R_on1,
-    V_d, R_d) are taken at the conduction-interval mean of the summed
-    inductor current, which is what the triangular current waveform
-    actually averages to over the conducting sub-period.  An ideal spec
-    has these drops zeroed, which gives the lossless reconstruction.
-    """
-    i_L1, i_L2, v_C1, v_C2 = state.i_L1, state.i_L2, state.v_C1, state.v_C2
-    D1, D2, D3 = duties.D1, duties.D2, duties.D3
-    conducting = D1 + D2
-    i_sum = i_L1 + i_L2
-    i_cond = i_sum / conducting if conducting > 0.0 else 0.0
-
-    I1 = D1 * i_cond
-    I2 = D2 * i_cond
-    drop_on = spec.R_on1 * i_cond
-    drop_d = spec.V_d + spec.R_d * i_cond
-
-    if spec.kind == SEPIC:
-        V1 = D1 * drop_on + D2 * (v_C1 + v_C2 + drop_d) + D3 * v_C1
-        V2 = D1 * (v_C1 + v_C2 - drop_on) - D2 * drop_d + D3 * v_C2
-    else:
-        # Cuk: v_C2 carries the (negative) output polarity, so the
-        # signed combinations below match the magnitudes seen on the
-        # physical nodes.
-        V1 = D1 * drop_on + D2 * (v_C1 + drop_d) + D3 * (v_C1 + v_C2)
-        V2 = D1 * (v_C1 - drop_on) - D2 * drop_d - D3 * v_C2
-
-    mu = D1 / conducting if conducting > 0.0 else 1.0 - MU_CLAMP_EPS
-    mode = DCM if D3 > 1e-9 else CCM
-    return AveragedPortState(V1=V1, V2=V2, I1=I1, I2=I2, mu=mu, mode=mode)

@@ -12,9 +12,11 @@ whose summed inductor current is negative, interpolated linearly inside
 that step; the rest of the period then runs on the constrained dynamics
 of the isolated series loop, which preserve i_L1 + i_L2 = 0 exactly.
 
-v0 and the switch ports are affine in the state within an interval, so
-every cycle's averages of the states, v0 and the ports follow from each
-interval's trapezoid state integral, with no pass over stored samples.
+v0 and the switch ports (V1, V2, I1, I2) are affine in the augmented
+state within an interval, one 5x5 output map G per interval, so every
+cycle's averages of the states, v0 and the ports follow from each
+interval's trapezoid state integral S as S and G S, with no pass over
+stored samples.
 
 This module is the verification counterpart of the averaged model and
 deliberately shares no circuit algebra with it: the interval systems are
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .converter import ConverterSpec, SEPIC, ValidationError
-from .dc import SolverError, StateVector
+from .dc import SolverError, StateVector, state_values
 from .switchcell import CCM, DCM, SwitchIntervalDuties
 
 ON, DIODE, OPEN = 1, 2, 3
@@ -51,6 +53,8 @@ class SwitchedRunConfig:
             raise ValidationError("n_cycles must be at least 1")
         if self.steps_per_cycle < 1000:
             raise ValidationError("steps_per_cycle must be at least 1000")
+        if self.initial is not None:
+            object.__setattr__(self, "initial", StateVector(*state_values(self.initial)))
 
 
 @dataclass(frozen=True)
@@ -58,8 +62,6 @@ class CycleSummary:
     """One cycle's measured interval durations and trapezoidal averages
     of the states, v0 and the switch ports (V1, V2, I1, I2)."""
 
-    index: int
-    t_start: float
     duties: SwitchIntervalDuties
     v0_avg: float
     i_L1_avg: float
@@ -95,9 +97,6 @@ class SwitchedWaveform:
     summaries: list
     cycles_run: int
     steady: bool
-
-    def final_state(self) -> StateVector:
-        return StateVector.from_array(self.states[-1])
 
 
 class EventDetectionError(SolverError):
@@ -196,17 +195,37 @@ def _interval_system(spec, interval):
     return A
 
 
-def _v0_coeffs(spec, interval):
-    """v0 = p . x for one interval (load node including C2 ESR)."""
+def _output_map(spec, interval, open_sys):
+    """G with (v0, V1, V2, I1, I2) = G (x, 1) in one interval: the load
+    node (C2 ESR included) and the switch ports, in the sign conventions
+    of switchcell.  open_sys is the OPEN interval's system, whose i_L1 row
+    gives the inductor voltages while both switches are off."""
+    sepic = spec.kind == SEPIC
     alpha = spec.R / (spec.R + spec.R_C2)
     Rk = spec.R * spec.R_C2 / (spec.R + spec.R_C2)
-    if spec.kind == SEPIC:
-        if interval == DIODE:
-            return (Rk, Rk, 0.0, alpha)
-        return (0.0, 0.0, 0.0, alpha)
-    if interval == OPEN:
-        return (Rk, 0.0, 0.0, alpha)
-    return (0.0, -Rk, 0.0, alpha)
+    r_on, r_d, v_d = spec.R_on1, spec.R_d, spec.V_d
+    alpha_s = alpha if sepic else 0.0   # v_C2 enters the SEPIC's switch voltages
+    G = np.zeros((5, 5))
+    if interval == ON:
+        G[0] = (0.0, 0.0 if sepic else -Rk, 0.0, alpha, 0.0)
+        G[1] = (r_on, r_on, 0.0, 0.0, 0.0)
+        G[2] = (-r_on, -r_on - spec.R_C1, 1.0, alpha_s, 0.0)
+        G[3] = (1.0, 1.0, 0.0, 0.0, 0.0)
+    elif interval == DIODE:
+        r_node = Rk + r_d if sepic else r_d     # diode-side node per amp
+        G[0] = (Rk, Rk, 0.0, alpha, 0.0) if sepic else (0.0, -Rk, 0.0, alpha, 0.0)
+        G[1] = (r_node + spec.R_C1, r_node, 1.0, alpha_s, v_d)
+        G[2] = (-r_d, -r_d, 0.0, 0.0, -v_d)
+        G[4] = (1.0, 1.0, 0.0, 0.0, 0.0)
+    else:
+        di_L1 = open_sys[0]     # d i_L1/dt = -d i_L2/dt in the series loop
+        G[0] = (0.0, 0.0, 0.0, alpha, 0.0) if sepic else (Rk, 0.0, 0.0, alpha, 0.0)
+        G[1] = (-spec.R_L1, 0.0, 0.0, 0.0, spec.Vg) - spec.L1 * di_L1
+        if sepic:
+            G[2] = (-spec.R_L2, 0.0, 0.0, alpha, 0.0) - spec.L2 * di_L1
+        else:
+            G[2] = (-Rk - spec.R_L2, 0.0, 0.0, -alpha, 0.0) - spec.L2 * di_L1
+    return G
 
 
 def _powers(Z, n):
@@ -266,7 +285,7 @@ def run_switched(config: SwitchedRunConfig,
     stack_on, stack_d = (np.ascontiguousarray(
         _powers(_affine(_interval_system(spec, k), h), n).reshape(-1, 5).T)
         for k, h, n in ((ON, h_on, n_on), (DIODE, h_off, n_off)))
-    p_v0 = {k: _v0_coeffs(spec, k) + (0.0,) for k in (ON, DIODE, OPEN)}
+    G = {k: _output_map(spec, k, sys_open) for k in (ON, DIODE, OPEN)}
 
     def run_cycle(cycle, x):
         """One period from x = (i_L1, i_L2, v_C1, v_C2, 1): the summary and
@@ -325,20 +344,10 @@ def run_switched(config: SwitchedRunConfig,
                          t_open + n_open * h3))
 
         # v0 and the ports are affine in the state within an interval, so
-        # the trapezoid of each is its affine map applied to the trapezoid
-        # S of the state: p.S for v0, T*port(S/T) over an interval of length T.
-        totals = [0.0] * 9      # v0, i_L1, i_L2, v_C1, v_C2, V1, V2, I1, I2
-        for interval, _, S, *_ in segs:
-            *S, T = S.tolist()
-            if T > 0.0:
-                p = p_v0[interval]
-                ports = _port_values(spec, interval, [v / T for v in S], sys_open)
-                parts = [p[0] * S[0] + p[1] * S[1] + p[3] * S[3], *S,
-                         *(T * q for q in ports)]
-                totals = [a + b for a, b in zip(totals, parts)]
-        v0_avg, iL1, iL2, vC1, vC2, V1, V2, I1, I2 = (v / Ts for v in totals)
+        # the trapezoid of each is G applied to the trapezoid S of the state
+        iL1, iL2, vC1, vC2, _ = (sum(seg[2] for seg in segs) / Ts).tolist()
+        v0_avg, V1, V2, I1, I2 = (sum(G[seg[0]] @ seg[2] for seg in segs) / Ts).tolist()
         summary = CycleSummary(
-            index=cycle, t_start=t0,
             duties=SwitchIntervalDuties(D1=D, D2=d2, D3=d3),
             v0_avg=v0_avg, i_L1_avg=iL1, i_L2_avg=iL2, v_C1_avg=vC1,
             v_C2_avg=vC2, I1_avg=I1, I2_avg=I2, V1_avg=V1, V2_avg=V2,
@@ -373,7 +382,7 @@ def run_switched(config: SwitchedRunConfig,
     X = segs[0][1][:1]
     times = [np.array([segs[0][3]])]
     states = [X]
-    v0 = [X @ p_v0[ON]]
+    v0 = [X @ G[ON][0]]
     spans = []
     for interval, X, _, t_from, h, t_end in segs:
         t = t_from + np.arange(1, len(X)) * h
@@ -382,42 +391,12 @@ def run_switched(config: SwitchedRunConfig,
         spans.append((cycle, interval, first, first + len(t)))
         times.append(t)
         states.append(X[1:])
-        v0.append(X[1:] @ p_v0[interval])
+        v0.append(X[1:] @ G[interval][0])
     return SwitchedWaveform(
         spec=spec, D=D, steps_per_cycle=steps, times=np.concatenate(times),
         states=np.concatenate(states)[:, :4], v0=np.concatenate(v0),
         segments=spans, summaries=summaries, cycles_run=len(summaries),
         steady=steady)
-
-
-def _port_values(spec, interval, x, open_sys):
-    """Instantaneous switch-port (V1, V2, I1, I2) in one interval."""
-    i1, i2, v_C1, v_C2 = x
-    s = i1 + i2
-    alpha = spec.R / (spec.R + spec.R_C2)
-    Rk = spec.R * spec.R_C2 / (spec.R + spec.R_C2)
-    if interval == ON:
-        V1 = spec.R_on1 * s
-        if spec.kind == SEPIC:
-            V2 = alpha * v_C2 + v_C1 - spec.R_on1 * s + spec.R_C1 * (-i2)
-        else:
-            V2 = v_C1 - spec.R_on1 * s + spec.R_C1 * (-i2)
-        return V1, V2, s, 0.0
-    if interval == DIODE:
-        V2 = -(spec.V_d + spec.R_d * s)
-        if spec.kind == SEPIC:
-            v_node2 = alpha * v_C2 + Rk * s + spec.V_d + spec.R_d * s
-        else:
-            v_node2 = spec.V_d + spec.R_d * s
-        V1 = v_node2 + v_C1 + spec.R_C1 * i1
-        return V1, V2, 0.0, s
-    di1 = float(open_sys[0] @ (i1, i2, v_C1, v_C2, 1.0))
-    V1 = spec.Vg - spec.R_L1 * i1 - spec.L1 * di1
-    if spec.kind == SEPIC:
-        V2 = alpha * v_C2 - spec.L2 * di1 - spec.R_L2 * i1
-    else:
-        V2 = -(alpha * v_C2 + Rk * i1 + spec.L2 * di1 + spec.R_L2 * i1)
-    return V1, V2, 0.0, 0.0
 
 
 def cycle_average(waveform: SwitchedWaveform, cycle_index: int):

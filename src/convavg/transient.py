@@ -30,9 +30,9 @@ from math import inf, isfinite, isnan, sqrt
 
 import numpy as np
 
-from .avgmodel import derivative_values, resolve_ports, state_jacobian, state_values
+from .avgmodel import derivative_values, resolve_ports, state_jacobian
 from .converter import ConverterSpec, ValidationError
-from .dc import SolverError, StateVector
+from .dc import SolverError, state_values
 
 # Parameters that a stimulus may step during a run.
 STEPPABLE = ("R_L1", "R_L2", "R")
@@ -137,9 +137,6 @@ class Waveform:
     mu: np.ndarray
     mode: list
     stats: TransientStats = TransientStats()
-
-    def final_state(self):
-        return StateVector.from_array(self.states[-1])
 
 
 def _solve_stage(spec, d, z, rhs, dh, M, tol, work):
@@ -257,8 +254,6 @@ def simulate(spec: ConverterSpec, stimulus: Stimulus, t_end: float,
             raise ValidationError("%s must be finite and non-negative, got %r"
                                   % (name, value))
     x = [0.0] * 4 if initial is None else state_values(initial)
-    if not all(map(isfinite, x)):
-        raise ValidationError("initial state must be finite")
 
     events = sorted({t for t, _, _ in stimulus.parameter_steps if 0.0 < t < t_end}
                     | {t for t, _ in stimulus.duty if 0.0 < t < t_end})

@@ -13,13 +13,13 @@ from convavg import (
     avgmodel,
     derivative,
     effective_resistance,
-    initial_guess,
     linearize,
     parse_config,
     resolve_ports,
     solve_dc,
     state_jacobian,
 )
+from convavg.dc import _guess_values
 from convavg.switchcell import MU_CLAMP_EPS
 from strategies import converter_specs
 
@@ -115,7 +115,7 @@ def cell_points(draw):
     d = draw(st.sampled_from([0.0, 1e-300, 1.0 - 1e-12]) | st.floats(0.0, 1.0)
              | st.floats(0.01, 0.99))
     if draw(st.booleans()):
-        guess = initial_guess(spec, min(max(d, 0.01), 0.99)).tolist()
+        guess = _guess_values(spec, min(max(d, 0.01), 0.99))
         x = [v * (1.0 + draw(st.floats(-0.2, 0.2))) for v in guess]
     else:
         amps = st.floats(-0.5, 2.0).map(lambda a: a * spec.Vg / spec.R)

@@ -212,6 +212,8 @@ def test_usage_error_is_exit_1(monkeypatch, capsys):
     for argv in (
         ["compare", "--config", "sepic_bench", "--cycles", "100001"],
         ["compare", "--config", "sepic_bench", "--steps", "100001"],
+        # each cap alone admits these, their product (2e8 steps) does not
+        ["compare", "--config", "sepic_bench", "--cycles", "2000", "--steps", "100000"],
         # a non-finite frequency bound, and a grid above the sweep cap
         # (3 000 001 points), are refused before the DC solve
         ["ac", "--config", "sepic_bench", "--f-max", "inf"],
@@ -432,3 +434,16 @@ print("numpy imported:", "numpy" in sys.modules)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "numpy imported: False\n"
+
+
+def test_public_names_resolve():
+    """Every name in __all__ resolves, the PEP 562 table serves only
+    public names, and the names that only tests used are gone."""
+    import convavg
+    for name in convavg.__all__:
+        getattr(convavg, name)
+    assert set(convavg._LAZY) <= set(convavg.__all__)
+    for name in ("average_switch_waveforms", "AveragedPortState", "initial_guess",
+                 "extract_margins"):
+        assert name not in convavg.__all__
+        assert not hasattr(convavg, name)

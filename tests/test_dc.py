@@ -27,11 +27,12 @@ from convavg import (
     dcm_predicted,
     effective_resistance,
     equivalent_inductance,
-    initial_guess,
     resolve_ports,
     solve_dc,
     sweep_duty,
 )
+from convavg.dc import _guess_values
+from convavg.switchcell import MU_CLAMP_EPS
 from strategies import converter_specs
 
 SEPIC_BENCH = ConverterSpec(kind=SEPIC, Vg=62.0, R=52.0, L1=13e-3, L2=166e-6,
@@ -155,7 +156,7 @@ def test_mode_agrees_with_predictor_on_ideal_spot_checks():
 
 def test_initial_guess_is_close_for_ideal_converter():
     spec = dataclasses.replace(SEPIC_BENCH, ideal=True)
-    guess = initial_guess(spec, 0.2)
+    guess = _guess_values(spec, 0.2)
     op = solve_dc(OperatingPointRequest(spec=spec, D=0.2))
     assert abs(guess[3] - op.V0) / abs(op.V0) < 0.05
 
@@ -168,11 +169,12 @@ def test_solver_accepts_state_vector_initial():
     assert again.iterations <= op.iterations
 
 
-def test_nonconvergence_raises_with_tiny_budget():
+def test_nonconvergence_raises_with_tiny_budget(monkeypatch):
+    import convavg.dc as dc
+    monkeypatch.setattr(dc, "_MAX_ITERATIONS", 1)
     with pytest.raises(NonConvergence) as info:
         solve_dc(OperatingPointRequest(spec=SEPIC_BENCH, D=0.2),
-                 initial=np.array([50.0, -80.0, 900.0, -400.0]),
-                 max_iterations=1)
+                 initial=np.array([50.0, -80.0, 900.0, -400.0]))
     assert info.value.iterations == 1
     assert info.value.residual_norm > 0.0
 
@@ -255,7 +257,7 @@ def test_state_vector_round_trip():
     s = StateVector(i_L1=1.0, i_L2=-2.0, v_C1=3.5, v_C2=-4.25)
     arr = s.as_array()
     assert arr.tolist() == [1.0, -2.0, 3.5, -4.25]
-    assert StateVector.from_array(arr) == s
+    assert StateVector(*map(float, arr)) == s
 
 
 # --- properties over random converters ------------------------------
@@ -266,6 +268,23 @@ def test_solve_dc_converges_from_the_closed_form_guess(spec, d):
     op = solve_dc(OperatingPointRequest(spec=spec, D=d))
     assert op.converged
     assert op.residual_norm <= 1e-9
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(converter_specs(ideal=True), st.floats(0.01, 0.99))
+def test_ideal_dcm_port_identities_on_random_converters(spec, d):
+    """At a solved DCM point off the mu clamp the transistor port is the
+    effective resistance and the cell passes its power through losslessly:
+    I1 = V1/Re and V1*I1 = V2*I2."""
+    try:
+        op = solve_dc(OperatingPointRequest(spec=spec, D=d))
+    except SolverError:
+        assume(False)
+    ports = resolve_ports(spec, d, op.state.as_array())
+    assume(ports.mode == DCM and ports.mu < 1.0 - MU_CLAMP_EPS)
+    re = effective_resistance(spec, d)
+    assert ports.I1 == pytest.approx(ports.V1 / re, rel=1e-9)
+    assert ports.V1 * ports.I1 == pytest.approx(ports.V2 * ports.I2, rel=1e-9)
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
@@ -312,6 +331,23 @@ def test_overflowing_newton_step_raises_singular(monkeypatch):
 def test_initial_state_of_wrong_shape_is_a_validation_error(initial):
     with pytest.raises(ValidationError, match="four entries"):
         solve_dc(OperatingPointRequest(spec=SEPIC_BENCH, D=0.2), initial=initial)
+
+
+@pytest.mark.parametrize("initial", [StateVector(float("nan"), 0.0, 0.0, 0.0),
+                                     [0.0, 0.0, float("inf"), 0.0]])
+def test_non_finite_initial_state_is_a_validation_error(initial):
+    """A NaN start once came back converged after 0 iterations with a NaN
+    residual and V0, because the Newton loop ran while norm > tol."""
+    with pytest.raises(ValidationError, match="finite"):
+        solve_dc(OperatingPointRequest(spec=SEPIC_BENCH, D=0.2), initial=initial)
+
+
+def test_nan_residual_is_a_solver_error_not_convergence(monkeypatch):
+    import convavg.dc as dc
+    nan = float("nan")
+    monkeypatch.setattr(dc, "derivative_values", lambda *args: (nan, nan, nan, nan))
+    with pytest.raises(SolverError):
+        solve_dc(OperatingPointRequest(spec=SEPIC_BENCH, D=0.2))
 
 
 # --- the 4x4 Newton solve -------------------------------------------

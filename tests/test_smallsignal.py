@@ -17,7 +17,6 @@ from convavg import (
     ValidationError,
     default_frequency_grid,
     derivative,
-    extract_margins,
     frequency_response,
     linearize,
     resolve_ports,
@@ -336,7 +335,7 @@ def test_triple_integrator_margin():
     f0 = 1e3
     f = np.logspace(1.0, 5.0, 400)
     H = (f0 / (1j * f)) ** 3
-    m = extract_margins(f, H)
+    m = smallsignal._gain_phase_margins(f, H, None)[2]
     assert m.phase_margin_deg == pytest.approx(-90.0, abs=1e-9)
     assert m.gain_crossover_hz == pytest.approx(f0, rel=1e-9)
 
@@ -344,7 +343,7 @@ def test_triple_integrator_margin():
 def test_flat_gain_has_no_margins():
     f = np.logspace(1.0, 4.0, 50)
     H = np.full(f.shape, 10.0 + 0.0j)
-    m = extract_margins(f, H)
+    m = smallsignal._gain_phase_margins(f, H, None)[2]
     assert m.phase_margin_deg is None
     assert m.gain_crossover_hz is None
     assert m.gain_margin_db == np.inf
@@ -353,7 +352,7 @@ def test_flat_gain_has_no_margins():
 
 def test_margins_need_two_samples():
     with pytest.raises(ValidationError):
-        extract_margins(np.array([10.0]), np.array([1.0 + 0j]))
+        smallsignal._gain_phase_margins(np.array([10.0]), np.array([1.0 + 0j]), None)
 
 
 def test_sepic_duty_margins_regression():

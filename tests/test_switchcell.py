@@ -1,4 +1,5 @@
-"""Tests for the averaged switch-cell relations."""
+"""Tests for the switch-cell interval duties and for the interval-weighted
+port reconstruction that the switched tests compare against."""
 
 import pytest
 
@@ -10,9 +11,11 @@ from convavg import (
     ConverterSpec,
     SwitchIntervalDuties,
     ValidationError,
-    average_switch_waveforms,
 )
 from convavg.dc import StateVector
+# the interval-weighted port reconstruction is a test-side reference of
+# the switched circuit; it lives with the switched tests that use it
+from test_switched import average_switch_waveforms
 
 
 def sepic_bench(**overrides):

@@ -23,16 +23,15 @@ from convavg import (
     StateVector,
     SwitchedRunConfig,
     ValidationError,
-    average_switch_waveforms,
     cycle_average,
     equivalent_inductance,
     parse_config,
     run_switched,
     solve_dc,
 )
-from convavg.switched import (DIODE, ON, OPEN, CycleSummary,
-                              _interval_system, _port_values, _v0_coeffs)
-from convavg.switchcell import SwitchIntervalDuties
+from convavg.switched import (DIODE, ON, OPEN, CycleSummary, _interval_system,
+                              _output_map)
+from convavg.switchcell import MU_CLAMP_EPS, SwitchIntervalDuties
 
 SEPIC_BENCH = ConverterSpec(kind=SEPIC, Vg=62.0, R=52.0, L1=13e-3, L2=166e-6,
                          C1=0.5e-6, C2=1000e-6, f_s=50e3, R_L1=0.13, R_L2=0.11,
@@ -51,6 +50,99 @@ REFERENCE_POINTS = [
 ]
 POINT_IDS = ["%s-%s-%s" % (spec.kind, "ideal" if spec.ideal else "nonideal", mode)
              for spec, _, mode in REFERENCE_POINTS]
+
+
+# --- references: the port algebra written out per interval ----------
+
+def v0_coeffs(spec, interval):
+    """v0 = p . x for one interval (load node including C2 ESR)."""
+    alpha = spec.R / (spec.R + spec.R_C2)
+    Rk = spec.R * spec.R_C2 / (spec.R + spec.R_C2)
+    if spec.kind == SEPIC:
+        if interval == DIODE:
+            return (Rk, Rk, 0.0, alpha)
+        return (0.0, 0.0, 0.0, alpha)
+    if interval == OPEN:
+        return (Rk, 0.0, 0.0, alpha)
+    return (0.0, -Rk, 0.0, alpha)
+
+
+def port_values(spec, interval, x, open_sys):
+    """Instantaneous switch-port (V1, V2, I1, I2) in one interval."""
+    i1, i2, v_C1, v_C2 = x
+    s = i1 + i2
+    alpha = spec.R / (spec.R + spec.R_C2)
+    Rk = spec.R * spec.R_C2 / (spec.R + spec.R_C2)
+    if interval == ON:
+        V1 = spec.R_on1 * s
+        if spec.kind == SEPIC:
+            V2 = alpha * v_C2 + v_C1 - spec.R_on1 * s + spec.R_C1 * (-i2)
+        else:
+            V2 = v_C1 - spec.R_on1 * s + spec.R_C1 * (-i2)
+        return V1, V2, s, 0.0
+    if interval == DIODE:
+        V2 = -(spec.V_d + spec.R_d * s)
+        if spec.kind == SEPIC:
+            v_node2 = alpha * v_C2 + Rk * s + spec.V_d + spec.R_d * s
+        else:
+            v_node2 = spec.V_d + spec.R_d * s
+        V1 = v_node2 + v_C1 + spec.R_C1 * i1
+        return V1, V2, 0.0, s
+    di1 = float(open_sys[0] @ (i1, i2, v_C1, v_C2, 1.0))
+    V1 = spec.Vg - spec.R_L1 * i1 - spec.L1 * di1
+    if spec.kind == SEPIC:
+        V2 = alpha * v_C2 - spec.L2 * di1 - spec.R_L2 * i1
+    else:
+        V2 = -(alpha * v_C2 + Rk * i1 + spec.L2 * di1 + spec.R_L2 * i1)
+    return V1, V2, 0.0, 0.0
+
+
+@dataclasses.dataclass(frozen=True)
+class AveragedPortState:
+    """Average switch-cell port quantities over one period."""
+
+    V1: float
+    V2: float
+    I1: float
+    I2: float
+    mu: float
+    mode: str
+
+
+def average_switch_waveforms(spec, duties, state):
+    """Port averages of the cell for the given interval duties.
+
+    Interval-by-interval the blocked/conducted voltages are combinations
+    of the capacitor voltages; drops on the conducting device (R_on1,
+    V_d, R_d) are taken at the conduction-interval mean of the summed
+    inductor current, which is what the triangular current waveform
+    actually averages to over the conducting sub-period.  An ideal spec
+    has these drops zeroed, which gives the lossless reconstruction.
+    """
+    i_L1, i_L2, v_C1, v_C2 = state.i_L1, state.i_L2, state.v_C1, state.v_C2
+    D1, D2, D3 = duties.D1, duties.D2, duties.D3
+    conducting = D1 + D2
+    i_sum = i_L1 + i_L2
+    i_cond = i_sum / conducting if conducting > 0.0 else 0.0
+
+    I1 = D1 * i_cond
+    I2 = D2 * i_cond
+    drop_on = spec.R_on1 * i_cond
+    drop_d = spec.V_d + spec.R_d * i_cond
+
+    if spec.kind == SEPIC:
+        V1 = D1 * drop_on + D2 * (v_C1 + v_C2 + drop_d) + D3 * v_C1
+        V2 = D1 * (v_C1 + v_C2 - drop_on) - D2 * drop_d + D3 * v_C2
+    else:
+        # Cuk: v_C2 carries the (negative) output polarity, so the
+        # signed combinations below match the magnitudes seen on the
+        # physical nodes.
+        V1 = D1 * drop_on + D2 * (v_C1 + drop_d) + D3 * (v_C1 + v_C2)
+        V2 = D1 * (v_C1 - drop_on) - D2 * drop_d - D3 * v_C2
+
+    mu = D1 / conducting if conducting > 0.0 else 1.0 - MU_CLAMP_EPS
+    mode = DCM if D3 > 1e-9 else CCM
+    return AveragedPortState(V1=V1, V2=V2, I1=I1, I2=I2, mu=mu, mode=mode)
 
 
 def seeded_run(spec, d, n_cycles, steps=1000):
@@ -73,7 +165,7 @@ def sample_walk_cycle_average(wf, cycle_index):
     for _, interval, i0, i1 in segs:
         prev = None
         for i in range(i0, i1 + 1):
-            vals = _port_values(spec, interval, wf.states[i], open_sys)
+            vals = port_values(spec, interval, wf.states[i], open_sys)
             if prev is not None:
                 h = wf.times[i] - wf.times[i - 1]
                 for q in range(4):
@@ -174,14 +266,14 @@ def step_loop_run(cfg):
             *S, T = integral
             if T <= 0.0:
                 continue
-            p = _v0_coeffs(spec, interval)
-            ports = _port_values(spec, interval, [v / T for v in S], sys_open)
+            p = v0_coeffs(spec, interval)
+            ports = port_values(spec, interval, [v / T for v in S], sys_open)
             parts = [p[0] * S[0] + p[1] * S[1] + p[3] * S[3], *S,
                      *(T * q for q in ports)]
             totals = [a + b for a, b in zip(totals, parts)]
         v0, iL1, iL2, vC1, vC2, V1, V2, I1, I2 = (v / Ts for v in totals)
         summary = CycleSummary(
-            index=cycle, t_start=t0, duties=SwitchIntervalDuties(D1=D, D2=d2, D3=d3),
+            duties=SwitchIntervalDuties(D1=D, D2=d2, D3=d3),
             v0_avg=v0, i_L1_avg=iL1, i_L2_avg=iL2, v_C1_avg=vC1, v_C2_avg=vC2,
             I1_avg=I1, I2_avg=I2, V1_avg=V1, V2_avg=V2, mode=mode)
         out.append((summary, crossed,
@@ -230,6 +322,28 @@ def trapezoid(t, y):
     return 0.5 * np.sum(np.diff(t) * (y[1:] + y[:-1]).T, axis=-1)
 
 
+@pytest.mark.parametrize("spec", [SEPIC_BENCH, CUK_BENCH,
+                                  dataclasses.replace(SEPIC_BENCH, ideal=True),
+                                  dataclasses.replace(CUK_BENCH, ideal=True)],
+                         ids=["sepic", "cuk", "sepic-ideal", "cuk-ideal"])
+def test_output_map_reproduces_the_port_algebra(spec):
+    """Each interval's G maps (x, 1) to the v0 and switch ports of the
+    written-out reference, at seeded random states, to 1e-12 of the
+    size of the terms summed."""
+    rng = np.random.default_rng(20261018)
+    open_sys = _interval_system(spec, OPEN)
+    units = np.array([spec.Vg / spec.R] * 2 + [spec.Vg] * 2)
+    for interval in (ON, DIODE, OPEN):
+        G = _output_map(spec, interval, open_sys)
+        for _ in range(100):
+            x = rng.uniform(-2.0, 2.0, 4) * units
+            want = (np.dot(v0_coeffs(spec, interval), x),
+                    *port_values(spec, interval, x, open_sys))
+            xa = np.append(x, 1.0)
+            terms = np.abs(G) @ np.abs(xa)
+            assert np.all(np.abs(G @ xa - want) <= 1e-12 * terms), interval
+
+
 @pytest.mark.parametrize("spec,d,mode", REFERENCE_POINTS, ids=POINT_IDS)
 def test_cycle_average_matches_sample_walk(spec, d, mode):
     """The port averages run_switched builds from per-interval state
@@ -258,7 +372,7 @@ def test_state_and_output_averages_match_retained_trace(spec, d, mode):
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
     v0_int = 0.0
     for _, interval, i0, i1 in wf.segments:
-        p = np.array(_v0_coeffs(spec, interval))
+        p = np.array(v0_coeffs(spec, interval))
         np.testing.assert_allclose(wf.v0[i0 + 1:i1 + 1],
                                    wf.states[i0 + 1:i1 + 1] @ p, rtol=1e-12)
         v = wf.v0[i0:i1 + 1].copy()
@@ -452,7 +566,7 @@ def test_default_steady_detector_stops_at_steady_state():
                                         initial=op.state))
     assert wf.steady and wf.cycles_run < 20000
     more = run_switched(SwitchedRunConfig(spec=spec, D=0.5, n_cycles=2000,
-                                          initial=wf.final_state()),
+                                          initial=StateVector(*map(float, wf.states[-1]))),
                         steady_tol=0.0)
     v0, v0_later = wf.summaries[-1].v0_avg, more.summaries[-1].v0_avg
     assert abs(v0_later - v0) <= 1e-4 * abs(v0)
@@ -468,11 +582,11 @@ def test_default_steady_detector_holds_currents_to_their_own_scale():
     wf = run_switched(SwitchedRunConfig(spec=CUK_BENCH, D=0.75, n_cycles=6000,
                                         initial=op.state))
     assert wf.steady
-    x = wf.final_state().as_array()
+    x = wf.states[-1]
     more = run_switched(SwitchedRunConfig(spec=CUK_BENCH, D=0.75, n_cycles=2000,
-                                          initial=wf.final_state()),
+                                          initial=StateVector(*map(float, x))),
                         steady_tol=0.0)
-    moved = more.final_state().as_array() - x
+    moved = more.states[-1] - x
     assert np.linalg.norm(moved[:2]) <= 2e-5 * np.linalg.norm(x[:2])
     assert np.linalg.norm(moved[2:]) <= 2e-5 * np.linalg.norm(x[2:])
 
@@ -500,6 +614,24 @@ def test_cycle_average_covers_every_cycle():
     for bad in (wf.cycles_run, -1):
         with pytest.raises(ValueError):
             cycle_average(wf, bad)
+
+
+def test_initial_state_is_read_as_four_finite_values():
+    """A list of four values starts the run exactly as the same
+    StateVector does; three values or a NaN are refused when the config
+    is built, where a NaN state once ran as zero averages in CCM."""
+    x = [0.1, 0.2, 60.0, 20.0]
+    runs = [run_switched(SwitchedRunConfig(spec=SEPIC_BENCH, D=0.2, n_cycles=3,
+                                           initial=initial))
+            for initial in (StateVector(*x), x)]
+    assert runs[1].summaries == runs[0].summaries
+    np.testing.assert_array_equal(runs[1].states, runs[0].states)
+    nan = float("nan")
+    for bad, match in (([0.1, 0.2, 60.0], "four entries"),
+                       (StateVector(nan, 0.0, 0.0, 0.0), "finite"),
+                       ([0.1, 0.2, nan, 20.0], "finite")):
+        with pytest.raises(ValidationError, match=match):
+            SwitchedRunConfig(spec=SEPIC_BENCH, D=0.2, n_cycles=3, initial=bad)
 
 
 def test_steady_tol_validation():

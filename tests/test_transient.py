@@ -11,6 +11,7 @@ from convavg import (
     CUK,
     ConverterSpec,
     OperatingPointRequest,
+    StateVector,
     StepSizeUnderflow,
     Stimulus,
     ValidationError,
@@ -420,4 +421,11 @@ def test_waveform_shapes_consistent():
 @pytest.mark.parametrize("initial", [[1.0, 2.0, 3.0], [[1.0, 2.0, 3.0, 4.0]]])
 def test_initial_state_of_wrong_shape_is_a_validation_error(initial):
     with pytest.raises(ValidationError, match="four entries"):
+        simulate(SEPIC_BENCH, Stimulus(duty=0.2), t_end=1e-4, initial=initial)
+
+
+@pytest.mark.parametrize("initial", [StateVector(float("nan"), 0.0, 0.0, 0.0),
+                                     [0.0, 0.0, float("-inf"), 0.0]])
+def test_non_finite_initial_state_is_a_validation_error(initial):
+    with pytest.raises(ValidationError, match="finite"):
         simulate(SEPIC_BENCH, Stimulus(duty=0.2), t_end=1e-4, initial=initial)
