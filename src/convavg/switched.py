@@ -3,14 +3,20 @@
 Every switching interval of either converter is an affine LTI system
 dx/dt = A x + b, integrated with a fixed-step trapezoidal rule whose
 one-step map x' = M x + c is Z = [[M, c], [0, 1]] on the state augmented
-with a constant 1.  There is no per-step loop: the k-th sample of an
-interval entered at x is Z**k x, so a stack of the powers of Z, built by
-doubling, gives all of an interval's samples in one product; the ON and
-DIODE stacks are built once per run, the OPEN one per DCM cycle, since
-its step changes.  The diode-opening instant is the first DIODE sample
-whose summed inductor current is negative, interpolated linearly inside
-that step; the rest of the period then runs on the constrained dynamics
-of the isolated series loop, which preserve i_L1 + i_L2 = 0 exactly.
+with a constant 1.  There is no per-step loop.  The ON and DIODE stacks
+of the powers Z**k, built by doubling, are made once per run, and from
+each the end map Z**n and the trapezoid integral map
+h (sum_k Z**k - (I + Z**n) / 2), so a cycle is a few 5x5 products.  The
+diode-opening instant is the first DIODE sample whose summed inductor
+current is negative, found as one row block of the DIODE stack times the
+entry state and interpolated linearly inside that step; the rest of the
+period then runs on the constrained dynamics of the isolated series
+loop, which preserve i_L1 + i_L2 = 0 exactly.  That OPEN step changes
+every DCM cycle, so its end state and running sum are one matrix power
+of [[Z, 0], [I, I]] applied to (x, 0).  Only the final cycle's samples
+are built: every cycle records its plan (each interval's entry state,
+step count, step and times) and, after the loop, the last plan is
+expanded on the same stacks.
 
 v0 and the switch ports (V1, V2, I1, I2) are affine in the augmented
 state within an interval, one 5x5 output map G per interval, so every
@@ -26,6 +32,7 @@ written out element by element from each sub-circuit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -49,6 +56,10 @@ class SwitchedRunConfig:
     def __post_init__(self):
         if not (0.0 < self.D < 1.0):
             raise ValidationError("duty cycle must lie in (0, 1), got %r" % (self.D,))
+        for name in ("n_cycles", "steps_per_cycle"):
+            count = getattr(self, name)
+            if isinstance(count, bool) or not isinstance(count, Integral):
+                raise ValidationError("%s must be an integer, got %r" % (name, count))
         if self.n_cycles < 1:
             raise ValidationError("n_cycles must be at least 1")
         if self.steps_per_cycle < 1000:
@@ -250,9 +261,11 @@ def _affine(F, h):
     return np.linalg.solve(I - 0.5 * h * F, I + 0.5 * h * F)
 
 
-def _trap(X, h):
-    """Trapezoid integral of the samples X, spaced h apart."""
-    return h * (np.ones(len(X)) @ X - 0.5 * (X[0] + X[-1]))
+def _integral_map(P, h):
+    """h (sum_k P[k] - (P[0] + P[-1]) / 2): the trapezoid integral of the
+    samples P[k] x, spaced h apart, as one map of x."""
+    n, m = len(P), len(P[0])
+    return h * ((np.ones(n) @ P.reshape(n, -1)).reshape(m, m) - 0.5 * (P[0] + P[-1]))
 
 
 def run_switched(config: SwitchedRunConfig,
@@ -268,8 +281,8 @@ def run_switched(config: SwitchedRunConfig,
     times the norm of the same-unit pair of x (the two inductor currents
     or the two capacitor voltages).  steady_tol=0 disables early stopping.
     """
-    if steady_tol < 0.0:
-        raise ValueError("steady_tol must be non-negative")
+    if not steady_tol >= 0.0:
+        raise ValueError("steady_tol must be non-negative, got %r" % (steady_tol,))
     spec, D = config.spec, config.D
     Ts = 1.0 / spec.f_s
     steps = config.steps_per_cycle
@@ -280,43 +293,53 @@ def run_switched(config: SwitchedRunConfig,
     h_off = (1.0 - D) * Ts / n_off
 
     sys_open = _interval_system(spec, OPEN)
-    # Z**k of the fixed-length intervals for every step k, side by side:
-    # the samples of an interval entered at x are (x @ stack).reshape(-1, 5)
-    stack_on, stack_d = (np.ascontiguousarray(
-        _powers(_affine(_interval_system(spec, k), h), n).reshape(-1, 5).T)
-        for k, h, n in ((ON, h_on, n_on), (DIODE, h_off, n_off)))
-    G = {k: _output_map(spec, k, sys_open) for k in (ON, DIODE, OPEN)}
+    # SG[k] = [[I], [G]] takes an interval's state integral S to (S, G S)
+    SG = {k: np.vstack((np.eye(5), _output_map(spec, k, sys_open)))
+          for k in (ON, DIODE, OPEN)}
+    # Z**k of the fixed-length intervals for every step k, and the 15x5
+    # map of the entry state to (end state, S, G S)
+    stacks = {k: _powers(_affine(_interval_system(spec, k), h), n)
+              for k, h, n in ((ON, h_on, n_on), (DIODE, h_off, n_off))}
+    map_on, map_d = (np.vstack((stacks[k][-1], SG[k] @ _integral_map(stacks[k], h)))
+                     for k, h in ((ON, h_on), (DIODE, h_off)))
+    P_d = stacks[DIODE]
+    # x @ i_sum_d is i_L1 + i_L2 at DIODE samples 1..n_off of an entry x
+    i_sum_d = np.ascontiguousarray((P_d[1:, 0] + P_d[1:, 1]).T)
+    W = np.eye(10)                      # OPEN's [[Z, 0], [I, I]]
+    W[5:, :5] = np.eye(5)
 
     def run_cycle(cycle, x):
         """One period from x = (i_L1, i_L2, v_C1, v_C2, 1): the summary and
-        the segments, whose last sample is the end state."""
+        the plan, one (interval, entry state, steps, step, start time, end
+        time, end state) per interval."""
         t0 = cycle * Ts
         t_sw = t0 + D * Ts
-        X = (x @ stack_on).reshape(-1, 5)
-        # (interval, samples, trapezoid integrals of the augmented state
-        # whose last is the interval's length, start time, step, end time)
-        segs = [(ON, X, _trap(X, h_on), t0, h_on, t0 + n_on * h_on)]
+        y = map_on @ x
+        x1, parts = y[:5], y[5:]
+        plan = [(ON, x, n_on, h_on, t0, t0 + n_on * h_on, x1)]
         d2 = 1.0 - D
         d3 = 0.0
         mode = CCM
 
-        if X[-1, 0] + X[-1, 1] <= 0.0:
+        if x1[0] + x1[1] <= 0.0:
             # no current to hand over: the whole off-time is open
-            t_open, T_open, n_open = t_sw, (1.0 - D) * Ts, n_off
+            t_open, T_open, n_open, x_open = t_sw, (1.0 - D) * Ts, n_off, x1
             d2, d3 = 0.0, 1.0 - D
             mode = DCM
         else:
-            X = (X[-1] @ stack_d).reshape(-1, 5)
-            below = X[1:, 0] + X[1:, 1] < 0.0
+            s = x1 @ i_sum_d
+            below = s < 0.0
             j = int(below.argmax()) + 1     # first sample below zero
             if not below[j - 1]:
-                segs.append((DIODE, X, _trap(X, h_off), t_sw, h_off,
-                             t_sw + n_off * h_off))
+                y = map_d @ x1
+                parts = parts + y[5:]
+                plan.append((DIODE, x1, n_off, h_off, t_sw,
+                             t_sw + n_off * h_off, y[:5]))
             else:
                 # interpolate the crossing inside step j, make the event
                 # sample the last one and cut the integral there
-                xa, xb = X[j - 1], X[j]
-                sa, sb = xa[0] + xa[1], xb[0] + xb[1]
+                sa = s[j - 2] if j > 1 else x1[0] + x1[1]
+                sb = s[j - 1]
                 if sa <= 0.0:
                     raise EventDetectionError(
                         "summed inductor current not positive entering the "
@@ -324,35 +347,38 @@ def run_switched(config: SwitchedRunConfig,
                 theta = float(sa / (sa - sb))
                 t_ev = (t_sw + (j - 1) * h_off if j > 1
                         else t0 + n_on * h_on) + theta * h_off
-                X = X[:j + 1]
-                X[j] = xa + theta * (xb - xa)
-                S = _trap(X[:j], h_off) + 0.5 * theta * h_off * (xa + X[j])
-                segs.append((DIODE, X, S, t_sw, h_off, t_ev))
-                t_open = t_ev
-                T_open = t0 + Ts - t_ev
+                xa = P_d[j - 1] @ x1
+                x_ev = xa + theta * (P_d[j] @ x1 - xa)
+                S = (_integral_map(P_d[:j], h_off) @ x1
+                     + 0.5 * theta * h_off * (xa + x_ev))
+                parts = parts + SG[DIODE] @ S
+                plan.append((DIODE, x1, j, h_off, t_sw, t_ev, x_ev))
+                t_open, T_open, x_open = t_ev, t0 + Ts - t_ev, x_ev
                 n_open = max(n_off - j + 1, 1)
                 d2 = (t_ev - t_sw) / Ts
                 d3 = 1.0 - D - d2
                 mode = DCM
 
-        # --- open interval (discontinuous tail), its map per cycle ----
+        # --- open interval (discontinuous tail), its step per cycle ----
         if mode == DCM and T_open > 0.0:
             h3 = T_open / n_open
-            P = _powers(_affine(sys_open, h3), n_open)
-            X = (P.reshape(-1, 5) @ X[-1]).reshape(-1, 5)
-            segs.append((OPEN, X, _trap(X, h3), t_open, h3,
-                         t_open + n_open * h3))
+            W[:5, :5] = _affine(sys_open, h3)
+            # W**n (x, 0) = (Z**n x, sum_{k<n} Z**k x)
+            y = np.linalg.matrix_power(W, n_open)[:, :5] @ x_open
+            end, acc = y[:5], y[5:]
+            parts = parts + SG[OPEN] @ (h3 * (acc + 0.5 * (end - x_open)))
+            plan.append((OPEN, x_open, n_open, h3, t_open,
+                         t_open + n_open * h3, end))
 
         # v0 and the ports are affine in the state within an interval, so
         # the trapezoid of each is G applied to the trapezoid S of the state
-        iL1, iL2, vC1, vC2, _ = (sum(seg[2] for seg in segs) / Ts).tolist()
-        v0_avg, V1, V2, I1, I2 = (sum(G[seg[0]] @ seg[2] for seg in segs) / Ts).tolist()
+        iL1, iL2, vC1, vC2, _, v0_avg, V1, V2, I1, I2 = (parts / Ts).tolist()
         summary = CycleSummary(
             duties=SwitchIntervalDuties(D1=D, D2=d2, D3=d3),
             v0_avg=v0_avg, i_L1_avg=iL1, i_L2_avg=iL2, v_C1_avg=vC1,
             v_C2_avg=vC2, I1_avg=I1, I2_avg=I2, V1_avg=V1, V2_avg=V2,
             mode=mode)
-        return summary, segs
+        return summary, plan
 
     x = np.append(np.zeros(4) if config.initial is None
                   else config.initial.as_array(), 1.0)
@@ -360,9 +386,9 @@ def run_switched(config: SwitchedRunConfig,
     steady = False
     d_prev = rho_prev = np.full(4, np.nan)
     for cycle in range(config.n_cycles):
-        summary, segs = run_cycle(cycle, x)
+        summary, plan = run_cycle(cycle, x)
         summaries.append(summary)
-        x_next = segs[-1][1][-1]
+        x_next = plan[-1][-1]
         if steady_tol > 0.0:
             d = np.abs(x_next - x)[:4]
             # amps against the currents' norm, volts against the voltages'
@@ -378,20 +404,26 @@ def run_switched(config: SwitchedRunConfig,
             rho_prev = rho
         x = x_next
 
-    # the last cycle's trace: each interval adds its samples after the first
-    X = segs[0][1][:1]
-    times = [np.array([segs[0][3]])]
-    states = [X]
-    v0 = [X @ G[ON][0]]
+    # the last cycle's trace, expanded from its plan on the same stacks:
+    # each interval adds its samples after the first
+    x = plan[0][1]
+    times = [np.array([plan[0][4]])]
+    states = [x[None]]
+    v0 = [np.array([SG[ON][5] @ x])]
     spans = []
-    for interval, X, _, t_from, h, t_end in segs:
-        t = t_from + np.arange(1, len(X)) * h
+    first = 0
+    for interval, x_in, n, h, t_from, t_end, x_end in plan:
+        P = (_powers(_affine(sys_open, h), n) if interval == OPEN
+             else stacks[interval][:n + 1])
+        X = (P[1:].reshape(-1, 5) @ x_in).reshape(-1, 5)
+        X[-1] = x_end
+        t = t_from + np.arange(1, n + 1) * h
         t[-1] = t_end
-        first = sum(map(len, times)) - 1
-        spans.append((cycle, interval, first, first + len(t)))
+        spans.append((cycle, interval, first, first + n))
+        first += n
         times.append(t)
-        states.append(X[1:])
-        v0.append(X[1:] @ G[interval][0])
+        states.append(X)
+        v0.append(X @ SG[interval][5])
     return SwitchedWaveform(
         spec=spec, D=D, steps_per_cycle=steps, times=np.concatenate(times),
         states=np.concatenate(states)[:, :4], v0=np.concatenate(v0),

@@ -32,6 +32,7 @@ from convavg import (
 from convavg.switched import (DIODE, ON, OPEN, CycleSummary, _interval_system,
                               _output_map)
 from convavg.switchcell import MU_CLAMP_EPS, SwitchIntervalDuties
+from strategies import converter_specs
 
 SEPIC_BENCH = ConverterSpec(kind=SEPIC, Vg=62.0, R=52.0, L1=13e-3, L2=166e-6,
                          C1=0.5e-6, C2=1000e-6, f_s=50e3, R_L1=0.13, R_L2=0.11,
@@ -540,6 +541,47 @@ def test_power_stacks_match_step_loop_on_random_converters(cfg):
     assert_matches_step_loop(cfg)
 
 
+def assert_prefix_and_continuation(cfg):
+    """The first c summaries of an N-cycle run equal a c-cycle run's
+    exactly, for every c <= N, and one cycle run on from the N-cycle
+    run's last sample matches cycle N + 1 of an (N + 1)-cycle run to
+    1e-12 relative (an average that passes near zero by cancellation is
+    held to 1e-12 of the run's largest value in its unit instead), so
+    building the final cycle's trace leaves the cycle loop alone."""
+    n = cfg.n_cycles
+    longer = run_switched(dataclasses.replace(cfg, n_cycles=n + 1),
+                          steady_tol=0.0).summaries
+    for c in range(1, n + 1):
+        cut = run_switched(dataclasses.replace(cfg, n_cycles=c), steady_tol=0.0)
+        assert cut.summaries == longer[:c], c
+    on = run_switched(dataclasses.replace(
+        cfg, n_cycles=1, initial=StateVector(*map(float, cut.states[-1]))),
+        steady_tol=0.0).summaries[0]
+    want = longer[n]
+    assert on.mode == want.mode
+    for name in ("D2", "D3"):
+        assert getattr(on.duties, name) == pytest.approx(
+            getattr(want.duties, name), rel=1e-12, abs=1e-12), name
+    for fields in (VOLT_FIELDS, AMP_FIELDS):
+        scale = max(abs(getattr(s, name)) for s in longer for name in fields)
+        for name in fields:
+            assert getattr(on, name) == pytest.approx(
+                getattr(want, name), rel=1e-12, abs=1e-12 * scale), name
+
+
+@pytest.mark.parametrize("spec,d,mode", REFERENCE_POINTS, ids=POINT_IDS)
+def test_run_prefix_is_exact_and_continues_from_trace(spec, d, mode):
+    op = solve_dc(OperatingPointRequest(spec=spec, D=d))
+    cfg = SwitchedRunConfig(spec=spec, D=d, n_cycles=3, initial=op.state)
+    assert_prefix_and_continuation(cfg)
+
+
+@settings(derandomize=True, max_examples=10, deadline=None)
+@given(converter_specs(), st.floats(0.05, 0.9, exclude_min=True, exclude_max=True))
+def test_run_prefix_is_exact_and_continues_from_trace_on_random_converters(spec, d):
+    assert_prefix_and_continuation(SwitchedRunConfig(spec=spec, D=d, n_cycles=3))
+
+
 @pytest.mark.parametrize("name", ["sepic_bench", "cuk_bench"])
 def test_default_steady_detector_from_cold_start(name):
     """A cold start under the default steady_tol either reports no
@@ -641,3 +683,25 @@ def test_steady_tol_validation():
         run_switched(cfg, steady_tol=-1e-6)
     with pytest.raises(ValidationError):
         SwitchedRunConfig(spec=SEPIC_BENCH, D=0.2, n_cycles=5, steps_per_cycle=500)
+
+
+@pytest.mark.parametrize("counts", [{"n_cycles": 2.5}, {"steps_per_cycle": 1000.0},
+                                    {"n_cycles": True}, {"steps_per_cycle": True}],
+                         ids=["fractional-cycles", "float-steps", "bool-cycles",
+                              "bool-steps"])
+def test_counts_must_be_integers(counts):
+    """A float count once passed validation and raised TypeError inside
+    the run, and n_cycles=True ran one cycle; both are refused when the
+    config is built.  A numpy integer is an integer."""
+    with pytest.raises(ValidationError, match="must be an integer"):
+        SwitchedRunConfig(spec=SEPIC_BENCH, D=0.2, **{"n_cycles": 2, **counts})
+    cfg = SwitchedRunConfig(spec=SEPIC_BENCH, D=0.2, n_cycles=np.int64(2),
+                            steps_per_cycle=np.int32(1000))
+    assert run_switched(cfg, steady_tol=0.0).cycles_run == 2
+
+
+def test_nan_steady_tol_is_refused():
+    # NaN passed a `steady_tol < 0` check and silently disabled the detector
+    cfg = SwitchedRunConfig(spec=SEPIC_BENCH, D=0.2, n_cycles=5)
+    with pytest.raises(ValueError, match="steady_tol"):
+        run_switched(cfg, steady_tol=float("nan"))
