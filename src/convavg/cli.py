@@ -196,8 +196,7 @@ def _cmd_compare(args):
     wf = run_switched(SwitchedRunConfig(spec=spec, D=duty,
                                         n_cycles=args.cycles,
                                         steps_per_cycle=args.steps,
-                                        initial=op.state),
-                      steady_tol=0.0)
+                                        initial=op.state))
     summary = wf.summaries[-1]
     rows = [
         ("V0", op.V0, summary.v0_avg),

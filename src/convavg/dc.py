@@ -145,26 +145,21 @@ def _guess_values(spec, D):
     return [i_in, i_out, spec.Vg, v0]
 
 
-def solve_dc(request: OperatingPointRequest, initial=None) -> OperatingPoint:
+def solve_dc(request: OperatingPointRequest) -> OperatingPoint:
     """Solve for the DC operating point of the averaged model.
 
-    Damped Newton iteration on the four averaged branch equations.  The
-    iteration converges when both the scaled residual norm and the
-    relative state update drop below _TOL, within _MAX_ITERATIONS; a
-    residual that is not finite never counts as converged.
-
-    Args:
-        request: converter plus commanded duty cycle.
-        initial: optional warm-start state (a StateVector or four
-            values); defaults to the closed-form lossless estimate.
+    Damped Newton iteration on the four averaged branch equations, from
+    the closed-form lossless estimate.  The iteration converges when
+    both the scaled residual norm and the relative state update drop
+    below _TOL, within _MAX_ITERATIONS; a residual that is not finite
+    never counts as converged.
 
     Raises:
-        ValidationError: ``initial`` does not hold four finite values.
         NonConvergence: iteration budget exhausted.
         SingularJacobian: the residual Jacobian lost rank.
     """
     spec, d = request.spec, request.D
-    x = _guess_values(spec, d) if initial is None else state_values(initial)
+    x = _guess_values(spec, d)
 
     r, norm, ports = _residual_and_norm(spec, d, x)
     iterations = 0
@@ -222,13 +217,13 @@ def _failed_point(d, exc):
 
 def sweep_duty(spec: ConverterSpec, D_from: float, D_to: float,
                D_step: float) -> list:
-    """Operating points on an inclusive duty grid, warm-starting each
-    solve from the previous converged state.
+    """Operating points on an inclusive duty grid, each solved as
+    solve_dc solves it, from the closed-form guess at its own duty.
 
     A point that fails to converge is recorded with ``converged=False``
-    (NaN state) and the sweep continues from the closed-form guess at
-    the next duty.  A non-positive step, a non-finite bound, a reversed
-    range or a grid above MAX_SWEEP_POINTS raises ValueError first.
+    (NaN state) and the sweep goes on.  A non-positive step, a
+    non-finite bound, a reversed range or a grid above MAX_SWEEP_POINTS
+    raises ValueError first.
     """
     if not (D_step > 0.0):
         raise ValueError("duty step must be positive")
@@ -242,15 +237,9 @@ def sweep_duty(spec: ConverterSpec, D_from: float, D_to: float,
         raise ValueError("empty duty range")
     duties = [D_from + k * D_step for k in range(n + 1)]
     points = []
-    warm = None
     for d in duties:
-        request = OperatingPointRequest(spec=spec, D=d)
         try:
-            op = solve_dc(request, initial=warm)
+            points.append(solve_dc(OperatingPointRequest(spec=spec, D=d)))
         except SolverError as exc:
             points.append(_failed_point(d, exc))
-            warm = None
-            continue
-        points.append(op)
-        warm = op.state
     return points

@@ -15,8 +15,9 @@ loop, which preserve i_L1 + i_L2 = 0 exactly.  That OPEN step changes
 every DCM cycle, so its end state and running sum are one matrix power
 of [[Z, 0], [I, I]] applied to (x, 0).  Only the final cycle's samples
 are built: every cycle records its plan (each interval's entry state,
-step count, step and times) and, after the loop, the last plan is
-expanded on the same stacks.
+step count, step and times from the cycle start) and, after the loop,
+the last plan is expanded on the same stacks.  No cycle depends on its
+index, so a run is exactly n_cycles applications of one cycle map.
 
 v0 and the switch ports (V1, V2, I1, I2) are affine in the augmented
 state within an interval, one 5x5 output map G per interval, so every
@@ -41,8 +42,6 @@ from .dc import SolverError, StateVector, state_values
 from .switchcell import CCM, DCM, SwitchIntervalDuties
 
 ON, DIODE, OPEN = 1, 2, 3
-
-_STEADY_REL_TOL = 1e-5
 
 
 @dataclass(frozen=True)
@@ -107,7 +106,6 @@ class SwitchedWaveform:
     segments: list
     summaries: list
     cycles_run: int
-    steady: bool
 
 
 class EventDetectionError(SolverError):
@@ -268,21 +266,17 @@ def _integral_map(P, h):
     return h * ((np.ones(n) @ P.reshape(n, -1)).reshape(m, m) - 0.5 * (P[0] + P[-1]))
 
 
-def run_switched(config: SwitchedRunConfig,
-                 steady_tol: float = _STEADY_REL_TOL) -> SwitchedWaveform:
-    """Integrate the switched converter cycle by cycle.
+def run_switched(config: SwitchedRunConfig, steady_tol: float = 0.0) -> SwitchedWaveform:
+    """Integrate the switched converter for exactly n_cycles cycles.
 
-    Samples of the final cycle are retained; every cycle gets a summary
-    of its averages.  Stops early, capped at n_cycles, once every
-    component of the cycle-start state x has settled: either it no
-    longer moves, or, with d_n its change over cycle n and rho the
-    larger of its last two ratios d_n / d_n-1, rho < 1 and the geometric
-    remainder d_n rho / (1 - rho) is at most steady_tol (default 1e-5)
-    times the norm of the same-unit pair of x (the two inductor currents
-    or the two capacitor voltages).  steady_tol=0 disables early stopping.
+    Every cycle is the same map of its start state, timed from its own
+    start, so a run continued from another run's last sample repeats
+    that run's next cycle exactly.  Samples of the final cycle are
+    retained; every cycle gets a summary of its averages.  steady_tol
+    is accepted only as 0: runs never stop early.
     """
-    if not steady_tol >= 0.0:
-        raise ValueError("steady_tol must be non-negative, got %r" % (steady_tol,))
+    if steady_tol != 0.0:
+        raise ValueError("steady_tol must be 0, got %r" % (steady_tol,))
     spec, D = config.spec, config.D
     Ts = 1.0 / spec.f_s
     steps = config.steps_per_cycle
@@ -307,23 +301,22 @@ def run_switched(config: SwitchedRunConfig,
     i_sum_d = np.ascontiguousarray((P_d[1:, 0] + P_d[1:, 1]).T)
     W = np.eye(10)                      # OPEN's [[Z, 0], [I, I]]
     W[5:, :5] = np.eye(5)
+    t_sw = D * Ts                       # switching instant within a cycle
 
-    def run_cycle(cycle, x):
+    def run_cycle(x):
         """One period from x = (i_L1, i_L2, v_C1, v_C2, 1): the summary and
         the plan, one (interval, entry state, steps, step, start time, end
-        time, end state) per interval."""
-        t0 = cycle * Ts
-        t_sw = t0 + D * Ts
+        time, end state) per interval, its times from the cycle start."""
         y = map_on @ x
         x1, parts = y[:5], y[5:]
-        plan = [(ON, x, n_on, h_on, t0, t0 + n_on * h_on, x1)]
+        plan = [(ON, x, n_on, h_on, 0.0, n_on * h_on, x1)]
         d2 = 1.0 - D
         d3 = 0.0
         mode = CCM
 
         if x1[0] + x1[1] <= 0.0:
             # no current to hand over: the whole off-time is open
-            t_open, T_open, n_open, x_open = t_sw, (1.0 - D) * Ts, n_off, x1
+            n_open, x_open = n_off, x1
             d2, d3 = 0.0, 1.0 - D
             mode = DCM
         else:
@@ -345,23 +338,21 @@ def run_switched(config: SwitchedRunConfig,
                         "summed inductor current not positive entering the "
                         "step that crossed zero; reduce the step size")
                 theta = float(sa / (sa - sb))
-                t_ev = (t_sw + (j - 1) * h_off if j > 1
-                        else t0 + n_on * h_on) + theta * h_off
                 xa = P_d[j - 1] @ x1
                 x_ev = xa + theta * (P_d[j] @ x1 - xa)
                 S = (_integral_map(P_d[:j], h_off) @ x1
                      + 0.5 * theta * h_off * (xa + x_ev))
                 parts = parts + SG[DIODE] @ S
-                plan.append((DIODE, x1, j, h_off, t_sw, t_ev, x_ev))
-                t_open, T_open, x_open = t_ev, t0 + Ts - t_ev, x_ev
-                n_open = max(n_off - j + 1, 1)
-                d2 = (t_ev - t_sw) / Ts
+                d2 = (j - 1 + theta) * h_off / Ts
                 d3 = 1.0 - D - d2
+                plan.append((DIODE, x1, j, h_off, t_sw, t_sw + d2 * Ts, x_ev))
+                n_open, x_open = max(n_off - j + 1, 1), x_ev
                 mode = DCM
 
         # --- open interval (discontinuous tail), its step per cycle ----
-        if mode == DCM and T_open > 0.0:
-            h3 = T_open / n_open
+        if d3 > 0.0:
+            t_open = t_sw + d2 * Ts
+            h3 = d3 * Ts / n_open
             W[:5, :5] = _affine(sys_open, h3)
             # W**n (x, 0) = (Z**n x, sum_{k<n} Z**k x)
             y = np.linalg.matrix_power(W, n_open)[:, :5] @ x_open
@@ -383,29 +374,15 @@ def run_switched(config: SwitchedRunConfig,
     x = np.append(np.zeros(4) if config.initial is None
                   else config.initial.as_array(), 1.0)
     summaries = []
-    steady = False
-    d_prev = rho_prev = np.full(4, np.nan)
-    for cycle in range(config.n_cycles):
-        summary, plan = run_cycle(cycle, x)
+    for _ in range(config.n_cycles):
+        summary, plan = run_cycle(x)
         summaries.append(summary)
-        x_next = plan[-1][-1]
-        if steady_tol > 0.0:
-            d = np.abs(x_next - x)[:4]
-            # amps against the currents' norm, volts against the voltages'
-            scale = np.hypot(x_next[0:4:2], x_next[1:4:2]).repeat(2)
-            with np.errstate(all="ignore"):
-                rho = d / d_prev
-                r = np.maximum(rho, rho_prev)   # NaN until two ratios exist
-                if np.all((d == 0.0) | ((r < 1.0) & (
-                        d * r <= steady_tol * (1.0 - r) * scale))):
-                    steady = True
-                    break
-            d_prev = d
-            rho_prev = rho
-        x = x_next
+        x = plan[-1][-1]
 
-    # the last cycle's trace, expanded from its plan on the same stacks:
-    # each interval adds its samples after the first
+    # the last cycle's trace, expanded from its plan on the same stacks
+    # and shifted to the cycle's start: each interval adds its samples
+    # after the first
+    cycle = config.n_cycles - 1
     x = plan[0][1]
     times = [np.array([plan[0][4]])]
     states = [x[None]]
@@ -425,10 +402,10 @@ def run_switched(config: SwitchedRunConfig,
         states.append(X)
         v0.append(X @ SG[interval][5])
     return SwitchedWaveform(
-        spec=spec, D=D, steps_per_cycle=steps, times=np.concatenate(times),
+        spec=spec, D=D, steps_per_cycle=steps,
+        times=cycle * Ts + np.concatenate(times),
         states=np.concatenate(states)[:, :4], v0=np.concatenate(v0),
-        segments=spans, summaries=summaries, cycles_run=len(summaries),
-        steady=steady)
+        segments=spans, summaries=summaries, cycles_run=len(summaries))
 
 
 def cycle_average(waveform: SwitchedWaveform, cycle_index: int):

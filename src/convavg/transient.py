@@ -79,6 +79,8 @@ class Stimulus:
             if not points:
                 raise ValidationError("duty breakpoint list is empty")
             times = [t for t, _ in points]
+            if not all(map(isfinite, times)):
+                raise ValidationError("duty breakpoint times must be finite")
             if any(b < a for a, b in zip(times, times[1:])):
                 raise ValidationError("duty breakpoints must be time-ordered")
         for _, v in points:
@@ -90,8 +92,8 @@ class Stimulus:
             if name not in STEPPABLE:
                 raise ValidationError(
                     "cannot step parameter %r (one of %s)" % (name, "/".join(STEPPABLE)))
-            if t < 0.0:
-                raise ValidationError("parameter step times must be non-negative")
+            if not (isfinite(t) and t >= 0.0):
+                raise ValidationError("parameter step times must be finite and non-negative")
         object.__setattr__(self, "parameter_steps",
                            tuple(sorted(steps, key=lambda s: s[0])))
 

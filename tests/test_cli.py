@@ -154,6 +154,20 @@ def test_sweep_csv(capsys):
     assert all(r[4] in ("DCM", "CCM") for r in rows)
 
 
+@pytest.mark.parametrize("config", ["sepic_bench", "cuk_bench"])
+def test_sweep_rows_equal_dc_at_each_duty(config, capsys):
+    """Every sweep row, across CCM and DCM, prints what dc prints at its
+    duty: a sweep point does not depend on the point before it."""
+    assert main(["sweep", "--config", config, "--from", "0.1", "--to", "0.85",
+                 "--step", "0.05"]) == 0
+    rows = [l.split(",") for l in capsys.readouterr().out.splitlines()[1:]]
+    assert len(rows) == 16
+    for k, row in enumerate(rows):
+        assert main(["dc", "--config", config, "--duty", repr(0.1 + k * 0.05)]) == 0
+        got = fields(capsys.readouterr().out)
+        assert row == [got[name] for name in ("D", "V0", "iL1", "iL2", "mode")], k
+
+
 # --- compare --------------------------------------------------------
 
 def test_compare_report(tmp_path, capsys):

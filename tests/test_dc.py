@@ -23,7 +23,6 @@ from convavg import (
     SingularJacobian,
     SolverError,
     StateVector,
-    ValidationError,
     dcm_predicted,
     effective_resistance,
     equivalent_inductance,
@@ -161,20 +160,13 @@ def test_initial_guess_is_close_for_ideal_converter():
     assert abs(guess[3] - op.V0) / abs(op.V0) < 0.05
 
 
-def test_solver_accepts_state_vector_initial():
-    op = solve_dc(OperatingPointRequest(spec=SEPIC_BENCH, D=0.2))
-    again = solve_dc(OperatingPointRequest(spec=SEPIC_BENCH, D=0.2),
-                     initial=op.state)
-    assert again.V0 == pytest.approx(op.V0, rel=1e-10)
-    assert again.iterations <= op.iterations
-
-
 def test_nonconvergence_raises_with_tiny_budget(monkeypatch):
+    """The closed-form guess needs two Newton iterations here, so a budget
+    of one runs out."""
     import convavg.dc as dc
     monkeypatch.setattr(dc, "_MAX_ITERATIONS", 1)
     with pytest.raises(NonConvergence) as info:
-        solve_dc(OperatingPointRequest(spec=SEPIC_BENCH, D=0.2),
-                 initial=np.array([50.0, -80.0, 900.0, -400.0]))
+        solve_dc(OperatingPointRequest(spec=SEPIC_BENCH, D=0.2))
     assert info.value.iterations == 1
     assert info.value.residual_norm > 0.0
 
@@ -207,20 +199,17 @@ def test_cold_solve_work_per_newton_iteration(monkeypatch):
 
 
 def test_sweep_matches_pointwise_cold_solves():
+    """A sweep point is the solve_dc point at its duty, bit for bit: no
+    point depends on the one before it."""
     ops = sweep_duty(SEPIC_BENCH, 0.25, 0.45, 0.05)
     assert len(ops) == 5
     for op in ops:
-        cold = solve_dc(OperatingPointRequest(spec=SEPIC_BENCH, D=op.D))
-        assert op.V0 == pytest.approx(cold.V0, rel=1e-6)
-        assert abs(op.state.i_L1 - cold.state.i_L1) <= 1e-6 * max(
-            1.0, abs(cold.state.i_L1))
+        assert op == solve_dc(OperatingPointRequest(spec=SEPIC_BENCH, D=op.D))
 
 
 def test_single_point_sweep_equals_solve():
     ops = sweep_duty(CUK_BENCH, 0.42, 0.42, 0.01)
-    assert len(ops) == 1
-    direct = solve_dc(OperatingPointRequest(spec=CUK_BENCH, D=0.42))
-    assert ops[0].V0 == pytest.approx(direct.V0, rel=1e-9)
+    assert ops == [solve_dc(OperatingPointRequest(spec=CUK_BENCH, D=0.42))]
 
 
 def test_sweep_rejects_bad_step():
@@ -325,21 +314,6 @@ def test_overflowing_newton_step_raises_singular(monkeypatch):
     monkeypatch.setattr(dc, "jacobian_columns", tiny_identity)
     with pytest.raises(SingularJacobian, match="non-finite step"):
         solve_dc(OperatingPointRequest(spec=SEPIC_BENCH, D=0.2))
-
-
-@pytest.mark.parametrize("initial", [[1.0, 2.0, 3.0], [[1.0, 2.0, 3.0, 4.0]]])
-def test_initial_state_of_wrong_shape_is_a_validation_error(initial):
-    with pytest.raises(ValidationError, match="four entries"):
-        solve_dc(OperatingPointRequest(spec=SEPIC_BENCH, D=0.2), initial=initial)
-
-
-@pytest.mark.parametrize("initial", [StateVector(float("nan"), 0.0, 0.0, 0.0),
-                                     [0.0, 0.0, float("inf"), 0.0]])
-def test_non_finite_initial_state_is_a_validation_error(initial):
-    """A NaN start once came back converged after 0 iterations with a NaN
-    residual and V0, because the Newton loop ran while norm > tol."""
-    with pytest.raises(ValidationError, match="finite"):
-        solve_dc(OperatingPointRequest(spec=SEPIC_BENCH, D=0.2), initial=initial)
 
 
 def test_nan_residual_is_a_solver_error_not_convergence(monkeypatch):

@@ -150,7 +150,7 @@ def seeded_run(spec, d, n_cycles, steps=1000):
     op = solve_dc(OperatingPointRequest(spec=spec, D=d))
     cfg = SwitchedRunConfig(spec=spec, D=d, n_cycles=n_cycles,
                             steps_per_cycle=steps, initial=op.state)
-    return op, run_switched(cfg, steady_tol=0.0)
+    return op, run_switched(cfg)
 
 
 def sample_walk_cycle_average(wf, cycle_index):
@@ -295,7 +295,7 @@ def assert_matches_step_loop(cfg, duty_tol=1e-12):
     crossing of cycle c come from the retained final cycle of a run cut
     after c + 1 cycles."""
     ref = step_loop_run(cfg)
-    full = run_switched(cfg, steady_tol=0.0).summaries
+    full = run_switched(cfg).summaries
     assert len(full) == len(ref)
     for c, (want, crossed, layout) in enumerate(ref):
         got = full[c]
@@ -307,7 +307,7 @@ def assert_matches_step_loop(cfg, duty_tol=1e-12):
             for name in fields:
                 assert getattr(got, name) == pytest.approx(
                     getattr(want, name), rel=1e-9, abs=1e-12 * scale), (c, name)
-        cut = run_switched(dataclasses.replace(cfg, n_cycles=c + 1), steady_tol=0.0)
+        cut = run_switched(dataclasses.replace(cfg, n_cycles=c + 1))
         got_layout = [(k, last - first) for _, k, first, last in cut.segments]
         assert got_layout == layout, c
         # in a DCM cycle the DIODE segment ends at the crossing sample
@@ -431,7 +431,7 @@ def test_doubling_steps_leaves_cycle_averages_unchanged():
     for steps in (1000, 2000):
         cfg = SwitchedRunConfig(spec=SEPIC_BENCH, D=0.2, n_cycles=200,
                                 steps_per_cycle=steps, initial=op.state)
-        outs.append(run_switched(cfg, steady_tol=0.0).summaries[-1])
+        outs.append(run_switched(cfg).summaries[-1])
     a, b = outs
     for field in ("v0_avg", "i_L1_avg", "i_L2_avg", "v_C1_avg", "v_C2_avg"):
         x, y = getattr(a, field), getattr(b, field)
@@ -499,37 +499,21 @@ def test_power_stacks_match_step_loop_from_cold_start(spec, d, n_cycles):
     3 mA), so D2 and D3 are held to 1e-10 here."""
     cfg = SwitchedRunConfig(spec=spec, D=d, n_cycles=n_cycles)
     assert_matches_step_loop(cfg, duty_tol=1e-10)
-    modes = {s.mode for s in run_switched(cfg, steady_tol=0.0).summaries}
+    modes = {s.mode for s in run_switched(cfg).summaries}
     assert modes == {CCM, DCM}
-
-
-def decades(lo, hi):
-    """Floats spread log-uniformly over 10**lo .. 10**hi."""
-    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
 
 
 @st.composite
 def switched_runs(draw):
-    """A random valid converter over decades of L, C, R and f_s, ideal
-    or with parasitics, at a duty in (0.05, 0.9), from zero or from a
-    random state that can start any interval sequence."""
-    Vg = draw(decades(0, 3))
-    R = draw(decades(-1, 4))
-    parasitics = {}
-    ideal = draw(st.booleans())
-    if not ideal:
-        parasitics = {name: draw(decades(-4, 0)) for name in
-                      ("R_L1", "R_L2", "R_on1", "R_d", "R_C1", "R_C2")}
-        parasitics["V_d"] = draw(st.floats(0.0, 1.0))
-    spec = ConverterSpec(kind=draw(st.sampled_from([SEPIC, CUK])), Vg=Vg, R=R,
-                         L1=draw(decades(-6, -1)), L2=draw(decades(-6, -1)),
-                         C1=draw(decades(-7, -2)), C2=draw(decades(-7, -2)),
-                         f_s=draw(decades(3, 6)), ideal=ideal, **parasitics)
+    """A random valid converter from converter_specs at a duty in
+    (0.05, 0.9), from zero or from a random state that can start any
+    interval sequence."""
+    spec = draw(converter_specs())
     D = draw(st.floats(0.05, 0.9, exclude_min=True, exclude_max=True))
     initial = None
     if draw(st.booleans()):
-        amps = st.floats(-2.0, 2.0).map(lambda a: a * Vg / R)
-        volts = st.floats(-2.0, 2.0).map(lambda a: a * Vg)
+        amps = st.floats(-2.0, 2.0).map(lambda a: a * spec.Vg / spec.R)
+        volts = st.floats(-2.0, 2.0).map(lambda a: a * spec.Vg)
         initial = StateVector(i_L1=draw(amps), i_L2=draw(amps),
                               v_C1=draw(volts), v_C2=draw(volts))
     return SwitchedRunConfig(spec=spec, D=D, n_cycles=3, initial=initial)
@@ -541,32 +525,25 @@ def test_power_stacks_match_step_loop_on_random_converters(cfg):
     assert_matches_step_loop(cfg)
 
 
+def run_on(wf):
+    """One cycle continuing wf from its last sample."""
+    return run_switched(SwitchedRunConfig(
+        spec=wf.spec, D=wf.D, n_cycles=1, steps_per_cycle=wf.steps_per_cycle,
+        initial=StateVector(*map(float, wf.states[-1]))))
+
+
 def assert_prefix_and_continuation(cfg):
     """The first c summaries of an N-cycle run equal a c-cycle run's
     exactly, for every c <= N, and one cycle run on from the N-cycle
-    run's last sample matches cycle N + 1 of an (N + 1)-cycle run to
-    1e-12 relative (an average that passes near zero by cancellation is
-    held to 1e-12 of the run's largest value in its unit instead), so
-    building the final cycle's trace leaves the cycle loop alone."""
+    run's last sample equals cycle N + 1 of an (N + 1)-cycle run
+    exactly: building the final cycle's trace leaves the cycle loop
+    alone, and no cycle depends on its index."""
     n = cfg.n_cycles
-    longer = run_switched(dataclasses.replace(cfg, n_cycles=n + 1),
-                          steady_tol=0.0).summaries
+    longer = run_switched(dataclasses.replace(cfg, n_cycles=n + 1)).summaries
     for c in range(1, n + 1):
-        cut = run_switched(dataclasses.replace(cfg, n_cycles=c), steady_tol=0.0)
+        cut = run_switched(dataclasses.replace(cfg, n_cycles=c))
         assert cut.summaries == longer[:c], c
-    on = run_switched(dataclasses.replace(
-        cfg, n_cycles=1, initial=StateVector(*map(float, cut.states[-1]))),
-        steady_tol=0.0).summaries[0]
-    want = longer[n]
-    assert on.mode == want.mode
-    for name in ("D2", "D3"):
-        assert getattr(on.duties, name) == pytest.approx(
-            getattr(want.duties, name), rel=1e-12, abs=1e-12), name
-    for fields in (VOLT_FIELDS, AMP_FIELDS):
-        scale = max(abs(getattr(s, name)) for s in longer for name in fields)
-        for name in fields:
-            assert getattr(on, name) == pytest.approx(
-                getattr(want, name), rel=1e-12, abs=1e-12 * scale), name
+    assert run_on(cut).summaries[0] == longer[n]
 
 
 @pytest.mark.parametrize("spec,d,mode", REFERENCE_POINTS, ids=POINT_IDS)
@@ -583,59 +560,23 @@ def test_run_prefix_is_exact_and_continues_from_trace_on_random_converters(spec,
 
 
 @pytest.mark.parametrize("name", ["sepic_bench", "cuk_bench"])
-def test_default_steady_detector_from_cold_start(name):
-    """A cold start under the default steady_tol either reports no
-    steady state or ends within 2% of the DC point and in its mode.  A
-    check on the cycle-average v0 alone called the Cuk start-up's
-    overshoot steady, 36% from the DC point."""
+def test_continuing_a_long_run_is_exact(name):
+    """Cycle N + 1 of a run from the DC point equals, bit for bit, one
+    cycle run on from cycle N's last sample, at N = 2000.  With cycle
+    times taken from t = 0 of the run, D2 differed by about 1e-13."""
     text = (importlib.resources.files("convavg") / "configs"
             / (name + ".conf")).read_text()
     parsed = parse_config(text)
     op = solve_dc(OperatingPointRequest(spec=parsed.spec, D=parsed.duty))
-    wf = run_switched(SwitchedRunConfig(spec=parsed.spec, D=parsed.duty,
-                                        n_cycles=2000))
-    s = wf.summaries[-1]
-    assert not wf.steady or (abs(s.v0_avg - op.V0) <= 0.02 * abs(op.V0)
-                             and s.mode == op.mode)
-
-
-def test_default_steady_detector_stops_at_steady_state():
-    # a heavily loaded Cuk settles within a few thousand cycles; once the
-    # run calls itself steady, 2000 more cycles move v0 by under 1e-4
-    spec = dataclasses.replace(CUK_BENCH, R=20.0)
-    op = solve_dc(OperatingPointRequest(spec=spec, D=0.5))
-    wf = run_switched(SwitchedRunConfig(spec=spec, D=0.5, n_cycles=20000,
-                                        initial=op.state))
-    assert wf.steady and wf.cycles_run < 20000
-    more = run_switched(SwitchedRunConfig(spec=spec, D=0.5, n_cycles=2000,
-                                          initial=StateVector(*map(float, wf.states[-1]))),
-                        steady_tol=0.0)
-    v0, v0_later = wf.summaries[-1].v0_avg, more.summaries[-1].v0_avg
-    assert abs(v0_later - v0) <= 1e-4 * abs(v0)
-
-
-def test_default_steady_detector_holds_currents_to_their_own_scale():
-    """The currents are judged against the currents and the voltages
-    against the voltages.  At D = 0.75 the Cuk's v_C1 is about 100 V and
-    its two inductor currents together 1.7 A, so a bound relative to the
-    whole state stopped the run where 2000 more cycles still moved the
-    currents by 1.3e-4 of their norm; now they move by under 2e-5."""
-    op = solve_dc(OperatingPointRequest(spec=CUK_BENCH, D=0.75))
-    wf = run_switched(SwitchedRunConfig(spec=CUK_BENCH, D=0.75, n_cycles=6000,
-                                        initial=op.state))
-    assert wf.steady
-    x = wf.states[-1]
-    more = run_switched(SwitchedRunConfig(spec=CUK_BENCH, D=0.75, n_cycles=2000,
-                                          initial=StateVector(*map(float, x))),
-                        steady_tol=0.0)
-    moved = more.states[-1] - x
-    assert np.linalg.norm(moved[:2]) <= 2e-5 * np.linalg.norm(x[:2])
-    assert np.linalg.norm(moved[2:]) <= 2e-5 * np.linalg.norm(x[2:])
+    cfg = SwitchedRunConfig(spec=parsed.spec, D=parsed.duty, n_cycles=2000,
+                            initial=op.state)
+    longer = run_switched(dataclasses.replace(cfg, n_cycles=2001))
+    assert run_on(run_switched(cfg)).summaries[0] == longer.summaries[2000]
 
 
 def test_cold_start_converges_to_dc_solution():
-    # free-running start with the default steady detector active: the
-    # final recorded cycle's output average lands within 2% of solve_dc
+    # free-running start, every one of the 2000 cycles run: the final
+    # recorded cycle's output average lands within 2% of solve_dc
     op = solve_dc(OperatingPointRequest(spec=SEPIC_BENCH, D=0.2))
     cfg = SwitchedRunConfig(spec=SEPIC_BENCH, D=0.2, n_cycles=2000,
                             steps_per_cycle=1000)
@@ -679,8 +620,9 @@ def test_initial_state_is_read_as_four_finite_values():
 def test_steady_tol_validation():
     cfg = SwitchedRunConfig(spec=SEPIC_BENCH, D=0.2, n_cycles=5,
                             steps_per_cycle=1000)
-    with pytest.raises(ValueError):
-        run_switched(cfg, steady_tol=-1e-6)
+    for tol in (-1e-6, 1e-5):
+        with pytest.raises(ValueError):
+            run_switched(cfg, steady_tol=tol)
     with pytest.raises(ValidationError):
         SwitchedRunConfig(spec=SEPIC_BENCH, D=0.2, n_cycles=5, steps_per_cycle=500)
 
@@ -697,7 +639,7 @@ def test_counts_must_be_integers(counts):
         SwitchedRunConfig(spec=SEPIC_BENCH, D=0.2, **{"n_cycles": 2, **counts})
     cfg = SwitchedRunConfig(spec=SEPIC_BENCH, D=0.2, n_cycles=np.int64(2),
                             steps_per_cycle=np.int32(1000))
-    assert run_switched(cfg, steady_tol=0.0).cycles_run == 2
+    assert run_switched(cfg).cycles_run == 2
 
 
 def test_nan_steady_tol_is_refused():

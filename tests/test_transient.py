@@ -63,6 +63,23 @@ def test_stimulus_validation():
         Stimulus(duty=0.3, parameter_steps=((-0.1, "R", 10.0),))
 
 
+@pytest.mark.parametrize("t", [float("nan"), float("inf")])
+def test_non_finite_duty_breakpoint_time_is_refused(t):
+    """A NaN breakpoint time once passed the ordering check, which no
+    comparison with NaN can fail, and duty_at(0.0) then returned the
+    NaN breakpoint's duty."""
+    with pytest.raises(ValidationError, match="finite"):
+        Stimulus(duty=[(0.0, 0.3), (t, 0.5)])
+
+
+@pytest.mark.parametrize("t", [float("nan"), float("inf")])
+def test_non_finite_parameter_step_time_is_refused(t):
+    """A NaN step time once sorted anywhere and held up every later step
+    behind it, so a step after it was silently never applied."""
+    with pytest.raises(ValidationError, match="finite"):
+        Stimulus(duty=0.2, parameter_steps=((t, "R", 10.0), (1e-4, "R_L1", 1.0)))
+
+
 # --- convergence to the DC solution ---------------------------------
 
 def test_sepic_settles_to_dc_solution():
