@@ -16,7 +16,7 @@ from .converter import (SEPIC, CUK, ConverterSpec, OperatingPointRequest,
                         ValidationError, dcm_predicted, effective_resistance,
                         equivalent_inductance)
 from .switchcell import CCM, DCM, SwitchIntervalDuties
-from .avgmodel import PortSolution, derivative, resolve_ports, state_jacobian
+from .avgmodel import PortSolution, derivative, jacobian_columns, resolve_ports
 from .dc import (NonConvergence, OperatingPoint, SingularJacobian,
                  SolverError, StateVector, solve_dc, sweep_duty)
 from .config import ParseError, ParsedConfig, parse_config
@@ -45,7 +45,7 @@ __all__ = [
     "ValidationError", "dcm_predicted", "effective_resistance",
     "equivalent_inductance",
     "CCM", "DCM", "SwitchIntervalDuties",
-    "PortSolution", "derivative", "resolve_ports", "state_jacobian",
+    "PortSolution", "derivative", "jacobian_columns", "resolve_ports",
     "NonConvergence", "OperatingPoint", "SingularJacobian", "SolverError",
     "StateVector", "solve_dc", "sweep_duty",
     *_LAZY,

@@ -187,18 +187,13 @@ def resolve_ports(spec: ConverterSpec, d: float, x) -> PortSolution:
 
 
 def derivative(spec: ConverterSpec, d: float, x, ports: PortSolution = None):
-    """Averaged state derivative d/dt (i_L1, i_L2, v_C1, v_C2).
+    """Averaged state derivative d/dt (i_L1, i_L2, v_C1, v_C2) as four
+    floats.
 
     Pass a pre-resolved ``ports`` to avoid resolving the cell twice.
     """
-    import numpy as np
     if ports is None:
         ports = resolve_ports(spec, d, x)
-    return np.array(derivative_values(spec, d, x, ports))
-
-
-def derivative_values(spec: ConverterSpec, d: float, x, ports: PortSolution):
-    """derivative() as four floats, from the ports resolve_ports gave."""
     i_L1, i_L2 = float(x[0]), float(x[1])
     di_L1 = (spec.Vg - spec.R_L1 * i_L1 - ports.v_node1) / spec.L1
     if spec.kind == SEPIC:
@@ -210,31 +205,24 @@ def derivative_values(spec: ConverterSpec, d: float, x, ports: PortSolution):
     return di_L1, di_L2, dv_C1, dv_C2
 
 
-def state_jacobian(spec: ConverterSpec, d: float, x, ports: PortSolution):
-    """Analytic derivatives (A, B_d) of derivative() in the state and in
-    the duty, on the branch ``ports`` = resolve_ports(spec, d, x) picked
-    (its loop coefficients a, b, c are reused).
-
-    A is the 4x4 d(derivative)/dx and B_d the 4-vector d(derivative)/dd.
-    Each column pushes one unit direction through the port relations.
-    a and b are linear in the state, so their change along a unit state
-    direction is their value there; along the duty c = V_d*d moves by
-    c/d and Re = 2*L_eq*f_s/d**2 by -2*Re/d.  In DCM the effective duty
-    moves by dmu = -g_p/g_mu (implicit function theorem on g, p the
-    direction); in CCM and at a fallback point mu = d moves with the duty
-    alone; at the mu clamp it stays put.  A duty that resolve_ports
-    clamped gets a zero B_d.  The diode-drop switch at i_sum = 0 is
-    piecewise constant and contributes nothing.
-    """
-    import numpy as np
-    cols = jacobian_columns(spec, d, x, ports, 5)
-    return np.array(cols[:4]).T, np.array(cols[4])
-
-
 def jacobian_columns(spec: ConverterSpec, d: float, x, ports: PortSolution,
                      count: int):
-    """The first ``count`` columns of [A | B_d] (see state_jacobian), each
-    a 4-tuple of floats, along _DIRECTIONS: the unit states, then the duty."""
+    """The first ``count`` columns of [A | B_d], each a 4-tuple of floats,
+    along _DIRECTIONS: the unit states, then the duty.
+
+    A is the 4x4 d(derivative)/dx and B_d the 4-vector d(derivative)/dd,
+    on the branch ``ports`` = resolve_ports(spec, d, x) picked (its loop
+    coefficients a, b, c are reused).  Each column pushes one unit
+    direction through the port relations.  a and b are linear in the
+    state, so their change along a unit state direction is their value
+    there; along the duty c = V_d*d moves by c/d and Re = 2*L_eq*f_s/d**2
+    by -2*Re/d.  In DCM the effective duty moves by dmu = -g_p/g_mu
+    (implicit function theorem on g, p the direction); in CCM and at a
+    fallback point mu = d moves with the duty alone; at the mu clamp it
+    stays put.  A duty that resolve_ports clamped gets a zero B_d.  The
+    diode-drop switch at i_sum = 0 is piecewise constant and contributes
+    nothing.
+    """
     i_sum = float(x[0]) + float(x[1])
     d_in = d
     d = min(max(d, _MU_FLOOR), 1.0 - MU_CLAMP_EPS)

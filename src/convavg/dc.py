@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isfinite, sqrt
 
-from .avgmodel import derivative_values, jacobian_columns, resolve_ports
+from .avgmodel import derivative, jacobian_columns, resolve_ports
 from .converter import (CUK, ConverterSpec, OperatingPointRequest, ValidationError,
                         dcm_predicted, equivalent_inductance)
 
@@ -96,7 +96,7 @@ def _residual_and_norm(spec, d, x):
     """Averaged branch residuals at x in physical units (volts, amps),
     their scaled maximum norm, and the port solution they came from."""
     ports = resolve_ports(spec, d, x)
-    f0, f1, f2, f3 = derivative_values(spec, d, x, ports)
+    f0, f1, f2, f3 = derivative(spec, d, x, ports)
     r = [f0 * spec.L1, f1 * spec.L2, f2 * spec.C1, f3 * spec.C2]
     v_scale, i_scale = _scales(spec, x)
     return r, max(abs(r[0]) / v_scale, abs(r[1]) / v_scale,
@@ -149,10 +149,9 @@ def solve_dc(request: OperatingPointRequest) -> OperatingPoint:
     """Solve for the DC operating point of the averaged model.
 
     Damped Newton iteration on the four averaged branch equations, from
-    the closed-form lossless estimate.  The iteration converges when
-    both the scaled residual norm and the relative state update drop
-    below _TOL, within _MAX_ITERATIONS; a residual that is not finite
-    never counts as converged.
+    the closed-form lossless estimate.  The iteration converges when the
+    scaled residual norm drops below _TOL, within _MAX_ITERATIONS; a
+    residual that is not finite never counts as converged.
 
     Raises:
         NonConvergence: iteration budget exhausted.
@@ -190,17 +189,8 @@ def solve_dc(request: OperatingPointRequest) -> OperatingPoint:
             trial = [xi + lam * si for xi, si in zip(x, step)]
             trial_r, trial_norm, trial_ports = _residual_and_norm(spec, d, trial)
 
-        v_scale, i_scale = _scales(spec, x)
-        rel_update = max(abs(trial[0] - x[0]) / i_scale,
-                         abs(trial[1] - x[1]) / i_scale,
-                         abs(trial[2] - x[2]) / v_scale,
-                         abs(trial[3] - x[3]) / v_scale)
         x, r, norm, ports = trial, trial_r, trial_norm, trial_ports
         iterations += 1
-        if norm <= _TOL and rel_update <= _TOL:
-            break
-        if norm <= _TOL and lam == 1.0 and rel_update <= 10.0 * _TOL:
-            break
 
     return OperatingPoint(d, StateVector(*x), ports.v_out, ports.mu, ports.mode,
                           norm, iterations, True)

@@ -5,7 +5,7 @@ point into a state-space quadruple per input (duty and source voltage).
 The derivatives are those of the branch the port resolution picks at
 the operating point: the same chain rule through the port relations
 that the DC Newton iteration and the transient use
-(avgmodel.state_jacobian).  An operating point lying on the mode
+(avgmodel.jacobian_columns).  An operating point lying on the mode
 boundary is flagged as degenerate; a tie resolves to continuous
 conduction.  Transfer functions are evaluated over a whole frequency
 grid with one batched solve of the stacked resolvents, and
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .avgmodel import resolve_ports, state_jacobian
+from .avgmodel import jacobian_columns, resolve_ports
 from .converter import ConverterSpec, ValidationError
 from .dc import MAX_SWEEP_POINTS, OperatingPoint
 
@@ -81,7 +81,8 @@ def linearize(spec: ConverterSpec, op: OperatingPoint) -> LinearModel:
             "operating point lies on the mode boundary; "
             "linearizing the %s branch" % base.mode, DegenerateOperatingPoint)
 
-    A, B_d = state_jacobian(spec, d, x, base)
+    cols = jacobian_columns(spec, d, x, base, 5)
+    A, B_d = np.array(cols[:4]).T, np.array(cols[4])
     # Vg drives only the L1 equation and never reaches the cell or v_out.
     B_g = np.array([1.0 / spec.L1, 0.0, 0.0, 0.0])
     # v_out = v_C2 + R_C2*i_c2 with i_c2 = C2*dv_C2/dt in both topologies
@@ -142,7 +143,8 @@ def transfer_at(model: LinearModel, input: str, f):
 def _normalize_phase(phase, negative_dc_gain=None):
     """Shift an unwrapped phase (degrees) into the reporting branch.
 
-    The branch puts the first sample into (-360, 0], so an integrator
+    The first sample is an angle in [-180, 180]; the branch puts it
+    into (-360, 0] by one turn at most, so an integrator
     chain reads as accumulated lag (a flat +90 reads as -270).  A
     response with negative DC gain is folded by +180 so margins refer
     to the sign-corrected loop and a phase margin above 180 degrees
@@ -151,11 +153,7 @@ def _normalize_phase(phase, negative_dc_gain=None):
     inverting plant plus ordinary lag.
     """
     start = phase[0]
-    shift = 0.0
-    while start + shift > 0.0:
-        shift -= 360.0
-    while start + shift <= -360.0:
-        shift += 360.0
+    shift = -360.0 if start > 0.0 else 0.0
     if negative_dc_gain is None:
         negative_dc_gain = -270.0 < start + shift < -135.0
     if negative_dc_gain:
@@ -164,10 +162,8 @@ def _normalize_phase(phase, negative_dc_gain=None):
 
 
 def _interp_log_f(f0, f1, y0, y1, y_target):
-    """Interpolate the crossing frequency on a log-f axis."""
+    """Interpolate the crossing frequency on a log-f axis (y0*y1 < 0)."""
     lf0, lf1 = np.log10(f0), np.log10(f1)
-    if y1 == y0:
-        return 10.0 ** (0.5 * (lf0 + lf1))
     w = (y_target - y0) / (y1 - y0)
     return 10.0 ** (lf0 + w * (lf1 - lf0))
 

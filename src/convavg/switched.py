@@ -346,7 +346,7 @@ def run_switched(config: SwitchedRunConfig, steady_tol: float = 0.0) -> Switched
                 d2 = (j - 1 + theta) * h_off / Ts
                 d3 = 1.0 - D - d2
                 plan.append((DIODE, x1, j, h_off, t_sw, t_sw + d2 * Ts, x_ev))
-                n_open, x_open = max(n_off - j + 1, 1), x_ev
+                n_open, x_open = n_off - j + 1, x_ev     # j <= n_off
                 mode = DCM
 
         # --- open interval (discontinuous tail), its step per cycle ----

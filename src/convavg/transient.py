@@ -25,12 +25,14 @@ resolution gives the derivative that starts the next step.
 from __future__ import annotations
 
 import dataclasses
+from bisect import bisect_right
 from dataclasses import dataclass
 from math import inf, isfinite, isnan, sqrt
+from operator import itemgetter
 
 import numpy as np
 
-from .avgmodel import derivative_values, resolve_ports, state_jacobian
+from .avgmodel import derivative, jacobian_columns, resolve_ports
 from .converter import ConverterSpec, ValidationError
 from .dc import SolverError, state_values
 
@@ -99,21 +101,14 @@ class Stimulus:
 
     def duty_at(self, t: float) -> float:
         points = self.duty
+        if not t < points[-1][0]:       # at or after the last breakpoint, or NaN
+            return points[-1][1]
         if t < points[0][0]:
             return points[0][1]
-        if t >= points[-1][0]:
-            return points[-1][1]
-        last = len(points) - 2
-        for idx in range(len(points) - 1):
-            t0, d0 = points[idx]
-            t1, d1 = points[idx + 1]
-            if t0 <= t <= t1:
-                if t == t1 and idx < last:
-                    continue    # right-continuous at repeated breakpoints
-                if t1 == t0:
-                    return d1
-                return d0 + (d1 - d0) * (t - t0) / (t1 - t0)
-        return points[-1][1]
+        # right-continuous at repeated breakpoints: the last value at a time wins
+        k = bisect_right(points, t, 1, len(points) - 1, key=itemgetter(0))
+        (t0, d0), (t1, d1) = points[k - 1], points[k]
+        return d0 + (d1 - d0) * (t - t0) / (t1 - t0)
 
 
 @dataclass(frozen=True)
@@ -147,7 +142,7 @@ def _solve_stage(spec, d, z, rhs, dh, M, tol, work):
     (r0, r1, r2, r3), (t0, t1, t2, t3) = rhs, tol
     prev = inf
     for _ in range(_NEWTON_MAX):
-        f0, f1, f2, f3 = derivative_values(spec, d, z, resolve_ports(spec, d, z))
+        f0, f1, f2, f3 = derivative(spec, d, z, resolve_ports(spec, d, z))
         work["rhs"] += 1
         z0, z1, z2, z3 = z
         v0, v1, v2, v3 = (r0 - z0 + dh * f0, r1 - z1 + dh * f1,
@@ -183,7 +178,7 @@ def _integrate_segment(spec, stim, t0, t1, x, f0, h, rtol, atol, accept, work):
                 "step size underflow at t = %.6e s" % (t,))
         if J is None:
             d = stim.duty_at(t)
-            J, _ = state_jacobian(spec, d, x, resolve_ports(spec, d, x))
+            J = np.array(jacobian_columns(spec, d, x, resolve_ports(spec, d, x), 4)).T
             work["jacobians"] += 1
             fresh = True
         dh = 0.5 * _GAMMA * h
@@ -245,6 +240,8 @@ def simulate(spec: ConverterSpec, stimulus: Stimulus, t_end: float,
 
     ``rtol`` and ``atol`` must be finite and non-negative; zero is
     legal and asks for an exactness the error control cannot meet.
+    Every parameter step, one past t_end included, must give a valid
+    ConverterSpec; otherwise ValidationError is raised before the run.
 
     Raises StepSizeUnderflow when the error control cannot proceed.
     """
@@ -255,6 +252,8 @@ def simulate(spec: ConverterSpec, stimulus: Stimulus, t_end: float,
         if not (isfinite(value) and value >= 0.0):
             raise ValidationError("%s must be finite and non-negative, got %r"
                                   % (name, value))
+    for _, name, value in stimulus.parameter_steps:
+        dataclasses.replace(spec, **{name: value})     # ConverterSpec checks the value
     x = [0.0] * 4 if initial is None else state_values(initial)
 
     events = sorted({t for t, _, _ in stimulus.parameter_steps if 0.0 < t < t_end}
@@ -282,7 +281,7 @@ def simulate(spec: ConverterSpec, stimulus: Stimulus, t_end: float,
         mu.append(ports.mu)
         mode.append(ports.mode)
         work["rhs"] += 1
-        return derivative_values(current, d, y, ports)
+        return derivative(current, d, y, ports)
 
     f0 = accept(0.0, x)
     h = min(t_end, 0.5 / spec.f_s)

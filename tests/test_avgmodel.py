@@ -13,11 +13,11 @@ from convavg import (
     avgmodel,
     derivative,
     effective_resistance,
+    jacobian_columns,
     linearize,
     parse_config,
     resolve_ports,
     solve_dc,
-    state_jacobian,
 )
 from convavg.dc import _guess_values
 from convavg.switchcell import MU_CLAMP_EPS
@@ -27,6 +27,12 @@ from strategies import converter_specs
 def bundled(name):
     text = (importlib.resources.files("convavg") / "configs" / (name + ".conf")).read_text()
     return parse_config(text)
+
+
+def state_jacobian(spec, d, x, ports):
+    """(A, B_d) as arrays, from the five columns jacobian_columns gives."""
+    cols = np.array(jacobian_columns(spec, d, x, ports, 5))
+    return cols[:4].T, cols[4]
 
 
 def central_jacobian(spec, d, x, base):
@@ -46,7 +52,7 @@ def central_jacobian(spec, d, x, base):
             ports = resolve_ports(spec, dp, xp)
             if (ports.mode, ports.fallback) != (base.mode, base.fallback):
                 return None
-            f.append(derivative(spec, dp, xp, ports))
+            f.append(np.array(derivative(spec, dp, xp, ports)))
         cols.append((f[0] - f[1]) / (2.0 * h))
     return np.array(cols[:4]).T, cols[4]
 

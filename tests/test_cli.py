@@ -154,6 +154,21 @@ def test_sweep_csv(capsys):
     assert all(r[4] in ("DCM", "CCM") for r in rows)
 
 
+def test_sweep_prints_failed_points_and_exits_0(monkeypatch, capsys):
+    """A point whose Newton iteration runs out of budget is printed as a
+    NaN row in mode none, and the rows after it are solved."""
+    import convavg.dc as dc
+    monkeypatch.setattr(dc, "_MAX_ITERATIONS", 1)
+    assert main(["sweep", "--config", "sepic_bench", "--from", "0.3",
+                 "--to", "0.6", "--step", "0.05"]) == 0
+    rows = [l.split(",") for l in capsys.readouterr().out.splitlines()[1:]]
+    assert len(rows) == 7
+    failed = [r for r in rows if r[4] == "none"]
+    assert failed and failed == rows[:len(failed)] and len(failed) < len(rows)
+    assert all(r[1:4] == ["nan"] * 3 for r in failed)
+    assert all(r[4] in ("DCM", "CCM") for r in rows[len(failed):])
+
+
 @pytest.mark.parametrize("config", ["sepic_bench", "cuk_bench"])
 def test_sweep_rows_equal_dc_at_each_duty(config, capsys):
     """Every sweep row, across CCM and DCM, prints what dc prints at its
@@ -450,14 +465,43 @@ print("numpy imported:", "numpy" in sys.modules)
     assert proc.stdout == "numpy imported: False\n"
 
 
+def test_averaged_cell_runs_without_numpy():
+    """resolve_ports, derivative and jacobian_columns take and return
+    plain floats: the cell never imports numpy."""
+    code = """\
+import sys
+from importlib import resources
+import convavg
+for name in ("sepic_bench", "cuk_bench"):
+    text = resources.files("convavg").joinpath("configs", name + ".conf").read_text()
+    parsed = convavg.parse_config(text)
+    spec, d = parsed.spec, parsed.duty
+    op = convavg.solve_dc(convavg.OperatingPointRequest(spec=spec, D=d))
+    x = [op.state.i_L1, op.state.i_L2, op.state.v_C1, op.state.v_C2]
+    ports = convavg.resolve_ports(spec, d, x)
+    f = convavg.derivative(spec, d, x)
+    assert f == convavg.derivative(spec, d, x, ports)
+    cols = convavg.jacobian_columns(spec, d, x, ports, 5)
+    assert all(type(v) is float for v in f + sum(cols, ()))
+print("numpy imported:", "numpy" in sys.modules)
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "numpy imported: False\n"
+
+
 def test_public_names_resolve():
     """Every name in __all__ resolves, the PEP 562 table serves only
-    public names, and the names that only tests used are gone."""
+    public names, and the names that only tests used, or that duplicated
+    another name, are gone."""
     import convavg
+    import convavg.avgmodel
     for name in convavg.__all__:
         getattr(convavg, name)
     assert set(convavg._LAZY) <= set(convavg.__all__)
     for name in ("average_switch_waveforms", "AveragedPortState", "initial_guess",
-                 "extract_margins"):
+                 "extract_margins", "state_jacobian", "derivative_values"):
         assert name not in convavg.__all__
         assert not hasattr(convavg, name)
+    for name in ("state_jacobian", "derivative_values"):
+        assert not hasattr(convavg.avgmodel, name)

@@ -178,7 +178,7 @@ def test_cold_solve_work_per_newton_iteration(monkeypatch):
     points."""
     import convavg.dc as dc
     calls = [0]
-    derivative_fn, resolve_fn = dc.derivative_values, dc.resolve_ports
+    derivative_fn, resolve_fn = dc.derivative, dc.resolve_ports
 
     def counted_derivative(spec, d, x, ports=None):
         calls[0] += ports is None
@@ -188,7 +188,7 @@ def test_cold_solve_work_per_newton_iteration(monkeypatch):
         calls[0] += 1
         return resolve_fn(spec, d, x)
 
-    monkeypatch.setattr(dc, "derivative_values", counted_derivative)
+    monkeypatch.setattr(dc, "derivative", counted_derivative)
     monkeypatch.setattr(dc, "resolve_ports", counted_resolve)
     for spec, d in ((SEPIC_BENCH, 0.2), (SEPIC_BENCH, 0.3), (SEPIC_BENCH, 0.6),
                     (CUK_BENCH, 0.42), (CUK_BENCH, 0.3), (CUK_BENCH, 0.6)):
@@ -228,6 +228,41 @@ def test_sweep_rejects_oversized_grid_before_solving(monkeypatch):
     for step in (1e-9, 1e-320, 0.7 / cap):      # cap + 1 points and beyond
         with pytest.raises(ValueError, match="exceeds"):
             sweep_duty(SEPIC_BENCH, 0.1, 0.8, step)
+
+
+def test_sweep_records_failed_points_and_goes_on(monkeypatch):
+    """With a one-iteration budget the low duties run out: each becomes a
+    converged=False point with a NaN state, mode none, and the iterations
+    and residual of its failure, and the duties after it are solved."""
+    import convavg.dc as dc
+    monkeypatch.setattr(dc, "_MAX_ITERATIONS", 1)
+    for spec in (SEPIC_BENCH, CUK_BENCH):
+        ops = sweep_duty(spec, 0.3, 0.7, 0.05)
+        failed = [op for op in ops if not op.converged]
+        assert failed and failed == ops[:len(failed)] and len(failed) < len(ops)
+        for op in failed:
+            with pytest.raises(NonConvergence) as info:
+                solve_dc(OperatingPointRequest(spec=spec, D=op.D))
+            state = (op.state.i_L1, op.state.i_L2, op.state.v_C1, op.state.v_C2)
+            assert all(math.isnan(v) for v in state + (op.V0, op.mu))
+            assert op.mode == "none"
+            assert op.iterations == info.value.iterations == 1
+            assert op.residual_norm == info.value.residual_norm > 0.0
+        for op in ops[len(failed):]:
+            assert op == solve_dc(OperatingPointRequest(spec=spec, D=op.D))
+
+
+def test_sweep_records_a_singular_point_without_counters(monkeypatch):
+    """A failure that carries no counters is recorded with 0 iterations
+    and a NaN residual."""
+    import convavg.dc as dc
+    monkeypatch.setattr(dc, "jacobian_columns",
+                        lambda spec, d, x, ports, count: [(0.0,) * 4] * count)
+    ops = sweep_duty(SEPIC_BENCH, 0.2, 0.3, 0.05)
+    assert len(ops) == 3
+    for op in ops:
+        assert not op.converged and op.mode == "none" and op.iterations == 0
+        assert math.isnan(op.residual_norm) and math.isnan(op.V0)
 
 
 def test_cuk_sweep_tracks_ideal_law_within_losses():
@@ -319,7 +354,7 @@ def test_overflowing_newton_step_raises_singular(monkeypatch):
 def test_nan_residual_is_a_solver_error_not_convergence(monkeypatch):
     import convavg.dc as dc
     nan = float("nan")
-    monkeypatch.setattr(dc, "derivative_values", lambda *args: (nan, nan, nan, nan))
+    monkeypatch.setattr(dc, "derivative", lambda *args: (nan, nan, nan, nan))
     with pytest.raises(SolverError):
         solve_dc(OperatingPointRequest(spec=SEPIC_BENCH, D=0.2))
 

@@ -152,7 +152,7 @@ def test_linearize_rejects_unconverged_point():
 
 def _probe_eval(spec, d, x):
     ports = resolve_ports(spec, d, x)
-    return derivative(spec, d, x, ports), ports.v_out, ports.mode
+    return np.array(derivative(spec, d, x, ports)), ports.v_out, ports.mode
 
 
 def _fd_column(spec, d, x, base_mode, probe):

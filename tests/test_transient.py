@@ -2,6 +2,8 @@
 
 import dataclasses
 import functools
+import math
+import random
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from convavg import (
     solve_dc,
 )
 import convavg.transient as transient
-from convavg.avgmodel import derivative, resolve_ports, state_jacobian
+from convavg.avgmodel import derivative, jacobian_columns, resolve_ports
 
 SEPIC_BENCH = ConverterSpec(kind=SEPIC, Vg=62.0, R=52.0, L1=13e-3, L2=166e-6,
                          C1=0.5e-6, C2=1000e-6, f_s=50e3, R_L1=0.13, R_L2=0.11,
@@ -50,6 +52,44 @@ def test_duty_step_is_right_continuous():
     assert s.duty_at(1.0) == 0.5
 
 
+def scan_duty_at(points, t):
+    """The breakpoint scan that duty_at's bisection replaced, kept as its
+    reference."""
+    if t < points[0][0]:
+        return points[0][1]
+    if t >= points[-1][0]:
+        return points[-1][1]
+    last = len(points) - 2
+    for idx in range(len(points) - 1):
+        t0, d0 = points[idx]
+        t1, d1 = points[idx + 1]
+        if t0 <= t <= t1:
+            if t == t1 and idx < last:
+                continue    # right-continuous at repeated breakpoints
+            if t1 == t0:
+                return d1
+            return d0 + (d1 - d0) * (t - t0) / (t1 - t0)
+    return points[-1][1]
+
+
+def test_duty_at_matches_the_breakpoint_scan():
+    """On seeded breakpoint lists with repeated times, duty_at equals the
+    scan at every breakpoint, next to each, between them, outside them,
+    at the infinities and at NaN."""
+    rng = random.Random(15)
+    for _ in range(400):
+        grid = (0.0, 0.5, 1.0, 1.5, rng.uniform(-1.0, 3.0))
+        times = sorted(rng.choice(grid) for _ in range(rng.randint(1, 8)))
+        stim = Stimulus(duty=[(t, rng.uniform(0.0, 0.99)) for t in times])
+        probes = [rng.uniform(-2.0, 4.0) for _ in range(20)]
+        probes += [(a + b) / 2.0 for a, b in zip(times, times[1:])]
+        for t in times:
+            probes += [t, math.nextafter(t, -math.inf), math.nextafter(t, math.inf)]
+        probes += [-math.inf, math.inf, math.nan]
+        assert ([stim.duty_at(t) for t in probes]
+                == [scan_duty_at(stim.duty, t) for t in probes])
+
+
 def test_stimulus_validation():
     with pytest.raises(ValidationError):
         Stimulus(duty=1.0)                       # out of range
@@ -70,6 +110,23 @@ def test_non_finite_duty_breakpoint_time_is_refused(t):
     NaN breakpoint's duty."""
     with pytest.raises(ValidationError, match="finite"):
         Stimulus(duty=[(0.0, 0.3), (t, 0.5)])
+
+
+@pytest.mark.parametrize("steps", [
+    ((1e-4, "R", float("nan")),),
+    ((1e-4, "R", -5.0),),
+    ((1e-4, "R", 0.0),),
+    ((1e-4, "R", 26.0), (1.0, "R", -5.0)),      # past t_end
+], ids=["nan", "negative", "zero", "past-t_end"])
+def test_bad_parameter_step_value_is_refused_before_integrating(monkeypatch, steps):
+    """Each step value meets the ConverterSpec rule before the first
+    step, not when the run reaches it (or never, past t_end)."""
+    def no_integration(*args):
+        raise AssertionError("integrated before the parameter steps were checked")
+
+    monkeypatch.setattr(transient, "_integrate_segment", no_integration)
+    with pytest.raises(ValidationError):
+        simulate(SEPIC_BENCH, Stimulus(duty=0.2, parameter_steps=steps), t_end=2e-4)
 
 
 @pytest.mark.parametrize("t", [float("nan"), float("inf")])
@@ -245,7 +302,7 @@ def numpy_solve_stage(spec, d, z, rhs, dh, M_inv, tol, product):
     it before its kernel moved to plain floats."""
     prev = np.inf
     for _ in range(transient._NEWTON_MAX):
-        delta = product(M_inv, rhs - z + dh * derivative(spec, d, z))
+        delta = product(M_inv, rhs - z + dh * np.array(derivative(spec, d, z)))
         z = z + delta
         norm = float(np.max(np.abs(delta) / tol))
         if norm <= 1.0:
@@ -274,7 +331,8 @@ def numpy_integrate_segment(spec, stim, t0, t1, x, f0, h, rtol, atol, accept, wo
             raise StepSizeUnderflow("step size underflow at t = %.6e s" % (t,))
         if J is None:
             d = stim.duty_at(t)
-            J, _ = state_jacobian(spec, d, x, transient.resolve_ports(spec, d, x))
+            ports = transient.resolve_ports(spec, d, x)
+            J = np.array(jacobian_columns(spec, d, x, ports, 4)).T
             fresh = True
         dh = 0.5 * gamma * h
         M_inv = np.linalg.inv(np.eye(4) - dh * J)
@@ -376,7 +434,7 @@ def test_startup_work_per_accepted_step(monkeypatch):
     one to label the sample, and one per Jacobian rebuild, which the
     kept Jacobian makes rare."""
     calls = [0]
-    derivative_fn, resolve_fn = transient.derivative_values, transient.resolve_ports
+    derivative_fn, resolve_fn = transient.derivative, transient.resolve_ports
 
     def counted_derivative(spec, d, x, ports=None):
         calls[0] += ports is None
@@ -386,7 +444,7 @@ def test_startup_work_per_accepted_step(monkeypatch):
         calls[0] += 1
         return resolve_fn(spec, d, x)
 
-    monkeypatch.setattr(transient, "derivative_values", counted_derivative)
+    monkeypatch.setattr(transient, "derivative", counted_derivative)
     monkeypatch.setattr(transient, "resolve_ports", counted_resolve)
     wf = simulate(SEPIC_BENCH, Stimulus(duty=0.2), t_end=0.12)
     accepted = len(wf.times) - 1
