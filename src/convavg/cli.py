@@ -192,7 +192,7 @@ def _cmd_compare(args):
     duty = _require_duty(args, parsed)
     spec = parsed.spec
     op = solve_dc(OperatingPointRequest(spec=spec, D=duty))
-    ports = resolve_ports(spec, duty, op.state.as_array())
+    ports = resolve_ports(spec, duty, op.state)
     wf = run_switched(SwitchedRunConfig(spec=spec, D=duty,
                                         n_cycles=args.cycles,
                                         steps_per_cycle=args.steps,

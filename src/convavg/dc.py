@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isfinite, sqrt
+from typing import NamedTuple
 
 from .avgmodel import derivative, jacobian_columns, resolve_ports
 from .converter import (CUK, ConverterSpec, OperatingPointRequest, ValidationError,
@@ -41,8 +42,7 @@ class SingularJacobian(SolverError):
     """The Newton matrix of the DC residual could not be factored."""
 
 
-@dataclass(frozen=True)
-class StateVector:
+class StateVector(NamedTuple):
     """Averaged converter state."""
 
     i_L1: float
@@ -52,21 +52,18 @@ class StateVector:
 
     def as_array(self):
         import numpy as np
-        return np.array([self.i_L1, self.i_L2, self.v_C1, self.v_C2])
+        return np.array(self)
 
 
 def state_values(x):
     """An initial state, a StateVector or four numbers, as a list of four
     finite floats; anything else is a ValidationError."""
-    if isinstance(x, StateVector):
-        values = [x.i_L1, x.i_L2, x.v_C1, x.v_C2]
-    else:
-        try:
-            values = [float(v) for v in x]
-        except (TypeError, ValueError):
-            values = []
-        if len(values) != 4:
-            raise ValidationError("initial state must have four entries")
+    try:
+        values = [float(v) for v in x]
+    except (TypeError, ValueError):
+        values = []
+    if len(values) != 4:
+        raise ValidationError("initial state must have four entries")
     if not all(map(isfinite, values)):
         raise ValidationError("initial state must be finite")
     return values

@@ -73,15 +73,14 @@ def linearize(spec: ConverterSpec, op: OperatingPoint) -> LinearModel:
     if not op.converged:
         raise ValidationError("cannot linearize an unconverged operating point")
     d = float(op.D)
-    x = op.state.as_array()
-    base = resolve_ports(spec, d, x)
+    base = resolve_ports(spec, d, op.state)
     degenerate = abs(base.mu_candidate - d) <= _KINK_TOL * max(1.0, d)
     if degenerate:
         warnings.warn(
             "operating point lies on the mode boundary; "
             "linearizing the %s branch" % base.mode, DegenerateOperatingPoint)
 
-    cols = jacobian_columns(spec, d, x, base, 5)
+    cols = jacobian_columns(spec, d, op.state, base, 5)
     A, B_d = np.array(cols[:4]).T, np.array(cols[4])
     # Vg drives only the L1 equation and never reaches the cell or v_out.
     B_g = np.array([1.0 / spec.L1, 0.0, 0.0, 0.0])
@@ -140,7 +139,7 @@ def transfer_at(model: LinearModel, input: str, f):
     return out
 
 
-def _normalize_phase(phase, negative_dc_gain=None):
+def _normalize_phase(phase, negative_dc_gain):
     """Shift an unwrapped phase (degrees) into the reporting branch.
 
     The first sample is an angle in [-180, 180]; the branch puts it
@@ -148,14 +147,9 @@ def _normalize_phase(phase, negative_dc_gain=None):
     chain reads as accumulated lag (a flat +90 reads as -270).  A
     response with negative DC gain is folded by +180 so margins refer
     to the sign-corrected loop and a phase margin above 180 degrees
-    stays representable.  When the sign is not supplied it is guessed
-    from the first sample: a start inside (-270, -135) is taken as an
-    inverting plant plus ordinary lag.
+    stays representable.
     """
-    start = phase[0]
-    shift = -360.0 if start > 0.0 else 0.0
-    if negative_dc_gain is None:
-        negative_dc_gain = -270.0 < start + shift < -135.0
+    shift = -360.0 if phase[0] > 0.0 else 0.0
     if negative_dc_gain:
         shift += 180.0
     return phase + shift
@@ -193,8 +187,8 @@ def _gain_phase_margins(f, response, negative_dc_gain):
 
     The phase margin is taken at the last unity-gain crossing; the gain
     margin is the worst case over all -180-degree crossings of the
-    normalized phase (see _normalize_phase; pass negative_dc_gain to
-    pin the sign fold instead of inferring it from the samples).
+    normalized phase (see _normalize_phase for the negative_dc_gain
+    fold).
     """
     f = np.asarray(f, dtype=float)
     response = np.asarray(response, dtype=complex)
@@ -235,13 +229,10 @@ def frequency_response(model: LinearModel, input: str = "duty",
         raise ValidationError("frequencies must be positive")
     if np.any(np.diff(f) <= 0.0):
         raise ValidationError("frequency grid must be strictly increasing")
-    H = transfer_at(model, input, f)
-    B, D_feed = (model.B_d, model.D_d) if input == "duty" else (model.B_g, model.D_g)
-    try:
-        g0 = float(model.C @ np.linalg.solve(-model.A, B) + D_feed)
-        negative = g0 < 0.0
-    except np.linalg.LinAlgError:
-        negative = None
-    mag_db, phase, margins = _gain_phase_margins(f, H, negative)
+    # s = 0 rides in the same batch: its sample is the DC gain, infinite
+    # (so never folded) when A is singular
+    H = transfer_at(model, input, np.concatenate(([0.0], f)))
+    g0, H = H[0], H[1:]
+    mag_db, phase, margins = _gain_phase_margins(f, H, g0.real < 0.0)
     return FrequencyResponse(f=f, response=H, magnitude_db=mag_db,
                              phase_deg=phase, margins=margins)

@@ -371,8 +371,7 @@ def run_switched(config: SwitchedRunConfig, steady_tol: float = 0.0) -> Switched
             mode=mode)
         return summary, plan
 
-    x = np.append(np.zeros(4) if config.initial is None
-                  else config.initial.as_array(), 1.0)
+    x = np.append(np.zeros(4) if config.initial is None else config.initial, 1.0)
     summaries = []
     for _ in range(config.n_cycles):
         summary, plan = run_cycle(x)

@@ -253,7 +253,9 @@ def simulate(spec: ConverterSpec, stimulus: Stimulus, t_end: float,
             raise ValidationError("%s must be finite and non-negative, got %r"
                                   % (name, value))
     for _, name, value in stimulus.parameter_steps:
-        dataclasses.replace(spec, **{name: value})     # ConverterSpec checks the value
+        # ConverterSpec checks the value; an ideal spec zeroes a parasitic
+        if getattr(dataclasses.replace(spec, **{name: value}), name) != value:
+            raise ValidationError("%s cannot step to %r on an ideal spec" % (name, value))
     x = [0.0] * 4 if initial is None else state_values(initial)
 
     events = sorted({t for t, _, _ in stimulus.parameter_steps if 0.0 < t < t_end}

@@ -1,8 +1,26 @@
-"""Hypothesis strategies for the property tests over random converters."""
+"""Shared test fixtures: the two bench converters, the bundled configs,
+and the Hypothesis strategies for the property tests over random
+converters."""
+
+import importlib.resources
 
 from hypothesis import strategies as st
 
-from convavg import CUK, SEPIC, ConverterSpec
+from convavg import CUK, SEPIC, ConverterSpec, parse_config
+
+# the bundled sepic_bench and cuk_bench configs, written out
+SEPIC_BENCH = ConverterSpec(kind=SEPIC, Vg=62.0, R=52.0, L1=13e-3, L2=166e-6,
+                            C1=0.5e-6, C2=1000e-6, f_s=50e3, R_L1=0.13, R_L2=0.11,
+                            R_on1=0.031, V_d=0.7, R_d=0.12, R_C1=0.27, R_C2=0.11)
+CUK_BENCH = ConverterSpec(kind=CUK, Vg=25.0, R=100.0, L1=1e-3, L2=1e-3,
+                          C1=850e-6, C2=47e-6, f_s=20e3, R_L1=0.15, R_L2=0.2,
+                          R_on1=0.031, V_d=0.75, R_d=0.11, R_C1=0.2, R_C2=0.3)
+
+
+def bundled(name):
+    """The bundled config ``name`` (sepic_bench or cuk_bench), parsed."""
+    path = importlib.resources.files("convavg") / "configs" / (name + ".conf")
+    return parse_config(path.read_text())
 
 
 def decades(lo, hi):

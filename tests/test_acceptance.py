@@ -15,9 +15,6 @@ import numpy as np
 import pytest
 
 from convavg import (
-    SEPIC,
-    CUK,
-    ConverterSpec,
     OperatingPointRequest,
     Stimulus,
     SwitchedRunConfig,
@@ -31,13 +28,7 @@ from convavg import (
 )
 from convavg.avgmodel import resolve_ports
 from convavg.converter import dcm_predicted, effective_resistance
-
-SEPIC_BENCH = ConverterSpec(kind=SEPIC, Vg=62.0, R=52.0, L1=13e-3, L2=166e-6,
-                         C1=0.5e-6, C2=1000e-6, f_s=50e3, R_L1=0.13, R_L2=0.11,
-                         R_on1=0.031, V_d=0.7, R_d=0.12, R_C1=0.27, R_C2=0.11)
-CUK_BENCH = ConverterSpec(kind=CUK, Vg=25.0, R=100.0, L1=1e-3, L2=1e-3,
-                       C1=850e-6, C2=47e-6, f_s=20e3, R_L1=0.15, R_L2=0.2,
-                       R_on1=0.031, V_d=0.75, R_d=0.11, R_C1=0.2, R_C2=0.3)
+from strategies import CUK_BENCH, SEPIC_BENCH
 
 
 def verdict(capfd, number, ok, detail):

@@ -1,7 +1,5 @@
 """Tests for the analytic state and duty derivatives of the averaged cell."""
 
-import importlib.resources
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,18 +13,12 @@ from convavg import (
     effective_resistance,
     jacobian_columns,
     linearize,
-    parse_config,
     resolve_ports,
     solve_dc,
 )
 from convavg.dc import _guess_values
 from convavg.switchcell import MU_CLAMP_EPS
-from strategies import converter_specs
-
-
-def bundled(name):
-    text = (importlib.resources.files("convavg") / "configs" / (name + ".conf")).read_text()
-    return parse_config(text)
+from strategies import bundled, converter_specs
 
 
 def state_jacobian(spec, d, x, ports):

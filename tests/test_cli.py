@@ -2,13 +2,27 @@
 
 import contextlib
 import io
+import os
+import pathlib
 import subprocess
 import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import convavg
 from convavg.cli import main
+
+# child interpreters import the convavg under test, not the caller's
+# PYTHONPATH or an installed copy
+CHILD_ENV = dict(os.environ, PYTHONPATH=str(pathlib.Path(convavg.__file__).parents[1]))
+
+
+def run_python(args):
+    """Run ``python args...`` on the convavg under test; capture text."""
+    return subprocess.run([sys.executable] + args, capture_output=True,
+                          text=True, env=CHILD_ENV)
+
 
 MINIMAL_NO_DEFAULTS = """\
 [converter]
@@ -124,6 +138,17 @@ def test_ac_infinite_margin_formatting(capsys):
     assert got["gain_margin_dB"] == "inf"
     assert got["phase_crossover_Hz"] == "none"
     assert float(got["phase_margin_deg"]) == pytest.approx(86.610, rel=1e-3)
+
+
+def test_ac_flags_a_degenerate_operating_point(tmp_path, capsys):
+    # the ideal sepic_bench at its CCM/DCM boundary duty 1 - sqrt(K)
+    path = tmp_path / "ideal.conf"
+    path.write_text(MINIMAL_NO_DEFAULTS + "ideal = yes\n")
+    with pytest.warns(UserWarning, match="mode boundary"):
+        rc = main(["ac", "--config", str(path), "--duty", "0.43856805113465025",
+                   "-o", "-"])
+    assert rc == 0
+    assert fields(capsys.readouterr().out)["degenerate"] == "true"
 
 
 def test_ac_custom_grid(capsys):
@@ -307,6 +332,9 @@ def test_missing_duty_is_exit_1(tmp_path, capsys):
     path.write_text(MINIMAL_NO_DEFAULTS)
     assert main(["dc", "--config", str(path)]) == 1
     assert "duty" in capsys.readouterr().err
+    # tran's end time has no default either
+    assert main(["tran", "--config", str(path), "--duty", "0.2"]) == 1
+    assert "t_end" in capsys.readouterr().err
 
 
 def test_bad_config_is_exit_2(tmp_path, capsys):
@@ -405,8 +433,9 @@ def test_switched_event_failure_is_exit_3(monkeypatch, capsys):
 
 
 def test_missing_config_file_is_exit_4(capsys):
-    assert main(["dc", "--config", "/no/such/dir/x.conf"]) == 4
-    assert "i/o error" in capsys.readouterr().err
+    for name in ("/no/such/dir/x.conf", "no_such_bench"):
+        assert main(["dc", "--config", name]) == 4, name
+        assert "i/o error" in capsys.readouterr().err
 
 
 def test_unwritable_output_is_exit_4(tmp_path, capsys):
@@ -417,9 +446,7 @@ def test_unwritable_output_is_exit_4(tmp_path, capsys):
 
 
 def test_module_entry_point():
-    proc = subprocess.run([sys.executable, "-m", "convavg", "dc",
-                           "--config", "sepic_bench"],
-                          capture_output=True, text=True)
+    proc = run_python(["-m", "convavg", "dc", "--config", "sepic_bench"])
     assert proc.returncode == 0
     assert "mode = DCM" in proc.stdout
 
@@ -444,8 +471,7 @@ sys.exit(code)
     ["sweep", "--config", "cuk_bench", "--from", "0.1", "--to", "0.85", "--step", "0.05"],
 ], ids=["dc-sepic", "dc-cuk", "sweep-sepic", "sweep-cuk"])
 def test_dc_and_sweep_run_without_numpy(argv):
-    proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE] + argv,
-                          capture_output=True, text=True)
+    proc = run_python(["-c", NUMPY_PROBE] + argv)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "numpy imported: False"
 
@@ -460,7 +486,7 @@ for name in ("sepic_bench", "cuk_bench"):
     convavg.parse_config(text)
 print("numpy imported:", "numpy" in sys.modules)
 """
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = run_python(["-c", code])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "numpy imported: False\n"
 
@@ -485,7 +511,7 @@ for name in ("sepic_bench", "cuk_bench"):
     assert all(type(v) is float for v in f + sum(cols, ()))
 print("numpy imported:", "numpy" in sys.modules)
 """
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = run_python(["-c", code])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "numpy imported: False\n"
 

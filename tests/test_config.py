@@ -1,10 +1,11 @@
 """Tests for the key-value config format."""
 
-import importlib.resources
+import dataclasses
 
 import pytest
 
 from convavg import ParseError, ValidationError, parse_config
+from strategies import CUK_BENCH, SEPIC_BENCH, bundled
 
 MINIMAL = """\
 [converter]
@@ -19,12 +20,21 @@ f_s = 50 kHz
 """
 
 
-def bundled(name):
-    return (importlib.resources.files("convavg") / "configs" / name).read_text()
+def test_bench_constants_match_the_bundled_configs():
+    """The tests' written-out bench specs are the bundled configs, to
+    1e-15 relative in every field.  They are not bit-equal: "13 mH"
+    parses to 13 * 1e-3 = 0.013000000000000001, one ulp above 13e-3."""
+    for name, spec in (("sepic_bench", SEPIC_BENCH), ("cuk_bench", CUK_BENCH)):
+        parsed = bundled(name).spec
+        for field in dataclasses.fields(spec):
+            want = getattr(spec, field.name)
+            assert getattr(parsed, field.name) == (
+                pytest.approx(want, rel=1e-15, abs=0.0)
+                if type(want) is float else want), (name, field.name)
 
 
 def test_bundled_sepic_config():
-    cfg = parse_config(bundled("sepic_bench.conf"))
+    cfg = bundled("sepic_bench")
     s = cfg.spec
     assert s.kind == "sepic"
     assert s.Vg == 62.0
@@ -47,7 +57,7 @@ def test_bundled_sepic_config():
 
 
 def test_bundled_cuk_config():
-    cfg = parse_config(bundled("cuk_bench.conf"))
+    cfg = bundled("cuk_bench")
     s = cfg.spec
     assert s.kind == "cuk"
     assert s.Vg == 25.0
@@ -133,11 +143,14 @@ def test_duplicate_key_rejected():
 
 
 def test_error_carries_position():
-    text = "[converter]\nkind = sepic\nVg = volts\n"
-    with pytest.raises(ParseError) as err:
-        parse_config(text)
-    assert err.value.line == 3
-    assert err.value.column == 6
+    for text, line, column, message in (
+        ("[converter]\nkind = sepic\nVg = volts\n", 3, 6, "number"),
+        (MINIMAL.replace("L1 = 13 mH", "L1 = 13 xH"), 5, 6, "unit prefix 'x'"),
+        (MINIMAL + "[analysis defaults]\nD = 0.2 s\n", 11, 5, "bare number"),
+    ):
+        with pytest.raises(ParseError, match=message) as err:
+            parse_config(text)
+        assert (err.value.line, err.value.column) == (line, column), text
 
 
 def test_key_outside_section_rejected():

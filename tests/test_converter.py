@@ -1,35 +1,27 @@
 """Tests for converter specs and the derived scalar quantities."""
 
+import dataclasses
 import math
 
 import pytest
 
 from convavg import (
     SEPIC,
-    CUK,
-    ConverterSpec,
     OperatingPointRequest,
     ValidationError,
     dcm_predicted,
     effective_resistance,
     equivalent_inductance,
 )
+from strategies import CUK_BENCH, SEPIC_BENCH
 
 
 def sepic_bench(**overrides):
-    base = dict(kind=SEPIC, Vg=62.0, R=52.0, L1=13e-3, L2=166e-6,
-                C1=0.5e-6, C2=1000e-6, f_s=50e3, R_L1=0.13, R_L2=0.11,
-                R_on1=0.031, V_d=0.7, R_d=0.12, R_C1=0.27, R_C2=0.11)
-    base.update(overrides)
-    return ConverterSpec(**base)
+    return dataclasses.replace(SEPIC_BENCH, **overrides)
 
 
 def cuk_bench(**overrides):
-    base = dict(kind=CUK, Vg=25.0, R=100.0, L1=1e-3, L2=1e-3,
-                C1=850e-6, C2=47e-6, f_s=20e3, R_L1=0.15, R_L2=0.2,
-                R_on1=0.031, V_d=0.75, R_d=0.11, R_C1=0.2, R_C2=0.3)
-    base.update(overrides)
-    return ConverterSpec(**base)
+    return dataclasses.replace(CUK_BENCH, **overrides)
 
 
 def test_equivalent_inductance_table1():
@@ -131,6 +123,9 @@ def test_dcm_predicted_boundary_duty():
     assert abs(d_star - 0.43856805113465) < 1e-11
     assert dcm_predicted(spec, d_star) is False
     assert dcm_predicted(spec, d_star - 1e-9) is True
+    for bad in (0.0, 1.0):      # outside the open duty interval
+        with pytest.raises(ValidationError):
+            dcm_predicted(spec, bad)
 
 
 def test_ideal_flag_zeroes_parasitics():

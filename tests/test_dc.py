@@ -13,11 +13,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from convavg import (
-    SEPIC,
-    CUK,
     CCM,
     DCM,
-    ConverterSpec,
     NonConvergence,
     OperatingPointRequest,
     SingularJacobian,
@@ -32,14 +29,8 @@ from convavg import (
 )
 from convavg.dc import _guess_values
 from convavg.switchcell import MU_CLAMP_EPS
-from strategies import converter_specs
+from strategies import CUK_BENCH, SEPIC_BENCH, converter_specs
 
-SEPIC_BENCH = ConverterSpec(kind=SEPIC, Vg=62.0, R=52.0, L1=13e-3, L2=166e-6,
-                         C1=0.5e-6, C2=1000e-6, f_s=50e3, R_L1=0.13, R_L2=0.11,
-                         R_on1=0.031, V_d=0.7, R_d=0.12, R_C1=0.27, R_C2=0.11)
-CUK_BENCH = ConverterSpec(kind=CUK, Vg=25.0, R=100.0, L1=1e-3, L2=1e-3,
-                       C1=850e-6, C2=47e-6, f_s=20e3, R_L1=0.15, R_L2=0.2,
-                       R_on1=0.031, V_d=0.75, R_d=0.11, R_C1=0.2, R_C2=0.3)
 
 # loss-free-resistor closed forms, frozen:
 #   sepic ideal: V0 = Vg*sqrt(R/Re) = 62*sqrt(52/409.77) = 22.086
@@ -158,6 +149,10 @@ def test_initial_guess_is_close_for_ideal_converter():
     guess = _guess_values(spec, 0.2)
     op = solve_dc(OperatingPointRequest(spec=spec, D=0.2))
     assert abs(guess[3] - op.V0) / abs(op.V0) < 0.05
+    # a dead source: the guess is the zero state, which solves at once
+    op = solve_dc(OperatingPointRequest(spec=dataclasses.replace(spec, Vg=0.0), D=0.2))
+    assert op.state == (0.0, 0.0, 0.0, 0.0)
+    assert op.iterations == 0 and op.converged
 
 
 def test_nonconvergence_raises_with_tiny_budget(monkeypatch):
@@ -282,6 +277,7 @@ def test_state_vector_round_trip():
     arr = s.as_array()
     assert arr.tolist() == [1.0, -2.0, 3.5, -4.25]
     assert StateVector(*map(float, arr)) == s
+    assert s == (1.0, -2.0, 3.5, -4.25)     # the state is its four floats
 
 
 # --- properties over random converters ------------------------------

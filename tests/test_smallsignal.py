@@ -1,18 +1,20 @@
 """Tests for linearization, frequency responses and stability margins."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from convavg import (
     SEPIC,
-    CUK,
     ConverterSpec,
     DegenerateOperatingPoint,
     LinearModel,
     OperatingPoint,
     OperatingPointRequest,
+    SolverError,
     StateVector,
     ValidationError,
     default_frequency_grid,
@@ -25,13 +27,7 @@ from convavg import (
 )
 from convavg.converter import equivalent_inductance
 import convavg.smallsignal as smallsignal
-
-SEPIC_BENCH = ConverterSpec(kind=SEPIC, Vg=62.0, R=52.0, L1=13e-3, L2=166e-6,
-                         C1=0.5e-6, C2=1000e-6, f_s=50e3, R_L1=0.13, R_L2=0.11,
-                         R_on1=0.031, V_d=0.7, R_d=0.12, R_C1=0.27, R_C2=0.11)
-CUK_BENCH = ConverterSpec(kind=CUK, Vg=25.0, R=100.0, L1=1e-3, L2=1e-3,
-                       C1=850e-6, C2=47e-6, f_s=20e3, R_L1=0.15, R_L2=0.2,
-                       R_on1=0.031, V_d=0.75, R_d=0.11, R_C1=0.2, R_C2=0.3)
+from strategies import CUK_BENCH, SEPIC_BENCH, converter_specs
 
 
 def linearized(spec, d):
@@ -260,7 +256,6 @@ def test_transfer_matches_first_order_lag():
     assert np.angle(H) == pytest.approx(-np.arctan(w * tau), rel=1e-12)
 
 
-
 def test_batched_transfer_matches_per_frequency_solve():
     for spec, d in ((SEPIC_BENCH, 0.2), (CUK_BENCH, 0.42)):
         _, model = linearized(spec, d)
@@ -335,7 +330,7 @@ def test_triple_integrator_margin():
     f0 = 1e3
     f = np.logspace(1.0, 5.0, 400)
     H = (f0 / (1j * f)) ** 3
-    m = smallsignal._gain_phase_margins(f, H, None)[2]
+    m = smallsignal._gain_phase_margins(f, H, False)[2]
     assert m.phase_margin_deg == pytest.approx(-90.0, abs=1e-9)
     assert m.gain_crossover_hz == pytest.approx(f0, rel=1e-9)
 
@@ -343,7 +338,7 @@ def test_triple_integrator_margin():
 def test_flat_gain_has_no_margins():
     f = np.logspace(1.0, 4.0, 50)
     H = np.full(f.shape, 10.0 + 0.0j)
-    m = smallsignal._gain_phase_margins(f, H, None)[2]
+    m = smallsignal._gain_phase_margins(f, H, False)[2]
     assert m.phase_margin_deg is None
     assert m.gain_crossover_hz is None
     assert m.gain_margin_db == np.inf
@@ -352,7 +347,45 @@ def test_flat_gain_has_no_margins():
 
 def test_margins_need_two_samples():
     with pytest.raises(ValidationError):
-        smallsignal._gain_phase_margins(np.array([10.0]), np.array([1.0 + 0j]), None)
+        smallsignal._gain_phase_margins(np.array([10.0]), np.array([1.0 + 0j]), False)
+
+
+def test_double_integrator_has_zero_phase_margin():
+    """w0**2 / s**2 sits at -180 degrees at every frequency.  Its A is
+    singular, so it has no finite DC gain and its phase is not folded;
+    a sign guessed from the first phase sample read it as an inverting
+    plant and reported a 180-degree margin."""
+    w0 = 2.0 * np.pi * 1e3
+    model = LinearModel(A=np.array([[0.0, 1.0], [0.0, 0.0]]),
+                        B_d=np.array([0.0, w0 ** 2]), B_g=np.zeros(2),
+                        C=np.array([1.0, 0.0]), D_d=0.0, D_g=0.0,
+                        spec=SEPIC_BENCH, D=0.2)
+    m = frequency_response(model, "duty", f=np.logspace(1.0, 5.0, 401)).margins
+    assert m.gain_crossover_hz == pytest.approx(1e3, rel=1e-9)
+    assert m.phase_margin_deg == 0.0
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(converter_specs(), st.floats(0.05, 0.9))
+def test_phase_fold_follows_the_dc_gain_sign(spec, d):
+    """The phase is folded by 180 degrees exactly when the real DC gain
+    C (-A)^-1 B + D is negative, and the reported response is
+    transfer_at on the same grid, bit for bit."""
+    try:
+        op = solve_dc(OperatingPointRequest(spec=spec, D=d))
+    except SolverError:
+        assume(False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateOperatingPoint)
+        model = linearize(spec, op)
+    assume(np.linalg.cond(model.A) < 1e12)
+    for input in ("duty", "source"):
+        resp = frequency_response(model, input)
+        np.testing.assert_array_equal(resp.response,
+                                      transfer_at(model, input, resp.f))
+        shift = resp.phase_deg[0] - np.degrees(np.angle(resp.response[0]))
+        assert min(abs(shift - k) for k in (-360.0, -180.0, 0.0, 180.0)) < 1e-6
+        assert (abs(abs(shift) - 180.0) < 1e-6) == (dc_gain(model, input) < 0.0)
 
 
 def test_sepic_duty_margins_regression():

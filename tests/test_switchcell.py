@@ -1,37 +1,29 @@
 """Tests for the switch-cell interval duties and for the interval-weighted
 port reconstruction that the switched tests compare against."""
 
+import dataclasses
+
 import pytest
 
 from convavg import (
-    SEPIC,
-    CUK,
     CCM,
     DCM,
-    ConverterSpec,
     SwitchIntervalDuties,
     ValidationError,
 )
 from convavg.dc import StateVector
+from strategies import CUK_BENCH, SEPIC_BENCH
 # the interval-weighted port reconstruction is a test-side reference of
 # the switched circuit; it lives with the switched tests that use it
 from test_switched import average_switch_waveforms
 
 
 def sepic_bench(**overrides):
-    base = dict(kind=SEPIC, Vg=62.0, R=52.0, L1=13e-3, L2=166e-6,
-                C1=0.5e-6, C2=1000e-6, f_s=50e3, R_L1=0.13, R_L2=0.11,
-                R_on1=0.031, V_d=0.7, R_d=0.12, R_C1=0.27, R_C2=0.11)
-    base.update(overrides)
-    return ConverterSpec(**base)
+    return dataclasses.replace(SEPIC_BENCH, **overrides)
 
 
 def cuk_bench(**overrides):
-    base = dict(kind=CUK, Vg=25.0, R=100.0, L1=1e-3, L2=1e-3,
-                C1=850e-6, C2=47e-6, f_s=20e3, R_L1=0.15, R_L2=0.2,
-                R_on1=0.031, V_d=0.75, R_d=0.11, R_C1=0.2, R_C2=0.3)
-    base.update(overrides)
-    return ConverterSpec(**base)
+    return dataclasses.replace(CUK_BENCH, **overrides)
 
 
 # --- interval duties -------------------------------------------------

@@ -7,39 +7,29 @@ agreement with the averaged cell at matched operating points.
 """
 
 import dataclasses
-import importlib.resources
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from convavg import (
-    CUK,
     SEPIC,
     CCM,
     DCM,
-    ConverterSpec,
     OperatingPointRequest,
     StateVector,
     SwitchedRunConfig,
     ValidationError,
     cycle_average,
     equivalent_inductance,
-    parse_config,
     run_switched,
     solve_dc,
 )
 from convavg.switched import (DIODE, ON, OPEN, CycleSummary, _interval_system,
                               _output_map)
 from convavg.switchcell import MU_CLAMP_EPS, SwitchIntervalDuties
-from strategies import converter_specs
+from strategies import CUK_BENCH, SEPIC_BENCH, bundled, converter_specs
 
-SEPIC_BENCH = ConverterSpec(kind=SEPIC, Vg=62.0, R=52.0, L1=13e-3, L2=166e-6,
-                         C1=0.5e-6, C2=1000e-6, f_s=50e3, R_L1=0.13, R_L2=0.11,
-                         R_on1=0.031, V_d=0.7, R_d=0.12, R_C1=0.27, R_C2=0.11)
-CUK_BENCH = ConverterSpec(kind=CUK, Vg=25.0, R=100.0, L1=1e-3, L2=1e-3,
-                       C1=850e-6, C2=47e-6, f_s=20e3, R_L1=0.15, R_L2=0.2,
-                       R_on1=0.031, V_d=0.75, R_d=0.11, R_C1=0.2, R_C2=0.3)
 
 # (spec, duty, mode of the seeded run): one DCM and one CCM point per
 # topology, each non-ideal and ideal
@@ -564,9 +554,7 @@ def test_continuing_a_long_run_is_exact(name):
     """Cycle N + 1 of a run from the DC point equals, bit for bit, one
     cycle run on from cycle N's last sample, at N = 2000.  With cycle
     times taken from t = 0 of the run, D2 differed by about 1e-13."""
-    text = (importlib.resources.files("convavg") / "configs"
-            / (name + ".conf")).read_text()
-    parsed = parse_config(text)
+    parsed = bundled(name)
     op = solve_dc(OperatingPointRequest(spec=parsed.spec, D=parsed.duty))
     cfg = SwitchedRunConfig(spec=parsed.spec, D=parsed.duty, n_cycles=2000,
                             initial=op.state)
@@ -623,8 +611,9 @@ def test_steady_tol_validation():
     for tol in (-1e-6, 1e-5):
         with pytest.raises(ValueError):
             run_switched(cfg, steady_tol=tol)
-    with pytest.raises(ValidationError):
-        SwitchedRunConfig(spec=SEPIC_BENCH, D=0.2, n_cycles=5, steps_per_cycle=500)
+    for bad in ({"steps_per_cycle": 500}, {"D": 0.0}, {"D": 1.0}, {"n_cycles": 0}):
+        with pytest.raises(ValidationError):
+            SwitchedRunConfig(**{"spec": SEPIC_BENCH, "D": 0.2, "n_cycles": 5, **bad})
 
 
 @pytest.mark.parametrize("counts", [{"n_cycles": 2.5}, {"steps_per_cycle": 1000.0},

@@ -10,7 +10,6 @@ import pytest
 
 from convavg import (
     SEPIC,
-    CUK,
     ConverterSpec,
     OperatingPointRequest,
     StateVector,
@@ -22,13 +21,7 @@ from convavg import (
 )
 import convavg.transient as transient
 from convavg.avgmodel import derivative, jacobian_columns, resolve_ports
-
-SEPIC_BENCH = ConverterSpec(kind=SEPIC, Vg=62.0, R=52.0, L1=13e-3, L2=166e-6,
-                         C1=0.5e-6, C2=1000e-6, f_s=50e3, R_L1=0.13, R_L2=0.11,
-                         R_on1=0.031, V_d=0.7, R_d=0.12, R_C1=0.27, R_C2=0.11)
-CUK_BENCH = ConverterSpec(kind=CUK, Vg=25.0, R=100.0, L1=1e-3, L2=1e-3,
-                       C1=850e-6, C2=47e-6, f_s=20e3, R_L1=0.15, R_L2=0.2,
-                       R_on1=0.031, V_d=0.75, R_d=0.11, R_C1=0.2, R_C2=0.3)
+from strategies import CUK_BENCH, SEPIC_BENCH
 
 
 # --- stimulus plumbing ----------------------------------------------
@@ -127,6 +120,25 @@ def test_bad_parameter_step_value_is_refused_before_integrating(monkeypatch, ste
     monkeypatch.setattr(transient, "_integrate_segment", no_integration)
     with pytest.raises(ValidationError):
         simulate(SEPIC_BENCH, Stimulus(duty=0.2, parameter_steps=steps), t_end=2e-4)
+
+
+def test_parasitic_step_on_an_ideal_spec_is_refused_before_integrating(monkeypatch):
+    """An ideal spec zeroes its parasitics again, so an R_L1 step on it
+    was once run as no step at all.  A load step, and a parasitic step
+    to zero, stay legal."""
+    ideal = dataclasses.replace(SEPIC_BENCH, ideal=True)
+
+    def no_integration(*args):
+        raise AssertionError("integrated before the parameter steps were checked")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(transient, "_integrate_segment", no_integration)
+        with pytest.raises(ValidationError, match="R_L1"):
+            simulate(ideal, Stimulus(duty=0.2, parameter_steps=((1e-3, "R_L1", 5.0),)),
+                     t_end=2e-3)
+    for step in ((1e-4, "R", 26.0), (1e-4, "R_L1", 0.0)):
+        wf = simulate(ideal, Stimulus(duty=0.2, parameter_steps=(step,)), t_end=2e-4)
+        assert wf.times[-1] == 2e-4
 
 
 @pytest.mark.parametrize("t", [float("nan"), float("inf")])
