@@ -129,14 +129,30 @@ def transfer_at(model: LinearModel, input: str, f):
     except np.linalg.LinAlgError:
         pass
     # some resolvent is singular: an eigenvalue sits on the imaginary
-    # axis at exactly that frequency
-    out = np.empty(f.shape, dtype=complex)
-    for k, resolvent in enumerate(resolvents):
-        try:
-            out[k] = model.C @ np.linalg.solve(resolvent, B) + D_feed
-        except np.linalg.LinAlgError:
-            out[k] = complex(np.inf, 0.0)
+    # axis at exactly that frequency.  Bisect the batch down to the
+    # singular ones, then contract every solved row in one product, as
+    # a row's last bit depends on how many rows the product holds.
+    X = np.empty((f.size, B.size), dtype=complex)
+    solved = np.zeros(f.size, dtype=bool)
+    if f.size > 1:
+        _solve_halves(resolvents, B, X, solved, 0, f.size)
+    out = np.full(f.shape, complex(np.inf, 0.0))
+    out[solved] = X[solved] @ model.C + D_feed
     return out
+
+
+def _solve_halves(resolvents, B, X, solved, lo, hi):
+    """Solve the rows lo:hi of a batch that failed as a whole, as two
+    halves; a half that fails again is bisected the same way, down to
+    its singular resolvents, which stay unsolved."""
+    mid = (lo + hi) // 2
+    for a, b in ((lo, mid), (mid, hi)):
+        try:
+            X[a:b] = np.linalg.solve(resolvents[a:b], B[:, None])[:, :, 0]
+            solved[a:b] = True
+        except np.linalg.LinAlgError:
+            if b - a > 1:
+                _solve_halves(resolvents, B, X, solved, a, b)
 
 
 def _normalize_phase(phase, negative_dc_gain):

@@ -11,8 +11,9 @@ Newton iteration fails; the step shrinks only when Newton fails with a
 fresh J.  The stage derivatives are recovered from the stage equations,
 so a step costs one derivative per Newton iteration plus the one that
 starts the next step.  The step and the cell's derivative run on plain
-floats; numpy only inverts the per-step Newton matrix and builds the
-output arrays.
+floats, each 4-vector as four named floats and each 4x4 product summed
+left to right; numpy only inverts the per-step Newton matrix and builds
+the output arrays.
 
 The effective duty is resolved algebraically inside every derivative
 evaluation, so mode transitions need no special handling; parameter
@@ -48,6 +49,7 @@ _EYE = np.eye(4)
 _GAMMA = 2.0 - sqrt(2.0)
 _B_G = 1.0 / (_GAMMA * (2.0 - _GAMMA))
 _B_0 = (1.0 - _GAMMA) ** 2 / (_GAMMA * (2.0 - _GAMMA))
+_GAMMA_SQ = _GAMMA ** 2
 # Local error k*h*(f0/gamma - f_g/(gamma*(1-gamma)) + f1/(1-gamma)).
 _ERR_K = (-3.0 * _GAMMA ** 2 + 4.0 * _GAMMA - 2.0) / (6.0 * (2.0 - _GAMMA))
 _ERR_0 = _ERR_K / _GAMMA
@@ -138,16 +140,23 @@ class Waveform:
 
 def _solve_stage(spec, d, z, rhs, dh, M, tol, work):
     """Simplified Newton on z - dh f(d, z) = rhs with the frozen inverse
-    Newton matrix M; returns the stage value or None."""
+    Newton matrix M, its 16 entries row by row; returns the stage value
+    or None."""
     (r0, r1, r2, r3), (t0, t1, t2, t3) = rhs, tol
+    m00, m01, m02, m03, m10, m11, m12, m13, m20, m21, m22, m23, m30, m31, m32, m33 = M
     prev = inf
     for _ in range(_NEWTON_MAX):
         f0, f1, f2, f3 = derivative(spec, d, z, resolve_ports(spec, d, z))
         work["rhs"] += 1
         z0, z1, z2, z3 = z
-        v0, v1, v2, v3 = (r0 - z0 + dh * f0, r1 - z1 + dh * f1,
-                          r2 - z2 + dh * f2, r3 - z3 + dh * f3)
-        s0, s1, s2, s3 = [a * v0 + b * v1 + c * v2 + e * v3 for a, b, c, e in M]
+        v0 = r0 - z0 + dh * f0
+        v1 = r1 - z1 + dh * f1
+        v2 = r2 - z2 + dh * f2
+        v3 = r3 - z3 + dh * f3
+        s0 = m00 * v0 + m01 * v1 + m02 * v2 + m03 * v3
+        s1 = m10 * v0 + m11 * v1 + m12 * v2 + m13 * v3
+        s2 = m20 * v0 + m21 * v1 + m22 * v2 + m23 * v3
+        s3 = m30 * v0 + m31 * v1 + m32 * v2 + m33 * v3
         z = (z0 + s0, z1 + s1, z2 + s2, z3 + s3)
         # a nan residual makes every s_i nan, and max(); the error test catches the rest
         norm = max(abs(s0) / t0, abs(s1) / t1, abs(s2) / t2, abs(s3) / t3)
@@ -182,24 +191,34 @@ def _integrate_segment(spec, stim, t0, t1, x, f0, h, rtol, atol, accept, work):
             work["jacobians"] += 1
             fresh = True
         dh = 0.5 * _GAMMA * h
-        M = np.linalg.inv(_EYE - dh * J).tolist()
+        gh = _GAMMA * h
+        M = np.linalg.inv(_EYE - dh * J).ravel().tolist()
+        x0, x1, x2, x3 = x
+        p0, p1, p2, p3 = f0
         # stages are solved to a fraction of the error tolerance, not to round-off
-        tol = [max(0.05 * (atol + rtol * abs(a)), 1e-14 * (1.0 + abs(a))) for a in x]
+        tol = (max(0.05 * (atol + rtol * abs(x0)), 1e-14 * (1.0 + abs(x0))),
+               max(0.05 * (atol + rtol * abs(x1)), 1e-14 * (1.0 + abs(x1))),
+               max(0.05 * (atol + rtol * abs(x2)), 1e-14 * (1.0 + abs(x2))),
+               max(0.05 * (atol + rtol * abs(x3)), 1e-14 * (1.0 + abs(x3))))
         # stage 1: trapezoid to t + gamma*h from an explicit Euler guess
-        rhs = [a + dh * b for a, b in zip(x, f0)]
-        y_g = _solve_stage(spec, stim.duty_at(t + _GAMMA * h),
-                           [a + _GAMMA * h * b for a, b in zip(x, f0)],
-                           rhs, dh, M, tol, work)
+        r0, r1, r2, r3 = x0 + dh * p0, x1 + dh * p1, x2 + dh * p2, x3 + dh * p3
+        y_g = _solve_stage(spec, stim.duty_at(t + gh),
+                           (x0 + gh * p0, x1 + gh * p1, x2 + gh * p2, x3 + gh * p3),
+                           (r0, r1, r2, r3), dh, M, tol, work)
         y1 = None
         if y_g is not None:
-            f_g = [(a - b) / dh for a, b in zip(y_g, rhs)]
+            g0, g1, g2, g3 = y_g
+            q0, q1, q2, q3 = (g0 - r0) / dh, (g1 - r1) / dh, (g2 - r2) / dh, (g3 - r3) / dh
             # stage 2: BDF2 through x, y_g to t + h, guessed by the
             # quadratic through x (slope f0) and y_g
-            rhs = [_B_G * a - _B_0 * b for a, b in zip(y_g, x)]
+            r0, r1, r2, r3 = (_B_G * g0 - _B_0 * x0, _B_G * g1 - _B_0 * x1,
+                              _B_G * g2 - _B_0 * x2, _B_G * g3 - _B_0 * x3)
             y1 = _solve_stage(spec, stim.duty_at(t + h),
-                              [a + h * b + (c - a - _GAMMA * h * b) / _GAMMA ** 2
-                               for a, b, c in zip(x, f0, y_g)],
-                              rhs, dh, M, tol, work)
+                              (x0 + h * p0 + (g0 - x0 - gh * p0) / _GAMMA_SQ,
+                               x1 + h * p1 + (g1 - x1 - gh * p1) / _GAMMA_SQ,
+                               x2 + h * p2 + (g2 - x2 - gh * p2) / _GAMMA_SQ,
+                               x3 + h * p3 + (g3 - x3 - gh * p3) / _GAMMA_SQ),
+                              (r0, r1, r2, r3), dh, M, tol, work)
         if y1 is None:
             work["newton_failures"] += 1
             if fresh:
@@ -207,13 +226,23 @@ def _integrate_segment(spec, stim, t0, t1, x, f0, h, rtol, atol, accept, work):
             else:
                 J = None
             continue
-        r0, r1, r2, r3 = [h * (_ERR_0 * fa + _ERR_G * fg + _ERR_1 * ((y - r) / dh))
-                          for fa, fg, y, r in zip(f0, f_g, y1, rhs)]
-        scale = [atol + rtol * max(abs(a), abs(b)) for a, b in zip(x, y1)]
-        # |M @ r| / scale; a nan ratio, or a division by zero, fails the test
-        ratios = [abs(a * r0 + b * r1 + c * r2 + e * r3) / s if s else inf
-                  for (a, b, c, e), s in zip(M, scale)]
-        err_norm = inf if isnan(sum(ratios)) else max(ratios)
+        u0, u1, u2, u3 = y1
+        # local error estimate, the stage-2 derivative recovered as (y1 - rhs)/dh
+        e0 = h * (_ERR_0 * p0 + _ERR_G * q0 + _ERR_1 * ((u0 - r0) / dh))
+        e1 = h * (_ERR_0 * p1 + _ERR_G * q1 + _ERR_1 * ((u1 - r1) / dh))
+        e2 = h * (_ERR_0 * p2 + _ERR_G * q2 + _ERR_1 * ((u2 - r2) / dh))
+        e3 = h * (_ERR_0 * p3 + _ERR_G * q3 + _ERR_1 * ((u3 - r3) / dh))
+        c0 = atol + rtol * max(abs(x0), abs(u0))
+        c1 = atol + rtol * max(abs(x1), abs(u1))
+        c2 = atol + rtol * max(abs(x2), abs(u2))
+        c3 = atol + rtol * max(abs(x3), abs(u3))
+        # |M @ e| / scale; a nan ratio, or a division by zero, fails the test
+        m00, m01, m02, m03, m10, m11, m12, m13, m20, m21, m22, m23, m30, m31, m32, m33 = M
+        k0 = abs(m00 * e0 + m01 * e1 + m02 * e2 + m03 * e3) / c0 if c0 else inf
+        k1 = abs(m10 * e0 + m11 * e1 + m12 * e2 + m13 * e3) / c1 if c1 else inf
+        k2 = abs(m20 * e0 + m21 * e1 + m22 * e2 + m23 * e3) / c2 if c2 else inf
+        k3 = abs(m30 * e0 + m31 * e1 + m32 * e2 + m33 * e3) / c3 if c3 else inf
+        err_norm = inf if isnan(k0 + k1 + k2 + k3) else max(k0, k1, k2, k3)
         factor = _STEP_GROW if err_norm == 0.0 else 0.9 * err_norm ** (-1.0 / 3.0)
         if err_norm <= 1.0:
             t += h

@@ -1,6 +1,7 @@
 """Tests for linearization, frequency responses and stability margins."""
 
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -291,6 +292,36 @@ def test_singular_resolvent_maps_to_inf():
         ref = model.C @ np.linalg.solve(2j * np.pi * fj * np.eye(4) - A,
                                         model.B_d) + model.D_d
         assert H[j] == pytest.approx(ref, rel=1e-12)
+
+def test_singular_batch_is_bisected_not_solved_per_frequency(monkeypatch):
+    """A zero row makes A singular, so the s = 0 resolvent -A has no
+    inverse and the batch prepending it fails as a whole.  The batch is
+    bisected down to that sample (a handful of solves, not one per
+    frequency), and every other sample is the one the grid alone gives,
+    bit for bit."""
+    A = np.array([[-3.0, 1.0, 0.5, 0.0],
+                  [0.0, 0.0, 0.0, 0.0],
+                  [2.0, -1.0, -400.0, 30.0],
+                  [0.0, 5.0, 10.0, -50.0]])
+    model = LinearModel(A=A, B_d=np.array([1.0, 0.5, 2.0, -1.0]),
+                        B_g=np.zeros(4), C=np.array([1.0, -1.0, 0.5, 2.0]),
+                        D_d=0.1, D_g=0.0, spec=SEPIC_BENCH, D=0.2)
+    f = default_frequency_grid(SEPIC_BENCH)
+    alone = transfer_at(model, "duty", f)
+    calls = [0]
+    solve = np.linalg.solve
+
+    def counted_solve(a, b):
+        calls[0] += 1
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    H = transfer_at(model, "duty", np.concatenate(([0.0], f)))
+    assert calls[0] <= 2 * math.ceil(math.log2(f.size + 1)) + 2
+    assert H[0] == complex(np.inf, 0.0)
+    np.testing.assert_array_equal(H[1:], alone)
+    np.testing.assert_array_equal(frequency_response(model, "duty").response, alone)
+
 
 def test_transfer_rejects_unknown_input():
     model = synthetic_first_order(1.0, 1e-3)

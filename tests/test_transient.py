@@ -7,11 +7,13 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from convavg import (
     SEPIC,
     ConverterSpec,
     OperatingPointRequest,
+    SolverError,
     StateVector,
     StepSizeUnderflow,
     Stimulus,
@@ -21,7 +23,8 @@ from convavg import (
 )
 import convavg.transient as transient
 from convavg.avgmodel import derivative, jacobian_columns, resolve_ports
-from strategies import CUK_BENCH, SEPIC_BENCH
+from convavg.converter import equivalent_inductance
+from strategies import CUK_BENCH, SEPIC_BENCH, converter_specs
 
 
 # --- stimulus plumbing ----------------------------------------------
@@ -436,6 +439,59 @@ def test_float_kernel_matches_numpy_reference(monkeypatch, spec, d_dcm, d_ccm):
         assert both[0] and both[-1]
         for a, b in ((got.states[both], ref.states[both]), (got.v0[both], ref.v0[both])):
             assert np.all(np.abs(a - b) <= 0.05 * (atol + rtol * np.abs(b)))
+
+
+def outcome(spec, stim, t_end, initial):
+    """simulate's waveform at rtol = atol = 1e-5, or the message of the
+    StepSizeUnderflow it raised."""
+    try:
+        return simulate(spec, stim, t_end, initial, rtol=1e-5, atol=1e-5)
+    except StepSizeUnderflow as exc:
+        return str(exc)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(converter_specs(), st.floats(0.2, 0.8), st.floats(0.1, 0.9))
+# both start-ups underflow at t_end: their last step, cut to end there,
+# lands one ulp short of it
+@example(ConverterSpec(kind=SEPIC, Vg=1.0, R=1.0, L1=0.1, L2=1e-6, C1=0.01, C2=0.01,
+                       f_s=10.0 ** 5.46484375, ideal=True), 0.5, 0.5)
+def test_float_kernel_is_the_reference_step_on_random_converters(spec, u, v):
+    """On random converters with an ideal DCM region, start-ups at a DCM
+    and a CCM duty and a DCM->CCM duty step from the solved DCM point
+    give the same samples bit for bit from the plain-float kernel and
+    from the numpy reference with its products summed in the kernel's
+    order, or fail with the same step-size underflow.  The window is a
+    few of the network's fastest periods (an LC resonance, or the
+    switching period), so each run stays short."""
+    k = 2.0 * equivalent_inductance(spec) * spec.f_s / spec.R
+    assume(k < 0.64)
+    boundary = 1.0 - math.sqrt(k)        # ideal CCM/DCM boundary duty
+    d_dcm, d_ccm = u * boundary, boundary + v * (0.9 - boundary)
+    try:
+        start = solve_dc(OperatingPointRequest(spec=spec, D=d_dcm)).state
+    except SolverError:
+        assume(False)
+    period = min([1.0 / spec.f_s] + [2.0 * math.pi * math.sqrt(ind * cap)
+                                     for ind in (spec.L1, spec.L2)
+                                     for cap in (spec.C1, spec.C2)])
+    t_end = 8.0 * period
+    drives = ((Stimulus(duty=d_dcm), None), (Stimulus(duty=d_ccm), None),
+              (Stimulus(duty=((0.0, d_dcm), (0.25 * t_end, d_dcm),
+                              (0.25 * t_end, d_ccm))), start))
+    for stim, initial in drives:
+        got = outcome(spec, stim, t_end, initial)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(transient, "_integrate_segment",
+                          functools.partial(numpy_integrate_segment, product=left_to_right))
+            same = outcome(spec, stim, t_end, initial)
+        if isinstance(got, str):
+            assert got == same
+            continue
+        for a, b in ((got.times, same.times), (got.states, same.states),
+                     (got.v0, same.v0), (got.mu, same.mu)):
+            assert np.array_equal(a, b)
+        assert got.mode == same.mode
 
 
 # --- work per step --------------------------------------------------
