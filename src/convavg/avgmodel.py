@@ -238,16 +238,17 @@ def jacobian_columns(spec: ConverterSpec, d: float, x, ports: PortSolution,
     mu_d = 1.0 if ports.mode == CCM else 0.0    # mu = d: CCM and fallback
     sepic = spec.kind == SEPIC
     R, R_C1, R_C2, R_L2, R_d = spec.R, spec.R_C1, spec.R_C2, spec.R_L2, spec.R_d
+    R_on1, R_L1, L1, L2, C1, C2 = spec.R_on1, spec.R_L1, spec.L1, spec.L2, spec.C1, spec.C2
     nu, mu_re, mu_i, c_mu = 1.0 - mu, mu * re, mu * i_sum, c / (mu * mu)
     # _loop_coefficients' a along each direction, summed in its order; b
     # along a direction is b_s times the direction's summed current.
     if sepic:
         share = R * R_C2 / (R + R_C2)
         a_dir = (R_C1 + share + R_d, share + R_d, 1.0, R / (R + R_C2), 0.0)
-        b_s = -(R_C1 + share + R_d + spec.R_on1)
+        b_s = -(R_C1 + share + R_d + R_on1)
     else:
         a_dir = (R_C1 + R_d, R_d, 1.0, 0.0, 0.0)
-        b_s = -(R_C1 + R_d + spec.R_on1)
+        b_s = -(R_C1 + R_d + R_on1)
     cols = []
     for j in range(count):
         e0, e1, e2, e3 = _DIRECTIONS[j]
@@ -261,17 +262,16 @@ def jacobian_columns(spec: ConverterSpec, d: float, x, ports: PortSolution,
         dI1 = mu * ds + i_sum * dmu
         dI2 = nu * ds - i_sum * dmu
         di_c1 = nu * e0 - mu * e1 - i_sum * dmu
-        dv_node1 = nu * dw - w * dmu + spec.R_on1 * dI1
+        dv_node1 = nu * dw - w * dmu + R_on1 * dI1
         if sepic:
             di_c2 = (R * dI2 - e3) / (R + R_C2)
             dv_node2 = dv_node1 - e2 - R_C1 * di_c1
-            df2 = -(dv_node2 + R_L2 * e1) / spec.L2
+            df2 = -(dv_node2 + R_L2 * e1) / L2
         else:
             di_c2 = -(R * e1 + e3) / (R + R_C2)
             dv_node2 = (-(mu * dw + w * dmu) + dc * nu / mu
                         - c_mu * dmu + R_d * dI2)
             dv_out = e3 + R_C2 * di_c2
-            df2 = (dv_out - dv_node2 - R_L2 * e1) / spec.L2
-        cols.append(((-spec.R_L1 * e0 - dv_node1) / spec.L1, df2,
-                     di_c1 / spec.C1, di_c2 / spec.C2))
+            df2 = (dv_out - dv_node2 - R_L2 * e1) / L2
+        cols.append(((-R_L1 * e0 - dv_node1) / L1, df2, di_c1 / C1, di_c2 / C2))
     return cols

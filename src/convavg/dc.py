@@ -83,47 +83,79 @@ class OperatingPoint:
     converged: bool = True
 
 
-def _scales(spec, x):
-    v_scale = abs(spec.Vg) + abs(x[2]) + abs(x[3]) + 1.0
-    i_scale = abs(x[0]) + abs(x[1]) + 1.0
-    return v_scale, i_scale
-
-
 def _residual_and_norm(spec, d, x):
-    """Averaged branch residuals at x in physical units (volts, amps),
-    their scaled maximum norm, and the port solution they came from."""
+    """Averaged branch residuals at x in physical units (volts, amps) as
+    a 4-tuple, their scaled maximum norm, and the port solution they
+    came from."""
     ports = resolve_ports(spec, d, x)
     f0, f1, f2, f3 = derivative(spec, d, x, ports)
-    r = [f0 * spec.L1, f1 * spec.L2, f2 * spec.C1, f3 * spec.C2]
-    v_scale, i_scale = _scales(spec, x)
-    return r, max(abs(r[0]) / v_scale, abs(r[1]) / v_scale,
-                  abs(r[2]) / i_scale, abs(r[3]) / i_scale), ports
+    r0, r1, r2, r3 = f0 * spec.L1, f1 * spec.L2, f2 * spec.C1, f3 * spec.C2
+    x0, x1, x2, x3 = x
+    v_scale = abs(spec.Vg) + abs(x2) + abs(x3) + 1.0
+    i_scale = abs(x0) + abs(x1) + 1.0
+    return (r0, r1, r2, r3), max(abs(r0) / v_scale, abs(r1) / v_scale,
+                                 abs(r2) / i_scale, abs(r3) / i_scale), ports
 
 
 def _solve4(a):
-    """Solve the 4x4 system in augmented rows [A | b] (overwritten) by
-    Gaussian elimination with partial pivoting; None at a zero pivot."""
-    for k in range(4):
-        p = k
-        for i in range(k + 1, 4):
-            if abs(a[i][k]) > abs(a[p][k]):
-                p = i
-        pivot = a[p]
-        if pivot[k] == 0.0:
-            return None
-        a[p], a[k] = a[k], pivot
-        for row in a[k + 1:]:
-            f = row[k] / pivot[k]
-            for j in range(k + 1, 5):
-                row[j] -= f * pivot[j]
-    x = [0.0] * 4
-    for k in (3, 2, 1, 0):
-        row = a[k]
-        s = row[4]
-        for j in range(k + 1, 4):
-            s -= row[j] * x[j]
-        x[k] = s / row[k]
-    return x
+    """Solve the 4x4 system in augmented rows [A | b] by Gaussian
+    elimination with partial pivoting; None at an exactly zero pivot.
+
+    Written out, it is the row loop kept in the tests as its reference:
+    at column k the first row with the largest |entry| (strict >) trades
+    places with row k, each update is r[j] - f*q[j], and back-substitution
+    sums left to right, so the solution is the same to the bit.
+    """
+    r0, r1, r2, r3 = a
+    # column 0: the pivot row and row 0 trade places
+    p, m = 0, abs(r0[0])
+    if abs(r1[0]) > m:
+        p, m = 1, abs(r1[0])
+    if abs(r2[0]) > m:
+        p, m = 2, abs(r2[0])
+    if abs(r3[0]) > m:
+        p = 3
+    rows = [r0, r1, r2, r3]
+    rows[0], rows[p] = rows[p], r0
+    (q0, q1, q2, q3, q4), (e0, e1, e2, e3, e4), (g0, g1, g2, g3, g4), \
+        (h0, h1, h2, h3, h4) = rows
+    if q0 == 0.0:
+        return None
+    f = e0 / q0
+    r1 = (e1 - f * q1, e2 - f * q2, e3 - f * q3, e4 - f * q4)
+    f = g0 / q0
+    r2 = (g1 - f * q1, g2 - f * q2, g3 - f * q3, g4 - f * q4)
+    f = h0 / q0
+    r3 = (h1 - f * q1, h2 - f * q2, h3 - f * q3, h4 - f * q4)
+    # column 1, rows 1-3
+    p, m = 0, abs(r1[0])
+    if abs(r2[0]) > m:
+        p, m = 1, abs(r2[0])
+    if abs(r3[0]) > m:
+        p = 2
+    rows = [r1, r2, r3]
+    rows[0], rows[p] = rows[p], r1
+    (u1, u2, u3, u4), (e1, e2, e3, e4), (g1, g2, g3, g4) = rows
+    if u1 == 0.0:
+        return None
+    f = e1 / u1
+    r2 = (e2 - f * u2, e3 - f * u3, e4 - f * u4)
+    f = g1 / u1
+    r3 = (g2 - f * u2, g3 - f * u3, g4 - f * u4)
+    # column 2, rows 2-3; then column 3
+    if abs(r3[0]) > abs(r2[0]):
+        r2, r3 = r3, r2
+    (v2, v3, v4), (e2, e3, e4) = r2, r3
+    if v2 == 0.0:
+        return None
+    f = e2 / v2
+    w3, w4 = e3 - f * v3, e4 - f * v4
+    if w3 == 0.0:
+        return None
+    x3 = w4 / w3
+    x2 = (v4 - v3 * x3) / v2
+    x1 = (u4 - u2 * x2 - u3 * x3) / u1
+    return (q4 - q1 * x1 - q2 * x2 - q3 * x3) / q0, x1, x2, x3
 
 
 def _guess_values(spec, D):
@@ -155,6 +187,7 @@ def solve_dc(request: OperatingPointRequest) -> OperatingPoint:
         SingularJacobian: the residual Jacobian lost rank.
     """
     spec, d = request.spec, request.D
+    L1, L2, C1, C2 = spec.L1, spec.L2, spec.C1, spec.C2
     x = _guess_values(spec, d)
 
     r, norm, ports = _residual_and_norm(spec, d, x)
@@ -164,18 +197,24 @@ def solve_dc(request: OperatingPointRequest) -> OperatingPoint:
             raise NonConvergence(
                 "no convergence after %d iterations (residual %.3e)"
                 % (iterations, norm), iterations, norm)
-        c0, c1, c2, c3 = jacobian_columns(spec, d, x, ports, 4)
-        step = _solve4([[u * c0[i], u * c1[i], u * c2[i], u * c3[i], -r[i]]
-                        for i, u in enumerate((spec.L1, spec.L2, spec.C1, spec.C2))])
+        (a00, a10, a20, a30), (a01, a11, a21, a31), (a02, a12, a22, a32), \
+            (a03, a13, a23, a33) = jacobian_columns(spec, d, x, ports, 4)
+        r0, r1, r2, r3 = r
+        step = _solve4([[L1 * a00, L1 * a01, L1 * a02, L1 * a03, -r0],
+                        [L2 * a10, L2 * a11, L2 * a12, L2 * a13, -r1],
+                        [C1 * a20, C1 * a21, C1 * a22, C1 * a23, -r2],
+                        [C2 * a30, C2 * a31, C2 * a32, C2 * a33, -r3]])
         if step is None:    # J step = -r, in volts and amps, lost rank
             raise SingularJacobian("Jacobian singular at iteration %d" % iterations)
         if not all(map(isfinite, step)):
             raise SingularJacobian(
                 "Jacobian produced a non-finite step at iteration %d" % iterations)
+        s0, s1, s2, s3 = step
+        x0, x1, x2, x3 = x
 
         lam = 1.0
         for _ in range(_MAX_HALVINGS + 1):
-            trial = [xi + lam * si for xi, si in zip(x, step)]
+            trial = (x0 + lam * s0, x1 + lam * s1, x2 + lam * s2, x3 + lam * s3)
             trial_r, trial_norm, trial_ports = _residual_and_norm(spec, d, trial)
             if trial_norm < norm or not isfinite(norm):
                 break
@@ -183,7 +222,7 @@ def solve_dc(request: OperatingPointRequest) -> OperatingPoint:
         else:
             # No damping factor reduced the residual; take the smallest
             # step anyway so kinked regions cannot stall the iteration.
-            trial = [xi + lam * si for xi, si in zip(x, step)]
+            trial = (x0 + lam * s0, x1 + lam * s1, x2 + lam * s2, x3 + lam * s3)
             trial_r, trial_norm, trial_ports = _residual_and_norm(spec, d, trial)
 
         x, r, norm, ports = trial, trial_r, trial_norm, trial_ports

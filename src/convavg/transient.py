@@ -245,7 +245,7 @@ def _integrate_segment(spec, stim, t0, t1, x, f0, h, rtol, atol, accept, work):
         err_norm = inf if isnan(k0 + k1 + k2 + k3) else max(k0, k1, k2, k3)
         factor = _STEP_GROW if err_norm == 0.0 else 0.9 * err_norm ** (-1.0 / 3.0)
         if err_norm <= 1.0:
-            t += h
+            t = t1 if h == t1 - t else t + h    # the step cut to t1 ends there exactly
             x = y1
             f0 = accept(t, x)
             fresh = False

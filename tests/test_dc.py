@@ -7,6 +7,7 @@ effective duty, before the Newton solver existed.
 
 import dataclasses
 import math
+import random
 
 import numpy as np
 import pytest
@@ -389,6 +390,71 @@ def test_elimination_reports_an_exactly_zero_pivot():
         assert _solve4(a) is None
 
 
+def loop_solve4(a):
+    """Bitwise reference for dc._solve4: the row loop it was written out
+    from.  It overwrites the rows it is given."""
+    for k in range(4):
+        p = k
+        for i in range(k + 1, 4):
+            if abs(a[i][k]) > abs(a[p][k]):
+                p = i
+        pivot = a[p]
+        if pivot[k] == 0.0:
+            return None
+        a[p], a[k] = a[k], pivot
+        for row in a[k + 1:]:
+            f = row[k] / pivot[k]
+            for j in range(k + 1, 5):
+                row[j] -= f * pivot[j]
+    x = [0.0] * 4
+    for k in (3, 2, 1, 0):
+        row = a[k]
+        s = row[4]
+        for j in range(k + 1, 4):
+            s -= row[j] * x[j]
+        x[k] = s / row[k]
+    return x
+
+
+def random_systems(rng, count):
+    """(kind, augmented 4x5 rows), cycling through four kinds: rows six
+    decades apart; small integers of either sign, for pivot ties and
+    exact cancellations; a zero column k, for an exactly zero pivot at
+    stage k = 0..3 in turn; and one inf or NaN entry."""
+    special = (math.inf, -math.inf, math.nan)
+    for n in range(count):
+        kind = ("decades", "ties", "zero pivot", "non-finite")[n % 4]
+        if kind == "ties":
+            rows = [[float(rng.choice((-2, -1, 0, 1, 2))) for _ in range(5)]
+                    for _ in range(4)]
+        else:
+            rows = [[rng.gauss(0.0, 1.0) * scale for _ in range(5)]
+                    for scale in [10.0 ** rng.uniform(-3.0, 3.0) for _ in range(4)]]
+        if kind == "zero pivot":
+            for row in rows:
+                row[n // 4 % 4] = 0.0
+        if kind == "non-finite":
+            rows[rng.randrange(4)][rng.randrange(5)] = rng.choice(special)
+        yield kind, rows
+
+
+def test_elimination_is_the_row_loop_bit_for_bit():
+    """The written-out elimination returns the loop's floats, signed
+    zeros and NaNs included, or None exactly where the loop does."""
+    from convavg.dc import _solve4
+    nones = dict.fromkeys(("decades", "ties", "zero pivot", "non-finite"), 0)
+    for kind, rows in random_systems(random.Random(20261019), 20000):
+        want = loop_solve4([row[:] for row in rows])
+        got = _solve4([row[:] for row in rows])
+        if want is None:
+            nones[kind] += 1
+            assert got is None, rows
+        else:
+            assert list(map(float.hex, got)) == list(map(float.hex, want)), rows
+    assert nones["zero pivot"] == 5000      # every zero column ends at its stage
+    assert nones["ties"] > 0 and nones["decades"] == 0
+
+
 def printed_point(request):
     """What `convavg dc` prints of a solve, the residual aside (round-off
     noise near 1e-15), or the solver error it exits with."""
@@ -447,3 +513,36 @@ def test_elimination_solves_as_lapack_does(spec, d):
     for name, scale in (("i_L1", i_scale), ("i_L2", i_scale),
                         ("v_C1", v_scale), ("v_C2", v_scale)):
         assert abs(getattr(got.state, name) - getattr(want.state, name)) <= 1e-11 * scale, name
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(converter_specs(), st.sampled_from([DCM, CCM]), st.floats(0.0, 1.0))
+def test_solve_dc_is_the_row_loop_solve_bit_for_bit(spec, mode, u):
+    """With the written-out elimination or the row loop it replaced,
+    solve_dc returns the same state, V0, mu, mode, iteration count and
+    residual norm to the bit, or the same solver error.  The duty is
+    drawn on the ``mode`` side of the ideal CCM/DCM boundary, so both
+    conduction modes are covered."""
+    import convavg.dc as dc
+    k = 2.0 * equivalent_inductance(spec) * spec.f_s / spec.R
+    boundary = 1.0 - math.sqrt(k) if k < 1.0 else 0.0   # ideal CCM/DCM boundary duty
+    if mode == DCM:
+        assume(boundary > 0.02)
+        d = 0.01 + u * (boundary - 0.02)
+    else:
+        lo = max(boundary, 0.01)
+        d = lo + u * (0.99 - lo)
+    request = OperatingPointRequest(spec=spec, D=d)
+
+    def solve():
+        try:
+            op = solve_dc(request)
+        except SolverError as exc:
+            return type(exc).__name__
+        return (tuple(map(float.hex, (*op.state, op.V0, op.mu, op.residual_norm)))
+                + (op.mode, op.iterations))
+
+    got = solve()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dc, "_solve4", loop_solve4)
+        assert solve() == got

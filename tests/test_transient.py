@@ -377,7 +377,7 @@ def numpy_integrate_segment(spec, stim, t0, t1, x, f0, h, rtol, atol, accept, wo
             err_norm = np.inf
         factor = transient._STEP_GROW if err_norm == 0.0 else 0.9 * err_norm ** (-1.0 / 3.0)
         if err_norm <= 1.0:
-            t += h
+            t = t1 if h == t1 - t else t + h    # the step cut to t1 ends there exactly
             x = y1
             f0 = np.asarray(accept(t, x))
             fresh = False
@@ -452,8 +452,8 @@ def outcome(spec, stim, t_end, initial):
 
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(converter_specs(), st.floats(0.2, 0.8), st.floats(0.1, 0.9))
-# both start-ups underflow at t_end: their last step, cut to end there,
-# lands one ulp short of it
+# both start-ups end on a step cut to t_end that t + h puts one ulp short
+# of it; both kernels end that step at t_end
 @example(ConverterSpec(kind=SEPIC, Vg=1.0, R=1.0, L1=0.1, L2=1e-6, C1=0.01, C2=0.01,
                        f_s=10.0 ** 5.46484375, ideal=True), 0.5, 0.5)
 def test_float_kernel_is_the_reference_step_on_random_converters(spec, u, v):
@@ -522,6 +522,18 @@ def test_startup_work_per_accepted_step(monkeypatch):
     assert wf.stats.rhs + wf.stats.jacobians == calls[0]
     assert wf.stats.accepted == accepted
     assert 0.0 < wf.stats.h_min <= wf.stats.h_max
+
+
+def test_a_step_cut_to_the_segment_end_ends_the_run_there():
+    """The last step is cut to t_end - t, and t + (t_end - t) rounds one
+    ulp short of t_end here; the run still ends at t_end, where the
+    leftover gap below h_min used to raise StepSizeUnderflow."""
+    spec = ConverterSpec(kind=SEPIC, Vg=1.0, R=1.0, L1=0.1, L2=1e-6, C1=0.01, C2=0.01,
+                         f_s=10.0 ** 5.46484375, ideal=True)
+    t_end = 2.74e-5
+    wf = simulate(spec, Stimulus(duty=0.3), t_end)
+    assert wf.times[-1] == t_end
+    assert wf.times[-2] + (t_end - wf.times[-2]) < t_end
 
 
 # --- failure modes --------------------------------------------------
