@@ -1,0 +1,117 @@
+#!/usr/bin/env python3
+"""Regenerate the golden CLI outputs in this directory.
+
+    python3 tests/golden/regenerate.py [NAME ...]
+
+Runs every command of CASES through ``convavg.cli.main`` in-process on
+the sources in ``src/`` and writes one ``NAME.txt`` per case: a header
+of ``#`` lines (the command, the numpy version, the CPU and the exit
+code) and then the command's stdout.  A ``tran`` table is kept as the
+sha256 of its stdout, then every 25th row and the last row, each after
+its row number.  With names, only those cases are rewritten.
+
+``tests/test_golden.py`` runs the same cases and compares everything
+after the header byte for byte.  ``ac``, ``tran`` and ``compare`` go
+through numpy, whose BLAS may pick other kernels on another CPU, so the
+header says where the bytes were made.  A change that moves output on
+purpose regenerates only the files that moved and summarises the diff.
+pytest does not collect this file (its name does not start with test_).
+"""
+
+import contextlib
+import hashlib
+import io
+import platform
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+SRC = HERE.parents[1] / "src"
+
+CONFIGS = ("sepic_bench", "cuk_bench")
+COMMANDS = (
+    ("dc",),
+    ("dc", "--duty", "0.05"),
+    ("dc", "--duty", "0.7"),
+    ("sweep", "--from", "0.05", "--to", "0.9", "--step", "0.01"),
+    ("ac",),
+    ("ac", "--input", "source"),
+    ("ac", "--duty", "0.7"),
+    ("tran",),
+    ("tran", "--duty", "0.7", "--t-end", "0.05"),
+    ("compare",),
+    ("compare", "--duty", "0.7", "--cycles", "300"),
+)
+TRAN_EVERY = 25
+
+
+def case_name(config, command):
+    return "-".join((config,) + tuple(a.lstrip("-") for a in command))
+
+
+# name -> argv of convavg
+CASES = {case_name(config, command): (command[0], "--config", config) + command[1:]
+         for config in CONFIGS for command in COMMANDS}
+
+
+def cpu_model():
+    try:
+        with open("/proc/cpuinfo", "r", encoding="utf-8") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or platform.machine()
+
+
+def environment():
+    import numpy
+    return "numpy %s, %s (%s)" % (numpy.__version__, cpu_model(), platform.machine())
+
+
+def tran_digest(text):
+    """sha256 of the table, then every TRAN_EVERY-th row and the last."""
+    rows = text.splitlines()
+    keep = sorted(set(range(0, len(rows), TRAN_EVERY)) | {len(rows) - 1})
+    lines = ["sha256 %s" % hashlib.sha256(text.encode("utf-8")).hexdigest(),
+             "rows %d" % len(rows)]
+    lines += ["%d %s" % (i, rows[i]) for i in keep]
+    return "\n".join(lines) + "\n"
+
+
+def run(argv):
+    """(exit code, golden body) of one convavg command, run in-process."""
+    from convavg.cli import main
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    text = out.getvalue()
+    return code, tran_digest(text) if argv[0] == "tran" else text
+
+
+def header(argv, code):
+    return "# convavg %s\n# %s\n# exit %d\n" % (" ".join(argv), environment(), code)
+
+
+def split(text):
+    """(header lines, body) of a golden file."""
+    lines = text.splitlines(keepends=True)
+    n = 0
+    while n < len(lines) and lines[n].startswith("# "):
+        n += 1
+    return lines[:n], "".join(lines[n:])
+
+
+def main(names):
+    for name in names or CASES:
+        argv = CASES[name]
+        code, body = run(argv)
+        (HERE / (name + ".txt")).write_text(header(argv, code) + body, encoding="utf-8")
+        print("wrote %s (exit %d)" % (name, code))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.path.insert(0, str(SRC))
+    sys.exit(main(sys.argv[1:]))
