@@ -11,13 +11,17 @@ diode-opening instant is the first DIODE sample whose summed inductor
 current is negative, found as one row block of the DIODE stack times the
 entry state and interpolated linearly inside that step; the rest of the
 period then runs on the constrained dynamics of the isolated series
-loop, which preserve i_L1 + i_L2 = 0 exactly.  That OPEN step changes
-every DCM cycle, so its end state and running sum are one matrix power
-of [[Z, 0], [I, I]] applied to (x, 0).  Only the final cycle's samples
-are built: every cycle records its plan (each interval's entry state,
-step count, step and times from the cycle start) and, after the loop,
-the last plan is expanded on the same stacks.  No cycle depends on its
-index, so a run is exactly n_cycles applications of one cycle map.
+loop, which preserve i_L1 + i_L2 = 0 exactly.  That OPEN interval stays
+on the DIODE grid of step h_off: one trapezoid step over the rest of the
+crossing step, the cycle's only 5x5 solve, takes it back onto the grid,
+and its remaining whole steps come from an OPEN stack at h_off.  The
+integral maps of both off-time stacks, for every step count, are their
+running sums, made with the OPEN stack on a run's first DCM cycle.  Only
+the final cycle's samples are built: every cycle records its plan (each
+interval's entry state, stack indices, step and times from the cycle
+start) and, after the loop, the last plan is expanded on the same
+stacks.  No cycle depends on its index, so a run is exactly n_cycles
+applications of one cycle map.
 
 v0 and the switch ports (V1, V2, I1, I2) are affine in the augmented
 state within an interval, one 5x5 output map G per interval, so every
@@ -34,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from numbers import Integral
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,8 +72,7 @@ class SwitchedRunConfig:
             object.__setattr__(self, "initial", StateVector(*state_values(self.initial)))
 
 
-@dataclass(frozen=True)
-class CycleSummary:
+class CycleSummary(NamedTuple):
     """One cycle's measured interval durations and trapezoidal averages
     of the states, v0 and the switch ports (V1, V2, I1, I2)."""
 
@@ -266,6 +270,17 @@ def _integral_map(P, h):
     return h * ((np.ones(n) @ P.reshape(n, -1)).reshape(m, m) - 0.5 * (P[0] + P[-1]))
 
 
+def _integral_maps(P, h):
+    """_integral_map(P[:k + 1], h) for every k, from the running sums of
+    the stack P (with P[0] = I), computed in place."""
+    K = np.cumsum(P, axis=0)
+    K *= 2.0
+    K -= P
+    K -= P[0]
+    K *= 0.5 * h
+    return K
+
+
 def run_switched(config: SwitchedRunConfig, steady_tol: float = 0.0) -> SwitchedWaveform:
     """Integrate the switched converter for exactly n_cycles cycles.
 
@@ -299,77 +314,71 @@ def run_switched(config: SwitchedRunConfig, steady_tol: float = 0.0) -> Switched
     P_d = stacks[DIODE]
     # x @ i_sum_d is i_L1 + i_L2 at DIODE samples 1..n_off of an entry x
     i_sum_d = np.ascontiguousarray((P_d[1:, 0] + P_d[1:, 1]).T)
-    W = np.eye(10)                      # OPEN's [[Z, 0], [I, I]]
-    W[5:, :5] = np.eye(5)
     t_sw = D * Ts                       # switching instant within a cycle
+    t_off = t_sw + n_off * h_off        # the last sample of the off-time grid
+    I5 = np.eye(5)
+    off = []    # DIODE integral maps, OPEN stack and its integral maps at h_off
+
+    def summarize(parts, d2, mode):
+        # v0 and the ports are affine in the state within an interval, so
+        # the trapezoid of each is G applied to the trapezoid S of the state
+        iL1, iL2, vC1, vC2, _, v0_avg, V1, V2, I1, I2 = (parts / Ts).tolist()
+        return CycleSummary(SwitchIntervalDuties(D1=D, D2=d2, D3=1.0 - D - d2),
+                            v0_avg, iL1, iL2, vC1, vC2, I1, I2, V1, V2, mode)
 
     def run_cycle(x):
         """One period from x = (i_L1, i_L2, v_C1, v_C2, 1): the summary and
-        the plan, one (interval, entry state, steps, step, start time, end
-        time, end state) per interval, its times from the cycle start."""
+        the plan, one (interval, entry state, first and last stack index,
+        step, start time, end time, end state) per interval, its times
+        from the cycle start."""
         y = map_on @ x
         x1, parts = y[:5], y[5:]
-        plan = [(ON, x, n_on, h_on, 0.0, n_on * h_on, x1)]
-        d2 = 1.0 - D
-        d3 = 0.0
-        mode = CCM
-
-        if x1[0] + x1[1] <= 0.0:
-            # no current to hand over: the whole off-time is open
-            n_open, x_open = n_off, x1
-            d2, d3 = 0.0, 1.0 - D
-            mode = DCM
-        else:
+        plan = [(ON, x, 1, n_on, h_on, 0.0, n_on * h_on, x1)]
+        j = 0                               # the DIODE step that crosses zero
+        if x1[0] + x1[1] > 0.0:
             s = x1 @ i_sum_d
             below = s < 0.0
             j = int(below.argmax()) + 1     # first sample below zero
             if not below[j - 1]:
                 y = map_d @ x1
-                parts = parts + y[5:]
-                plan.append((DIODE, x1, n_off, h_off, t_sw,
-                             t_sw + n_off * h_off, y[:5]))
-            else:
-                # interpolate the crossing inside step j, make the event
-                # sample the last one and cut the integral there
-                sa = s[j - 2] if j > 1 else x1[0] + x1[1]
-                sb = s[j - 1]
-                if sa <= 0.0:
-                    raise EventDetectionError(
-                        "summed inductor current not positive entering the "
-                        "step that crossed zero; reduce the step size")
-                theta = float(sa / (sa - sb))
-                xa = P_d[j - 1] @ x1
-                x_ev = xa + theta * (P_d[j] @ x1 - xa)
-                S = (_integral_map(P_d[:j], h_off) @ x1
-                     + 0.5 * theta * h_off * (xa + x_ev))
-                parts = parts + SG[DIODE] @ S
-                d2 = (j - 1 + theta) * h_off / Ts
-                d3 = 1.0 - D - d2
-                plan.append((DIODE, x1, j, h_off, t_sw, t_sw + d2 * Ts, x_ev))
-                n_open, x_open = n_off - j + 1, x_ev     # j <= n_off
-                mode = DCM
+                plan.append((DIODE, x1, 1, n_off, h_off, t_sw, t_off, y[:5]))
+                return summarize(parts + y[5:], 1.0 - D, CCM), plan
+        if not off:
+            P_o = _powers(_affine(sys_open, h_off), n_off)
+            off.extend((_integral_maps(P_d, h_off), P_o, _integral_maps(P_o, h_off)))
+        K_d, P_o, K_o = off
+        x_open, d2 = x1, 0.0                # no current: the whole off-time is open
+        if j:
+            # interpolate the crossing inside step j, make the event
+            # sample the last one and cut the integral there
+            sa = s[j - 2] if j > 1 else x1[0] + x1[1]
+            sb = s[j - 1]
+            if sa <= 0.0:
+                raise EventDetectionError(
+                    "summed inductor current not positive entering the "
+                    "step that crossed zero; reduce the step size")
+            theta = float(sa / (sa - sb))
+            xa, xb = P_d[j - 1:j + 1] @ x1
+            x_open = xa + theta * (xb - xa)
+            S = K_d[j - 1] @ x1 + 0.5 * theta * h_off * (xa + x_open)
+            parts = parts + SG[DIODE] @ S
+            d2 = (j - 1 + theta) * h_off / Ts
+            plan.append((DIODE, x1, 1, j, h_off, t_sw, t_sw + d2 * Ts, x_open))
 
-        # --- open interval (discontinuous tail), its step per cycle ----
-        if d3 > 0.0:
-            t_open = t_sw + d2 * Ts
-            h3 = d3 * Ts / n_open
-            W[:5, :5] = _affine(sys_open, h3)
-            # W**n (x, 0) = (Z**n x, sum_{k<n} Z**k x)
-            y = np.linalg.matrix_power(W, n_open)[:, :5] @ x_open
-            end, acc = y[:5], y[5:]
-            parts = parts + SG[OPEN] @ (h3 * (acc + 0.5 * (end - x_open)))
-            plan.append((OPEN, x_open, n_open, h3, t_open,
-                         t_open + n_open * h3, end))
-
-        # v0 and the ports are affine in the state within an interval, so
-        # the trapezoid of each is G applied to the trapezoid S of the state
-        iL1, iL2, vC1, vC2, _, v0_avg, V1, V2, I1, I2 = (parts / Ts).tolist()
-        summary = CycleSummary(
-            duties=SwitchIntervalDuties(D1=D, D2=d2, D3=d3),
-            v0_avg=v0_avg, i_L1_avg=iL1, i_L2_avg=iL2, v_C1_avg=vC1,
-            v_C2_avg=vC2, I1_avg=I1, I2_avg=I2, V1_avg=V1, V2_avg=V2,
-            mode=mode)
-        return summary, plan
+        # --- open interval (discontinuous tail) on the DIODE grid: the
+        # rest of step j in one trapezoid step, then n_off - j whole steps
+        if 1.0 - D - d2 > 0.0:
+            x_in, S = x_open, 0.0
+            if j:
+                # (I - aF)^-1 (I + aF) x = 2 y - x with (I - aF) y = x
+                a = 0.5 * (1.0 - theta) * h_off
+                y = np.linalg.solve(I5 - a * sys_open, x_open)
+                x_in, S = 2.0 * y - x_open, (2.0 * a) * y
+            n = n_off - j
+            parts = parts + SG[OPEN] @ (K_o[n] @ x_in + S)
+            plan.append((OPEN, x_in, 0 if j else 1, n, h_off, t_sw + j * h_off, t_off,
+                         P_o[n] @ x_in))
+        return summarize(parts, d2, DCM), plan
 
     x = np.append(np.zeros(4) if config.initial is None else config.initial, 1.0)
     summaries = []
@@ -380,23 +389,22 @@ def run_switched(config: SwitchedRunConfig, steady_tol: float = 0.0) -> Switched
 
     # the last cycle's trace, expanded from its plan on the same stacks
     # and shifted to the cycle's start: each interval adds its samples
-    # after the first
+    # from its first stack index on
     cycle = config.n_cycles - 1
     x = plan[0][1]
-    times = [np.array([plan[0][4]])]
+    times = [np.array([plan[0][5]])]
     states = [x[None]]
     v0 = [np.array([SG[ON][5] @ x])]
     spans = []
     first = 0
-    for interval, x_in, n, h, t_from, t_end, x_end in plan:
-        P = (_powers(_affine(sys_open, h), n) if interval == OPEN
-             else stacks[interval][:n + 1])
-        X = (P[1:].reshape(-1, 5) @ x_in).reshape(-1, 5)
+    for interval, x_in, k0, n, h, t_from, t_end, x_end in plan:
+        P = off[1] if interval == OPEN else stacks[interval]
+        X = (P[k0:n + 1].reshape(-1, 5) @ x_in).reshape(-1, 5)
         X[-1] = x_end
-        t = t_from + np.arange(1, n + 1) * h
+        t = t_from + np.arange(k0, n + 1) * h
         t[-1] = t_end
-        spans.append((cycle, interval, first, first + n))
-        first += n
+        spans.append((cycle, interval, first, first + n + 1 - k0))
+        first += n + 1 - k0
         times.append(t)
         states.append(X)
         v0.append(X @ SG[interval][5])
