@@ -272,7 +272,8 @@ def _integral_map(P, h):
 
 def _integral_maps(P, h):
     """_integral_map(P[:k + 1], h) for every k, from the running sums of
-    the stack P (with P[0] = I), computed in place."""
+    the stack P (with P[0] = I), computed in place.  They round otherwise
+    than _integral_map, which the CCM maps keep for their output bits."""
     K = np.cumsum(P, axis=0)
     K *= 2.0
     K -= P
