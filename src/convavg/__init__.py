@@ -15,7 +15,7 @@ import importlib
 from .converter import (SEPIC, CUK, ConverterSpec, OperatingPointRequest,
                         ValidationError, dcm_predicted, effective_resistance,
                         equivalent_inductance)
-from .switchcell import CCM, DCM, SwitchIntervalDuties
+from .switchcell import CCM, DCM
 from .avgmodel import PortSolution, derivative, jacobian_columns, resolve_ports
 from .dc import (NonConvergence, OperatingPoint, SingularJacobian,
                  SolverError, StateVector, solve_dc, sweep_duty)
@@ -26,7 +26,8 @@ _LAZY = {name: module for module, names in (
     ("transient", "StepSizeUnderflow Stimulus TransientStats Waveform simulate"),
     ("smallsignal", "DegenerateOperatingPoint FrequencyResponse LinearModel Margins "
      "default_frequency_grid frequency_response linearize transfer_at"),
-    ("switched", "CycleSummary SwitchedRunConfig SwitchedWaveform cycle_average run_switched"),
+    ("switched", "CycleSummary SwitchIntervalDuties SwitchedRunConfig SwitchedWaveform "
+     "cycle_average run_switched"),
 ) for name in names.split()}
 
 
@@ -44,7 +45,7 @@ __all__ = [
     "SEPIC", "CUK", "ConverterSpec", "OperatingPointRequest",
     "ValidationError", "dcm_predicted", "effective_resistance",
     "equivalent_inductance",
-    "CCM", "DCM", "SwitchIntervalDuties",
+    "CCM", "DCM",
     "PortSolution", "derivative", "jacobian_columns", "resolve_ports",
     "NonConvergence", "OperatingPoint", "SingularJacobian", "SolverError",
     "StateVector", "solve_dc", "sweep_duty",

@@ -44,8 +44,11 @@ from dataclasses import dataclass, field
 from math import sqrt
 
 from .converter import ConverterSpec, SEPIC, effective_resistance
-from .switchcell import CCM, DCM, MU_CLAMP_EPS
+from .switchcell import CCM, DCM
 
+# Effective duty is clamped below 1 by this margin so the transformer
+# ratio (1-mu)/mu stays finite at vanishing load current.
+MU_CLAMP_EPS = 1e-9
 _MU_FLOOR = 1e-12
 _DIRECTIONS = ((1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0),
                (0.0, 0.0, 0.0, 1.0), (0.0, 0.0, 0.0, 0.0))

@@ -17,7 +17,7 @@ from convavg import (
     solve_dc,
 )
 from convavg.dc import _guess_values
-from convavg.switchcell import MU_CLAMP_EPS
+from convavg.avgmodel import MU_CLAMP_EPS
 from strategies import bundled, converter_specs
 
 

@@ -29,7 +29,7 @@ from convavg import (
     sweep_duty,
 )
 from convavg.dc import _guess_values
-from convavg.switchcell import MU_CLAMP_EPS
+from convavg.avgmodel import MU_CLAMP_EPS
 from strategies import CUK_BENCH, SEPIC_BENCH, converter_specs
 
 

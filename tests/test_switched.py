@@ -25,9 +25,9 @@ from convavg import (
     run_switched,
     solve_dc,
 )
-from convavg.switched import (DIODE, ON, OPEN, CycleSummary, _interval_system,
-                              _output_map)
-from convavg.switchcell import MU_CLAMP_EPS, SwitchIntervalDuties
+from convavg.avgmodel import MU_CLAMP_EPS
+from convavg.switched import (DIODE, ON, OPEN, CycleSummary, SwitchIntervalDuties,
+                              _interval_system, _output_map)
 from strategies import CUK_BENCH, SEPIC_BENCH, bundled, converter_specs
 
 
@@ -293,13 +293,20 @@ def assert_matches_step_loop(cfg, duty_tol=1e-12):
     cancellation (a port voltage during a start-up) is held to 1e-12 of
     the run's largest value in its unit instead.  The layout and the
     crossing of cycle c come from the retained final cycle of a run cut
-    after c + 1 cycles."""
+    after c + 1 cycles.  Every cycle's duties also hold the interval
+    invariant run_switched does not check at run time: D1 is the duty,
+    D2 and D3 lie in [0, 1], the three sum to 1 and D3 is 0 in CCM."""
     ref = step_loop_run(cfg)
     full = run_switched(cfg).summaries
     assert len(full) == len(ref)
     for c, (want, crossed, layout) in enumerate(ref):
         got = full[c]
         assert got.mode == want.mode
+        d = got.duties
+        assert d.D1 == cfg.D, c
+        assert 0.0 <= d.D2 <= 1.0 and 0.0 <= d.D3 <= 1.0, (c, d)
+        assert abs(d.D1 + d.D2 + d.D3 - 1.0) <= 1e-15, (c, d)
+        assert got.mode == DCM or d.D3 == 0.0, (c, d)
         assert got.duties.D2 == pytest.approx(want.duties.D2, rel=0.0, abs=duty_tol)
         assert got.duties.D3 == pytest.approx(want.duties.D3, rel=0.0, abs=duty_tol)
         for fields in (VOLT_FIELDS, AMP_FIELDS):
