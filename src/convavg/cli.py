@@ -50,14 +50,22 @@ class _Parser(argparse.ArgumentParser):
 
 def _load_config(name):
     if name.endswith(".conf") or "/" in name or "\\" in name:
-        with open(name, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(name, "rb") as fh:
+            data = fh.read()
     else:
         ref = resources.files("convavg").joinpath("configs").joinpath(
             name + ".conf")
         if not ref.is_file():
             raise FileNotFoundError("no bundled config named %r" % (name,))
-        text = ref.read_text(encoding="utf-8")
+        data = ref.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the bytes before the first bad one decode; the sentinel marks
+        # its position on the last line they start
+        lines = (data[:exc.start].decode("utf-8") + "?").splitlines()
+        raise ParseError("not UTF-8: byte 0x%02x" % data[exc.start],
+                         len(lines), len(lines[-1])) from None
     return parse_config(text)
 
 

@@ -339,9 +339,14 @@ def test_missing_duty_is_exit_1(tmp_path, capsys):
 
 def test_bad_config_is_exit_2(tmp_path, capsys):
     path = tmp_path / "broken.conf"
-    path.write_text("[converter]\nkind = sepic\nVg = volts\n")
-    assert main(["dc", "--config", str(path)]) == 2
-    assert "config error" in capsys.readouterr().err
+    for data, where in (
+            (b"[converter]\nkind = sepic\nVg = volts\n", "line 3, column 6"),
+            # a Latin-1 comment in an otherwise valid config
+            ((MINIMAL_NO_DEFAULTS + "# caf\u00e9\n").encode("latin-1"),
+             "line 10, column 6")):
+        path.write_bytes(data)
+        assert main(["dc", "--config", str(path)]) == 2, where
+        assert capsys.readouterr().err.startswith("config error: %s: " % where)
 
 
 def test_invalid_component_is_exit_2(tmp_path, capsys):
