@@ -8,7 +8,11 @@ the sources in ``src/`` and writes one ``NAME.txt`` per case: a header
 of ``#`` lines (the command, the numpy version, the CPU and the exit
 code) and then the command's stdout.  A ``tran`` table is kept as the
 sha256 of its stdout, then every 25th row and the last row, each after
-its row number.  With names, only those cases are rewritten.
+its row number.  With names, only those cases are rewritten.  For each
+file it rewrites it prints the number of lines after the header that
+changed and the largest relative change in each column that moved (a
+CSV column, or the key of a ``key = value`` line; for ``tran`` the kept
+rows), ``inf`` where a field moved from 0 or is not a number.
 
 ``tests/test_golden.py`` runs the same cases and compares everything
 after the header byte for byte.  ``ac``, ``tran`` and ``compare`` go
@@ -21,6 +25,7 @@ pytest does not collect this file (its name does not start with test_).
 import contextlib
 import hashlib
 import io
+import math
 import platform
 import sys
 from pathlib import Path
@@ -103,12 +108,67 @@ def split(text):
     return lines[:n], "".join(lines[n:])
 
 
+def is_number(field):
+    try:
+        float(field)
+    except ValueError:
+        return False
+    return True
+
+
+def cells(body):
+    """{(row, column): field} of a golden body.  A line without a comma is
+    one cell named by its key (``key = value``, or a tran digest's
+    ``sha256 X`` and ``rows N``).  A CSV line of numbers gives a cell per
+    field, named by the header line above it and keyed by the row number
+    in front of a kept tran row, else by its line."""
+    out, names = {}, ()
+    for n, line in enumerate(body.splitlines()):
+        if "," not in line:
+            key, _, value = line.partition(" = " if " = " in line else " ")
+            out[key, key] = value
+            continue
+        row, _, rest = line.partition(" ")
+        if not (row.isdigit() and rest):
+            row, rest = n, line
+        fields = rest.split(",")
+        if any(is_number(f) for f in fields):
+            out.update(((row, name), f) for name, f in zip(names, fields))
+        else:
+            names = fields
+    return out
+
+
+def diff_summary(old, new):
+    """'K of N lines changed' after the header, then the largest relative
+    change of each column that moved, in order of appearance."""
+    a, b = old.splitlines(), new.splitlines()
+    changed = sum(x != y for x, y in zip(a, b)) + abs(len(a) - len(b))
+    worst = {}
+    before = cells(old)
+    for (row, column), field in cells(new).items():
+        was = before.get((row, column))
+        if was is None or was == field:
+            continue
+        try:
+            rel = abs(float(field) - float(was)) / abs(float(was))
+        except (ValueError, ZeroDivisionError):
+            rel = math.inf
+        worst[column] = max(worst.get(column, 0.0), rel)
+    lines = ["%d of %d lines changed" % (changed, len(b))]
+    lines += ["    %s: %.2g" % item for item in worst.items()]
+    return "\n".join(lines)
+
+
 def main(names):
     for name in names or CASES:
         argv = CASES[name]
         code, body = run(argv)
-        (HERE / (name + ".txt")).write_text(header(argv, code) + body, encoding="utf-8")
-        print("wrote %s (exit %d)" % (name, code))
+        path = HERE / (name + ".txt")
+        old = split(path.read_text(encoding="utf-8"))[1] if path.exists() else None
+        path.write_text(header(argv, code) + body, encoding="utf-8")
+        print("wrote %s (exit %d): %s" % (
+            name, code, "new file" if old is None else diff_summary(old, body)))
     return 0
 
 
