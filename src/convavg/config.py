@@ -23,8 +23,8 @@ class ParseError(ValueError):
         self.column = column
 
 
-_PREFIXES = {"p": 1e-12, "n": 1e-9, "u": 1e-6, "µ": 1e-6, "m": 1e-3,
-             "k": 1e3, "K": 1e3, "M": 1e6}
+# decimal exponent of each unit prefix
+_PREFIXES = {"p": -12, "n": -9, "u": -6, "µ": -6, "m": -3, "k": 3, "K": 3, "M": 6}
 # longest first so "Ohm" wins over a hypothetical prefix split
 _UNITS = ("Ohm", "ohm", "Ω", "Hz", "V", "A", "H", "F", "s")
 _UNIT_FAMILY = {"Ohm": "Ohm", "ohm": "Ohm", "Ω": "Ohm", "Hz": "Hz",
@@ -42,7 +42,7 @@ _CONVERTER_KEYS = {
 }
 _ANALYSIS_KEYS = {"D": None, "t_end": "s"}
 
-_NUMBER_RE = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
+_NUMBER_RE = re.compile(r"([+-]?(?:\d+\.?\d*|\.\d+))(?:[eE]([+-]?\d+))?")
 
 
 @dataclass
@@ -68,19 +68,23 @@ def _parse_quantity(raw, family, line, column):
     if unit is None:
         raise ParseError("unrecognized unit %r" % (suffix,), line, column)
     prefix = suffix[: len(suffix) - len(unit)]
-    scale = 1.0
+    # the prefix joins the decimal exponent, so 13 mH is parsed as 13e-3
+    # in one rounding, not as 13 * 1e-3 (int() refuses over 4300 digits)
+    if len(m.group(2) or "") > 9:
+        raise ParseError("exponent out of range in %r" % (raw,), line, column)
+    exponent = int(m.group(2) or 0)
     if prefix:
         if prefix not in _PREFIXES:
             raise ParseError("unrecognized unit prefix %r" % (prefix,),
                              line, column)
-        scale = _PREFIXES[prefix]
+        exponent += _PREFIXES[prefix]
     if family is None:
         raise ParseError("this key takes a bare number, not %r" % (suffix,),
                          line, column)
     if _UNIT_FAMILY[unit] != family:
         raise ParseError("unit %r does not measure the expected quantity (%s)"
                          % (suffix, family), line, column)
-    return value * scale
+    return float("%se%d" % (m.group(1), exponent))
 
 
 def _parse_bool(raw, line, column):

@@ -21,16 +21,13 @@ f_s = 50 kHz
 
 
 def test_bench_constants_match_the_bundled_configs():
-    """The tests' written-out bench specs are the bundled configs, to
-    1e-15 relative in every field.  They are not bit-equal: "13 mH"
-    parses to 13 * 1e-3 = 0.013000000000000001, one ulp above 13e-3."""
+    """The tests' written-out bench specs are the bundled configs, equal
+    in every field."""
     for name, spec in (("sepic_bench", SEPIC_BENCH), ("cuk_bench", CUK_BENCH)):
         parsed = bundled(name).spec
         for field in dataclasses.fields(spec):
-            want = getattr(spec, field.name)
-            assert getattr(parsed, field.name) == (
-                pytest.approx(want, rel=1e-15, abs=0.0)
-                if type(want) is float else want), (name, field.name)
+            assert getattr(parsed, field.name) == getattr(spec, field.name), (
+                name, field.name)
 
 
 def test_bundled_sepic_config():
@@ -85,6 +82,11 @@ def test_unit_prefixes():
     assert cfg.spec.L1 == pytest.approx(13e-3)
     assert cfg.spec.C1 == pytest.approx(0.5e-6)
     assert cfg.spec.f_s == pytest.approx(50e3)
+    # a prefix moves the decimal exponent: the value is the literal's,
+    # bit for bit (13 * 1e-3 is one ulp above 13e-3)
+    for text, want in (("13 mH", 13e-3), ("0.1 mH", 0.1e-3), ("1.5e3 mH", 1.5)):
+        L1 = parse_config(MINIMAL.replace("L1 = 13 mH", "L1 = " + text)).spec.L1
+        assert L1 == want, text
 
 
 def test_unit_sticks_to_number():
@@ -147,6 +149,7 @@ def test_error_carries_position():
         ("[converter]\nkind = sepic\nVg = volts\n", 3, 6, "number"),
         (MINIMAL.replace("L1 = 13 mH", "L1 = 13 xH"), 5, 6, "unit prefix 'x'"),
         (MINIMAL + "[analysis defaults]\nD = 0.2 s\n", 11, 5, "bare number"),
+        (MINIMAL.replace("L1 = 13 mH", "L1 = 1e%s mH" % ("9" * 5000)), 5, 6, "exponent"),
     ):
         with pytest.raises(ParseError, match=message) as err:
             parse_config(text)
