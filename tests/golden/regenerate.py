@@ -46,6 +46,8 @@ COMMANDS = (
     ("tran", "--duty", "0.7", "--t-end", "0.05"),
     ("compare",),
     ("compare", "--duty", "0.7", "--cycles", "300"),
+    ("compare", "--cycles", "1"),
+    ("compare", "--steps", "8000", "--cycles", "20"),
 )
 TRAN_EVERY = 25
 
