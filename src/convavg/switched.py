@@ -3,25 +3,24 @@
 Every switching interval of either converter is an affine LTI system
 dx/dt = A x + b, integrated with a fixed-step trapezoidal rule whose
 one-step map x' = M x + c is Z = [[M, c], [0, 1]] on the state augmented
-with a constant 1.  There is no per-step loop.  The ON and DIODE stacks
-of the powers Z**k, built by doubling, are made once per run, and from
-each the end map Z**n and the trapezoid integral map
-h (sum_k Z**k - (I + Z**n) / 2), so a cycle is a few 5x5 products.  The
-diode-opening instant is the first DIODE sample whose summed inductor
-current is negative, found as one row block of the DIODE stack times the
-entry state and interpolated linearly inside that step; the rest of the
-period then runs on the constrained dynamics of the isolated series
-loop, which preserve i_L1 + i_L2 = 0 exactly.  That OPEN interval stays
-on the DIODE grid of step h_off: one trapezoid step over the rest of the
-crossing step, the cycle's only 5x5 solve, takes it back onto the grid,
-and its remaining whole steps come from an OPEN stack at h_off.  The
-integral maps of both off-time stacks, for every step count, are their
-running sums, made with the OPEN stack on a run's first DCM cycle.  Only
-the final cycle's samples are built: every cycle records its plan (each
-interval's entry state, stack indices, step and times from the cycle
-start) and, after the loop, the last plan is expanded on the same
-stacks.  No cycle depends on its index, so a run is exactly n_cycles
-applications of one cycle map.
+with a constant 1.  There is no per-step loop.  One cycle map per
+(spec, D, steps) holds the ON and DIODE stacks of the powers Z**k, built
+by doubling, and from each the end map Z**n and the trapezoid integral
+map h (sum_k Z**k - (I + Z**n) / 2), so a cycle is a few 5x5 products.
+The diode-opening instant is the first DIODE sample whose summed
+inductor current is negative, found as one row block of the DIODE stack
+times the entry state and interpolated linearly inside that step; the
+rest of the period then runs on the constrained dynamics of the isolated
+series loop, which preserve i_L1 + i_L2 = 0 exactly.  That OPEN interval
+stays on the DIODE grid of step h_off: one trapezoid step over the rest
+of the crossing step, the cycle's only 5x5 solve, takes it back onto the
+grid, and its remaining whole steps come from an OPEN stack at h_off.
+The integral maps of both off-time stacks, for every step count, are
+their running sums, made with the OPEN stack on the map's first DCM
+cycle.  run_switched builds the map once and applies it n_cycles times;
+each cycle records its plan (each interval's entry state, stack indices,
+step and times from the cycle start), and only the last plan is expanded
+into samples, on the same stacks.  No cycle depends on its index.
 
 v0 and the switch ports (V1, V2, I1, I2) are affine in the augmented
 state within an interval, one 5x5 output map G per interval, so every
@@ -296,6 +295,122 @@ def _integral_maps(P, h):
     return K
 
 
+def _cycle_map(spec, D, steps):
+    """(cycle, trace) of one (spec, D, steps).  cycle(x) maps a start
+    state x = (i_L1, i_L2, v_C1, v_C2, 1) to the cycle's summary and plan:
+    one (interval, entry state, first and last stack index, step, start
+    and end time from the cycle start, end state) per interval.
+    trace(summaries, plan) is the run's waveform, with samples expanded
+    from the plan of its last cycle on the same stacks.
+    """
+    Ts = 1.0 / spec.f_s
+    n_on = min(max(int(round(D * steps)), 1), steps - 1)
+    h_on = D * Ts / n_on
+    n_off = steps - n_on
+    h_off = (1.0 - D) * Ts / n_off
+
+    sys_open = _interval_system(spec, OPEN)
+    # SG[k] = [[I], [G]] takes an interval's state integral S to (S, G S)
+    SG = {k: np.vstack((np.eye(5), _output_map(spec, k, sys_open)))
+          for k in (ON, DIODE, OPEN)}
+    # Z**k of each interval for every step k (OPEN's on the first DCM
+    # cycle), and the 15x5 map of the entry state to (end state, S, G S)
+    stacks = {k: _powers(_affine(_interval_system(spec, k), h), n)
+              for k, h, n in ((ON, h_on, n_on), (DIODE, h_off, n_off))}
+    map_on, map_d = (np.vstack((stacks[k][-1], SG[k] @ _integral_map(stacks[k], h)))
+                     for k, h in ((ON, h_on), (DIODE, h_off)))
+    P_d = stacks[DIODE]
+    # x @ i_sum_d is i_L1 + i_L2 at DIODE samples 1..n_off of an entry x
+    i_sum_d = np.ascontiguousarray((P_d[1:, 0] + P_d[1:, 1]).T)
+    t_sw = D * Ts                       # switching instant within a cycle
+    t_off = t_sw + n_off * h_off        # the last sample of the off-time grid
+    I5 = np.eye(5)
+    K = {}      # the off-time integral maps at h_off, for every step count
+
+    def cycle(x):
+        y = map_on @ x
+        x1, parts = y[:5], y[5:]
+        plan = [(ON, x, 1, n_on, h_on, 0.0, n_on * h_on, x1)]
+        j, ccm = 0, False                   # j: the DIODE step that crosses zero
+        if x1[0] + x1[1] > 0.0:
+            s = x1 @ i_sum_d
+            below = s < 0.0
+            j = int(below.argmax()) + 1     # first sample below zero
+            ccm = not below[j - 1]
+        if ccm:
+            y = map_d @ x1
+            parts = parts + y[5:]
+            d2 = 1.0 - D
+            plan.append((DIODE, x1, 1, n_off, h_off, t_sw, t_off, y[:5]))
+        else:
+            if not K:
+                stacks[OPEN] = _powers(_affine(sys_open, h_off), n_off)
+                K[DIODE], K[OPEN] = (_integral_maps(stacks[k], h_off) for k in (DIODE, OPEN))
+            x_open, d2 = x1, 0.0            # no current: the whole off-time is open
+            if j:
+                # interpolate the crossing inside step j, make the event
+                # sample the last one and cut the integral there
+                sa = s[j - 2] if j > 1 else x1[0] + x1[1]
+                sb = s[j - 1]
+                if sa <= 0.0:
+                    raise EventDetectionError(
+                        "summed inductor current not positive entering the "
+                        "step that crossed zero; reduce the step size")
+                theta = float(sa / (sa - sb))
+                xa, xb = P_d[j - 1:j + 1] @ x1
+                x_open = xa + theta * (xb - xa)
+                S = K[DIODE][j - 1] @ x1 + 0.5 * theta * h_off * (xa + x_open)
+                parts = parts + SG[DIODE] @ S
+                d2 = (j - 1 + theta) * h_off / Ts
+                plan.append((DIODE, x1, 1, j, h_off, t_sw, t_sw + d2 * Ts, x_open))
+
+            # --- open interval (discontinuous tail) on the DIODE grid: the
+            # rest of step j in one trapezoid step, then n_off - j whole steps
+            if 1.0 - D - d2 > 0.0:
+                x_in, S = x_open, 0.0
+                if j:
+                    # (I - aF)^-1 (I + aF) x = 2 y - x with (I - aF) y = x
+                    a = 0.5 * (1.0 - theta) * h_off
+                    y = np.linalg.solve(I5 - a * sys_open, x_open)
+                    x_in, S = 2.0 * y - x_open, (2.0 * a) * y
+                n = n_off - j
+                parts = parts + SG[OPEN] @ (K[OPEN][n] @ x_in + S)
+                plan.append((OPEN, x_in, 0 if j else 1, n, h_off, t_sw + j * h_off, t_off,
+                             stacks[OPEN][n] @ x_in))
+        # v0 and the ports are affine in the state within an interval, so
+        # the trapezoid of each is G applied to the trapezoid S of the state
+        iL1, iL2, vC1, vC2, _, v0_avg, V1, V2, I1, I2 = (parts / Ts).tolist()
+        return CycleSummary(SwitchIntervalDuties(D, d2, 1.0 - D - d2), v0_avg, iL1, iL2,
+                            vC1, vC2, I1, I2, V1, V2, CCM if ccm else DCM), plan
+
+    def trace(summaries, plan):
+        # each interval adds its samples from its first stack index on
+        index = len(summaries) - 1
+        x = plan[0][1]
+        times = [np.array([plan[0][5]])]
+        states = [x[None]]
+        v0 = [np.array([SG[ON][5] @ x])]
+        spans = []
+        first = 0
+        for interval, x_in, k0, n, h, t_from, t_end, x_end in plan:
+            X = (stacks[interval][k0:n + 1].reshape(-1, 5) @ x_in).reshape(-1, 5)
+            X[-1] = x_end
+            t = t_from + np.arange(k0, n + 1) * h
+            t[-1] = t_end
+            spans.append((index, interval, first, first + n + 1 - k0))
+            first += n + 1 - k0
+            times.append(t)
+            states.append(X)
+            v0.append(X @ SG[interval][5])
+        return SwitchedWaveform(
+            spec=spec, D=D, steps_per_cycle=steps,
+            times=index * Ts + np.concatenate(times),
+            states=np.concatenate(states)[:, :4], v0=np.concatenate(v0),
+            segments=spans, summaries=summaries, cycles_run=len(summaries))
+
+    return cycle, trace
+
+
 def run_switched(config: SwitchedRunConfig, steady_tol: float = 0.0) -> SwitchedWaveform:
     """Integrate the switched converter for exactly n_cycles cycles.
 
@@ -307,127 +422,14 @@ def run_switched(config: SwitchedRunConfig, steady_tol: float = 0.0) -> Switched
     """
     if steady_tol != 0.0:
         raise ValueError("steady_tol must be 0, got %r" % (steady_tol,))
-    spec, D = config.spec, config.D
-    Ts = 1.0 / spec.f_s
-    steps = config.steps_per_cycle
-
-    n_on = min(max(int(round(D * steps)), 1), steps - 1)
-    h_on = D * Ts / n_on
-    n_off = steps - n_on
-    h_off = (1.0 - D) * Ts / n_off
-
-    sys_open = _interval_system(spec, OPEN)
-    # SG[k] = [[I], [G]] takes an interval's state integral S to (S, G S)
-    SG = {k: np.vstack((np.eye(5), _output_map(spec, k, sys_open)))
-          for k in (ON, DIODE, OPEN)}
-    # Z**k of the fixed-length intervals for every step k, and the 15x5
-    # map of the entry state to (end state, S, G S)
-    stacks = {k: _powers(_affine(_interval_system(spec, k), h), n)
-              for k, h, n in ((ON, h_on, n_on), (DIODE, h_off, n_off))}
-    map_on, map_d = (np.vstack((stacks[k][-1], SG[k] @ _integral_map(stacks[k], h)))
-                     for k, h in ((ON, h_on), (DIODE, h_off)))
-    P_d = stacks[DIODE]
-    # x @ i_sum_d is i_L1 + i_L2 at DIODE samples 1..n_off of an entry x
-    i_sum_d = np.ascontiguousarray((P_d[1:, 0] + P_d[1:, 1]).T)
-    t_sw = D * Ts                       # switching instant within a cycle
-    t_off = t_sw + n_off * h_off        # the last sample of the off-time grid
-    I5 = np.eye(5)
-    off = []    # DIODE integral maps, OPEN stack and its integral maps at h_off
-
-    def summarize(parts, d2, mode):
-        # v0 and the ports are affine in the state within an interval, so
-        # the trapezoid of each is G applied to the trapezoid S of the state
-        iL1, iL2, vC1, vC2, _, v0_avg, V1, V2, I1, I2 = (parts / Ts).tolist()
-        return CycleSummary(SwitchIntervalDuties(D, d2, 1.0 - D - d2),
-                            v0_avg, iL1, iL2, vC1, vC2, I1, I2, V1, V2, mode)
-
-    def run_cycle(x):
-        """One period from x = (i_L1, i_L2, v_C1, v_C2, 1): the summary and
-        the plan, one (interval, entry state, first and last stack index,
-        step, start time, end time, end state) per interval, its times
-        from the cycle start."""
-        y = map_on @ x
-        x1, parts = y[:5], y[5:]
-        plan = [(ON, x, 1, n_on, h_on, 0.0, n_on * h_on, x1)]
-        j = 0                               # the DIODE step that crosses zero
-        if x1[0] + x1[1] > 0.0:
-            s = x1 @ i_sum_d
-            below = s < 0.0
-            j = int(below.argmax()) + 1     # first sample below zero
-            if not below[j - 1]:
-                y = map_d @ x1
-                plan.append((DIODE, x1, 1, n_off, h_off, t_sw, t_off, y[:5]))
-                return summarize(parts + y[5:], 1.0 - D, CCM), plan
-        if not off:
-            P_o = _powers(_affine(sys_open, h_off), n_off)
-            off.extend((_integral_maps(P_d, h_off), P_o, _integral_maps(P_o, h_off)))
-        K_d, P_o, K_o = off
-        x_open, d2 = x1, 0.0                # no current: the whole off-time is open
-        if j:
-            # interpolate the crossing inside step j, make the event
-            # sample the last one and cut the integral there
-            sa = s[j - 2] if j > 1 else x1[0] + x1[1]
-            sb = s[j - 1]
-            if sa <= 0.0:
-                raise EventDetectionError(
-                    "summed inductor current not positive entering the "
-                    "step that crossed zero; reduce the step size")
-            theta = float(sa / (sa - sb))
-            xa, xb = P_d[j - 1:j + 1] @ x1
-            x_open = xa + theta * (xb - xa)
-            S = K_d[j - 1] @ x1 + 0.5 * theta * h_off * (xa + x_open)
-            parts = parts + SG[DIODE] @ S
-            d2 = (j - 1 + theta) * h_off / Ts
-            plan.append((DIODE, x1, 1, j, h_off, t_sw, t_sw + d2 * Ts, x_open))
-
-        # --- open interval (discontinuous tail) on the DIODE grid: the
-        # rest of step j in one trapezoid step, then n_off - j whole steps
-        if 1.0 - D - d2 > 0.0:
-            x_in, S = x_open, 0.0
-            if j:
-                # (I - aF)^-1 (I + aF) x = 2 y - x with (I - aF) y = x
-                a = 0.5 * (1.0 - theta) * h_off
-                y = np.linalg.solve(I5 - a * sys_open, x_open)
-                x_in, S = 2.0 * y - x_open, (2.0 * a) * y
-            n = n_off - j
-            parts = parts + SG[OPEN] @ (K_o[n] @ x_in + S)
-            plan.append((OPEN, x_in, 0 if j else 1, n, h_off, t_sw + j * h_off, t_off,
-                         P_o[n] @ x_in))
-        return summarize(parts, d2, DCM), plan
-
+    cycle, trace = _cycle_map(config.spec, config.D, config.steps_per_cycle)
     x = np.append(np.zeros(4) if config.initial is None else config.initial, 1.0)
     summaries = []
     for _ in range(config.n_cycles):
-        summary, plan = run_cycle(x)
+        summary, plan = cycle(x)
         summaries.append(summary)
         x = plan[-1][-1]
-
-    # the last cycle's trace, expanded from its plan on the same stacks
-    # and shifted to the cycle's start: each interval adds its samples
-    # from its first stack index on
-    cycle = config.n_cycles - 1
-    x = plan[0][1]
-    times = [np.array([plan[0][5]])]
-    states = [x[None]]
-    v0 = [np.array([SG[ON][5] @ x])]
-    spans = []
-    first = 0
-    for interval, x_in, k0, n, h, t_from, t_end, x_end in plan:
-        P = off[1] if interval == OPEN else stacks[interval]
-        X = (P[k0:n + 1].reshape(-1, 5) @ x_in).reshape(-1, 5)
-        X[-1] = x_end
-        t = t_from + np.arange(k0, n + 1) * h
-        t[-1] = t_end
-        spans.append((cycle, interval, first, first + n + 1 - k0))
-        first += n + 1 - k0
-        times.append(t)
-        states.append(X)
-        v0.append(X @ SG[interval][5])
-    return SwitchedWaveform(
-        spec=spec, D=D, steps_per_cycle=steps,
-        times=cycle * Ts + np.concatenate(times),
-        states=np.concatenate(states)[:, :4], v0=np.concatenate(v0),
-        segments=spans, summaries=summaries, cycles_run=len(summaries))
+    return trace(summaries, plan)
 
 
 def cycle_average(waveform: SwitchedWaveform, cycle_index: int):
