@@ -387,9 +387,7 @@ def _cycle_map(spec, D, steps):
         # each interval adds its samples from its first stack index on
         index = len(summaries) - 1
         x = plan[0][1]
-        times = [np.array([plan[0][5]])]
-        states = [x[None]]
-        v0 = [np.array([SG[ON][5] @ x])]
+        samples = [(np.array([plan[0][5]]), x[None], np.array([SG[ON][5] @ x]))]
         spans = []
         first = 0
         for interval, x_in, k0, n, h, t_from, t_end, x_end in plan:
@@ -399,14 +397,12 @@ def _cycle_map(spec, D, steps):
             t[-1] = t_end
             spans.append((index, interval, first, first + n + 1 - k0))
             first += n + 1 - k0
-            times.append(t)
-            states.append(X)
-            v0.append(X @ SG[interval][5])
+            samples.append((t, X, X @ SG[interval][5]))
+        times, states, v0 = (np.concatenate(a) for a in zip(*samples))
         return SwitchedWaveform(
-            spec=spec, D=D, steps_per_cycle=steps,
-            times=index * Ts + np.concatenate(times),
-            states=np.concatenate(states)[:, :4], v0=np.concatenate(v0),
-            segments=spans, summaries=summaries, cycles_run=len(summaries))
+            spec=spec, D=D, steps_per_cycle=steps, times=index * Ts + times,
+            states=states[:, :4], v0=v0, segments=spans, summaries=summaries,
+            cycles_run=len(summaries))
 
     return cycle, trace
 
