@@ -25,8 +25,7 @@ class ParseError(ValueError):
 
 # decimal exponent of each unit prefix
 _PREFIXES = {"p": -12, "n": -9, "u": -6, "µ": -6, "m": -3, "k": 3, "K": 3, "M": 6}
-# longest first so "Ohm" wins over a hypothetical prefix split
-_UNITS = ("Ohm", "ohm", "Ω", "Hz", "V", "A", "H", "F", "s")
+# quantity of each unit, longest first so "Ohm" wins over a prefix split
 _UNIT_FAMILY = {"Ohm": "Ohm", "ohm": "Ohm", "Ω": "Ohm", "Hz": "Hz",
                 "V": "V", "A": "A", "H": "H", "F": "F", "s": "s"}
 
@@ -61,7 +60,7 @@ def _parse_quantity(raw, family, line, column):
     if not suffix:
         return value
     unit = None
-    for u in _UNITS:
+    for u in _UNIT_FAMILY:
         if suffix.endswith(u):
             unit = u
             break

@@ -78,6 +78,11 @@ class ConverterSpec:
                 raise ValidationError("%s must be finite, got %r" % (f.name, value))
 
 
+def _check_duty(D):
+    if not (0.0 < D < 1.0):
+        raise ValidationError("duty cycle must lie in (0, 1), got %r" % (D,))
+
+
 @dataclass(frozen=True)
 class OperatingPointRequest:
     """A converter plus the commanded duty cycle to solve it at."""
@@ -86,8 +91,7 @@ class OperatingPointRequest:
     D: float
 
     def __post_init__(self):
-        if not (0.0 < self.D < 1.0):
-            raise ValidationError("duty cycle must lie in (0, 1), got %r" % (self.D,))
+        _check_duty(self.D)
 
 
 def equivalent_inductance(spec: ConverterSpec) -> float:
@@ -124,7 +128,6 @@ def dcm_predicted(spec: ConverterSpec, D: float) -> bool:
     current runs dry before the period ends.  Boundary itself counts as
     continuous conduction.
     """
-    if not (0.0 < D < 1.0):
-        raise ValidationError("duty cycle must lie in (0, 1), got %r" % (D,))
+    _check_duty(D)
     K = 2.0 * equivalent_inductance(spec) * spec.f_s / spec.R
     return K < (1.0 - D) ** 2

@@ -41,7 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .converter import ConverterSpec, SEPIC, ValidationError
+from .converter import ConverterSpec, SEPIC, ValidationError, _check_duty
 from .dc import SolverError, StateVector, state_values
 from .switchcell import CCM, DCM
 
@@ -57,8 +57,7 @@ class SwitchedRunConfig:
     initial: StateVector = None
 
     def __post_init__(self):
-        if not (0.0 < self.D < 1.0):
-            raise ValidationError("duty cycle must lie in (0, 1), got %r" % (self.D,))
+        _check_duty(self.D)
         for name in ("n_cycles", "steps_per_cycle"):
             count = getattr(self, name)
             if isinstance(count, bool) or not isinstance(count, Integral):
