@@ -324,7 +324,7 @@ def _cycle_map(spec, D, steps):
     t_sw = D * Ts                       # switching instant within a cycle
     t_off = t_sw + n_off * h_off        # the last sample of the off-time grid
     I5 = np.eye(5)
-    K = {}      # the off-time integral maps at h_off, for every step count
+    K = {}      # DIODE and OPEN integral maps at h_off, for every step count
 
     def cycle(x):
         y = map_on @ x

@@ -3,7 +3,9 @@
 These runs are the ground truth the averaged model is judged against,
 so the assertions here check the simulator's internal consistency
 (flux balance, step-size convergence, interval bookkeeping) plus its
-agreement with the averaged cell at matched operating points.
+agreement with the averaged cell at matched operating points.  The
+interval-weighted port reconstruction those agreement tests use is
+tested here on its own as well.
 """
 
 import dataclasses
