@@ -5,28 +5,30 @@ dx/dt = A x + b, integrated with a fixed-step trapezoidal rule whose
 one-step map x' = M x + c is Z = [[M, c], [0, 1]] on the state augmented
 with a constant 1.  There is no per-step loop.  One cycle map per
 (spec, D, steps) holds the ON and DIODE stacks of the powers Z**k, built
-by doubling, and from each the end map Z**n and the trapezoid integral
-map h (sum_k Z**k - (I + Z**n) / 2), so a cycle is a few 5x5 products.
-The diode-opening instant is the first DIODE sample whose summed
-inductor current is negative, found as one row block of the DIODE stack
-times the entry state and interpolated linearly inside that step; the
-rest of the period then runs on the constrained dynamics of the isolated
-series loop, which preserve i_L1 + i_L2 = 0 exactly.  That OPEN interval
-stays on the DIODE grid of step h_off: one trapezoid step over the rest
-of the crossing step, the cycle's only 5x5 solve, takes it back onto the
-grid, and its remaining whole steps come from an OPEN stack at h_off.
-The integral maps of both off-time stacks, for every step count, are
-their running sums, made with the OPEN stack on the map's first DCM
-cycle.  run_switched builds the map once and applies it n_cycles times;
-each cycle records its plan (each interval's entry state, stack indices,
-step and times from the cycle start), and only the last plan is expanded
-into samples, on the same stacks.  No cycle depends on its index.
+by doubling.  The diode-opening instant is the first DIODE sample whose
+summed inductor current is negative, found as one row block of the
+DIODE stack times the entry state and interpolated linearly inside that
+step; the rest of the period then runs on the constrained dynamics of
+the isolated series loop, which preserve i_L1 + i_L2 = 0 exactly.  That
+OPEN interval stays on the DIODE grid of step h_off: one trapezoid step
+over the rest of the crossing step, solved on floats from the zeros of
+the OPEN system, takes it back onto the grid, and its remaining whole
+steps come from an OPEN stack at h_off, built on the map's first DCM
+cycle.
 
-v0 and the switch ports (V1, V2, I1, I2) are affine in the augmented
-state within an interval, one 5x5 output map G per interval, so every
-cycle's averages of the states, v0 and the ports follow from each
-interval's trapezoid state integral S as S and G S, with no pass over
-stored samples.
+A cycle is split in two.  advance(x) is the sequential part, the map
+P(x) from a start state to the next: a few 5x5 products, the crossing
+search and the partial step, and a small record of the states it
+passed.  run_switched turns the records into cycle summaries in blocks
+of _BLOCK cycles, off that path: v0 and the switch ports (V1, V2, I1,
+I2) are affine in the augmented state within an interval, one output
+map G per interval, so a cycle's averages follow from each interval's
+trapezoid state integral S as S and G S.  S comes from the integral
+maps h (sum_k Z**k - (I + Z**n) / 2), which for the off-time stacks are
+their running sums for every step count.  Each record is contracted on
+its own row, so its summary does not depend on its block.  Only the last
+record is expanded into samples, on the same stacks.  No cycle depends
+on its index.
 
 This module is the verification counterpart of the averaged model and
 deliberately shares no circuit algebra with it: the interval systems are
@@ -294,13 +296,72 @@ def _integral_maps(P, h):
     return K
 
 
+def _open_step(sys_open):
+    """step(x, a) -> (x_in, S): the trapezoid step of length 2a on the
+    OPEN system F = sys_open from the state x, x_in = 2 y - x with
+    (I - aF) y = x, and its state integral S = 2a y, on floats.
+
+    It relies on the zeros of F: no row reads i_L2, the last row is zero,
+    v_C1 follows i_L1 alone and v_C2 i_L1 and itself.  So y_4 = x_4,
+    y_2 and y_3 are affine in y_0, and y_0 solves one scalar equation;
+    y_1 follows from the others.
+    """
+    (f00, _, f02, f03, f04), (f10, _, f12, f13, f14), (f20, *_), (f30, _, _, f33, _), _ = \
+        sys_open.tolist()
+
+    def step(x, a):
+        x0, x1, x2, x3, x4 = x
+        g = 1.0 / (1.0 - a * f33)
+        y0 = ((x0 + a * (f02 * x2 + f03 * g * x3 + f04 * x4))
+              / (1.0 - a * (f00 + a * (f02 * f20 + f03 * g * f30))))
+        y2 = x2 + a * f20 * y0
+        y3 = g * (x3 + a * f30 * y0)
+        y1 = x1 + a * (f10 * y0 + f12 * y2 + f13 * y3 + f14 * x4)
+        b = 2.0 * a
+        return ((2.0 * y0 - x0, 2.0 * y1 - x1, 2.0 * y2 - x2, 2.0 * y3 - x3, x4),
+                (b * y0, b * y1, b * y2, b * y3, b * x4))
+
+    return step
+
+
+class _Cycle(NamedTuple):
+    """What a cycle's summary and trace need besides its end state.
+
+    x: start state; x1: state at the end of ON; j: the DIODE step in
+    which i_L1 + i_L2 crossed zero (None in CCM, 0 with no current left
+    at the end of ON); theta: the fraction of step j before the
+    crossing; xa: the DIODE sample before it; x_open: the state at the
+    crossing; x_in: the OPEN entry state on the DIODE grid (None when the
+    crossing leaves no OPEN time); S: the state integral of the partial
+    OPEN step that led to x_in.
+    """
+
+    x: np.ndarray
+    x1: np.ndarray
+    j: int = None
+    theta: float = None
+    xa: np.ndarray = None
+    x_open: np.ndarray = None
+    x_in: np.ndarray = None
+    S: tuple = (0.0,) * 5
+
+
+# cycles whose summaries are built together: it bounds the memory the
+# records take, and a summary's bits do not depend on it
+_BLOCK = 128
+
+
 def _cycle_map(spec, D, steps):
-    """(cycle, trace) of one (spec, D, steps).  cycle(x) maps a start
-    state x = (i_L1, i_L2, v_C1, v_C2, 1) to the cycle's summary and plan:
-    one (interval, entry state, first and last stack index, step, start
-    and end time from the cycle start, end state) per interval.
-    trace(summaries, plan) is the run's waveform, with samples expanded
-    from the plan of its last cycle on the same stacks.
+    """(advance, summarize, trace) of one (spec, D, steps).
+
+    advance(x) maps a start state x = (i_L1, i_L2, v_C1, v_C2, 1) to the
+    cycle's end state and its _Cycle record; it is the whole of the
+    cycle-to-cycle map P(x).  summarize(records) turns a block of
+    records into their CycleSummary list, contracting each record's
+    interval integral maps and output maps on its own row.
+    trace(summaries, record, x_end) is the run's waveform, with the
+    samples of the last cycle expanded from its record on the same
+    stacks.
     """
     Ts = 1.0 / spec.f_s
     n_on = min(max(int(round(D * steps)), 1), steps - 1)
@@ -309,89 +370,120 @@ def _cycle_map(spec, D, steps):
     h_off = (1.0 - D) * Ts / n_off
 
     sys_open = _interval_system(spec, OPEN)
+    open_step = _open_step(sys_open)
     # SG[k] = [[I], [G]] takes an interval's state integral S to (S, G S)
     SG = {k: np.vstack((np.eye(5), _output_map(spec, k, sys_open)))
           for k in (ON, DIODE, OPEN)}
     # Z**k of each interval for every step k (OPEN's on the first DCM
-    # cycle), and the 15x5 map of the entry state to (end state, S, G S)
+    # cycle), and the 10x5 map of an entry state to (S, G S) of the
+    # whole interval
     stacks = {k: _powers(_affine(_interval_system(spec, k), h), n)
               for k, h, n in ((ON, h_on, n_on), (DIODE, h_off, n_off))}
-    map_on, map_d = (np.vstack((stacks[k][-1], SG[k] @ _integral_map(stacks[k], h)))
-                     for k, h in ((ON, h_on), (DIODE, h_off)))
-    P_d = stacks[DIODE]
+    parts_on, parts_d = (SG[k] @ _integral_map(stacks[k], h)
+                         for k, h in ((ON, h_on), (DIODE, h_off)))
+    Z_on, P_d = stacks[ON][-1], stacks[DIODE]
+    Z_d = P_d[-1]
     # x @ i_sum_d is i_L1 + i_L2 at DIODE samples 1..n_off of an entry x
     i_sum_d = np.ascontiguousarray((P_d[1:, 0] + P_d[1:, 1]).T)
     t_sw = D * Ts                       # switching instant within a cycle
     t_off = t_sw + n_off * h_off        # the last sample of the off-time grid
-    I5 = np.eye(5)
     K = {}      # DIODE and OPEN integral maps at h_off, for every step count
 
-    def cycle(x):
-        y = map_on @ x
-        x1, parts = y[:5], y[5:]
-        plan = [(ON, x, 1, n_on, h_on, 0.0, n_on * h_on, x1)]
-        j, ccm = 0, False                   # j: the DIODE step that crosses zero
+    def diode_duty(j, theta):
+        return (j - 1 + theta) * h_off / Ts
+
+    def advance(x):
+        x1 = Z_on @ x
+        j = 0                               # the DIODE step that crosses zero
         if x1[0] + x1[1] > 0.0:
             s = x1 @ i_sum_d
             below = s < 0.0
             j = int(below.argmax()) + 1     # first sample below zero
-            ccm = not below[j - 1]
-        if ccm:
-            y = map_d @ x1
-            parts = parts + y[5:]
-            d2 = 1.0 - D
-            plan.append((DIODE, x1, 1, n_off, h_off, t_sw, t_off, y[:5]))
-        else:
-            if not K:
-                stacks[OPEN] = _powers(_affine(sys_open, h_off), n_off)
-                K[DIODE], K[OPEN] = (_integral_maps(stacks[k], h_off) for k in (DIODE, OPEN))
-            x_open, d2 = x1, 0.0            # no current: the whole off-time is open
-            if j:
-                # interpolate the crossing inside step j, make the event
-                # sample the last one and cut the integral there
-                sa = s[j - 2] if j > 1 else x1[0] + x1[1]
-                sb = s[j - 1]
-                if sa <= 0.0:
-                    raise EventDetectionError(
-                        "summed inductor current not positive entering the "
-                        "step that crossed zero; reduce the step size")
-                theta = float(sa / (sa - sb))
-                xa, xb = P_d[j - 1:j + 1] @ x1
-                x_open = xa + theta * (xb - xa)
-                S = K[DIODE][j - 1] @ x1 + 0.5 * theta * h_off * (xa + x_open)
-                parts = parts + SG[DIODE] @ S
-                d2 = (j - 1 + theta) * h_off / Ts
-                plan.append((DIODE, x1, 1, j, h_off, t_sw, t_sw + d2 * Ts, x_open))
+            if not below[j - 1]:
+                return Z_d @ x1, _Cycle(x, x1)
+        if OPEN not in stacks:
+            stacks[OPEN] = _powers(_affine(sys_open, h_off), n_off)
+        if not j:                           # no current: the whole off-time is open
+            return stacks[OPEN][n_off] @ x1, _Cycle(x, x1, 0, x_in=x1)
+        # interpolate the crossing inside step j; the event sample is the
+        # DIODE interval's last one
+        sa = s[j - 2] if j > 1 else x1[0] + x1[1]
+        sb = s[j - 1]
+        if sa <= 0.0:
+            raise EventDetectionError(
+                "summed inductor current not positive entering the "
+                "step that crossed zero; reduce the step size")
+        theta = float(sa / (sa - sb))
+        xa, xb = P_d[j - 1:j + 1] @ x1
+        x_open = xa + theta * (xb - xa)
+        if not 1.0 - D - diode_duty(j, theta) > 0.0:
+            return x_open, _Cycle(x, x1, j, theta, xa, x_open)
+        # the OPEN interval on the DIODE grid: the rest of step j in one
+        # trapezoid step, then n_off - j whole steps
+        x_in, S = open_step(x_open.tolist(), 0.5 * (1.0 - theta) * h_off)
+        x_in = np.array(x_in)
+        return (stacks[OPEN][n_off - j] @ x_in,
+                _Cycle(x, x1, j, theta, xa, x_open, x_in, S))
 
-            # --- open interval (discontinuous tail) on the DIODE grid: the
-            # rest of step j in one trapezoid step, then n_off - j whole steps
-            if 1.0 - D - d2 > 0.0:
-                x_in, S = x_open, 0.0
-                if j:
-                    # (I - aF)^-1 (I + aF) x = 2 y - x with (I - aF) y = x
-                    a = 0.5 * (1.0 - theta) * h_off
-                    y = np.linalg.solve(I5 - a * sys_open, x_open)
-                    x_in, S = 2.0 * y - x_open, (2.0 * a) * y
-                n = n_off - j
-                parts = parts + SG[OPEN] @ (K[OPEN][n] @ x_in + S)
-                plan.append((OPEN, x_in, 0 if j else 1, n, h_off, t_sw + j * h_off, t_off,
-                             stacks[OPEN][n] @ x_in))
+    def summarize(records):
         # v0 and the ports are affine in the state within an interval, so
-        # the trapezoid of each is G applied to the trapezoid S of the state
-        iL1, iL2, vC1, vC2, _, v0_avg, V1, V2, I1, I2 = (parts / Ts).tolist()
-        return CycleSummary(SwitchIntervalDuties(D, d2, 1.0 - D - d2), v0_avg, iL1, iL2,
-                            vC1, vC2, I1, I2, V1, V2, CCM if ccm else DCM), plan
+        # the trapezoid of each is G applied to the trapezoid S of the
+        # state.  einsum contracts each record's row on its own, where a
+        # BLAS product over the rows could round a row by its neighbours.
+        c = _Cycle(*zip(*records))          # each field over the block
 
-    def trace(summaries, plan):
+        def rows(which, field):
+            return np.array([field[n] for n in which])
+
+        def add(which, maps, S):
+            parts[which] += np.einsum("ij,nj->ni", maps, S)
+
+        parts = np.einsum("ij,nj->ni", parts_on, np.array(c.x))
+        ccm = [n for n, j in enumerate(c.j) if j is None]
+        if ccm:
+            add(ccm, parts_d, rows(ccm, c.x1))
+        if len(ccm) < len(records) and not K:
+            K[DIODE], K[OPEN] = (_integral_maps(stacks[k], h_off) for k in (DIODE, OPEN))
+        cut = [n for n, j in enumerate(c.j) if j]
+        if cut:
+            add(cut, SG[DIODE], np.einsum("nij,nj->ni", K[DIODE][rows(cut, c.j) - 1],
+                                          rows(cut, c.x1))
+                + (0.5 * rows(cut, c.theta) * h_off)[:, None]
+                * (rows(cut, c.xa) + rows(cut, c.x_open)))
+        tail = [n for n, x_in in enumerate(c.x_in) if x_in is not None]
+        if tail:
+            add(tail, SG[OPEN], np.einsum("nij,nj->ni", K[OPEN][n_off - rows(tail, c.j)],
+                                          rows(tail, c.x_in))
+                + rows(tail, c.S))
+        summaries = []
+        for r, (iL1, iL2, vC1, vC2, _, v0_avg, V1, V2, I1, I2) in zip(
+                records, (parts / Ts).tolist()):
+            d2 = 1.0 - D if r.j is None else diode_duty(r.j, r.theta) if r.j else 0.0
+            summaries.append(CycleSummary(
+                SwitchIntervalDuties(D, d2, 1.0 - D - d2), v0_avg, iL1, iL2, vC1, vC2,
+                I1, I2, V1, V2, CCM if r.j is None else DCM))
+        return summaries
+
+    def trace(summaries, r, x_end):
+        # the record's intervals as (interval, entry state, first and last
+        # stack index, step, start and end time from the cycle start, end state)
+        plan = [(ON, r.x, 1, n_on, h_on, 0.0, n_on * h_on, r.x1)]
+        if r.j is None:
+            plan.append((DIODE, r.x1, 1, n_off, h_off, t_sw, t_off, x_end))
+        elif r.j:
+            plan.append((DIODE, r.x1, 1, r.j, h_off, t_sw,
+                         t_sw + diode_duty(r.j, r.theta) * Ts, r.x_open))
+        if r.x_in is not None:
+            plan.append((OPEN, r.x_in, 0 if r.j else 1, n_off - r.j, h_off,
+                         t_sw + r.j * h_off, t_off, x_end))
         # each interval adds its samples from its first stack index on
         index = len(summaries) - 1
-        x = plan[0][1]
-        samples = [(np.array([plan[0][5]]), x[None], np.array([SG[ON][5] @ x]))]
+        samples = [(np.array([0.0]), r.x[None], np.array([SG[ON][5] @ r.x]))]
         spans = []
         first = 0
-        for interval, x_in, k0, n, h, t_from, t_end, x_end in plan:
+        for interval, x_in, k0, n, h, t_from, t_end, x_last in plan:
             X = (stacks[interval][k0:n + 1].reshape(-1, 5) @ x_in).reshape(-1, 5)
-            X[-1] = x_end
+            X[-1] = x_last
             t = t_from + np.arange(k0, n + 1) * h
             t[-1] = t_end
             spans.append((index, interval, first, first + n + 1 - k0))
@@ -403,7 +495,7 @@ def _cycle_map(spec, D, steps):
             states=states[:, :4], v0=v0, segments=spans, summaries=summaries,
             cycles_run=len(summaries))
 
-    return cycle, trace
+    return advance, summarize, trace
 
 
 def run_switched(config: SwitchedRunConfig, steady_tol: float = 0.0) -> SwitchedWaveform:
@@ -417,14 +509,16 @@ def run_switched(config: SwitchedRunConfig, steady_tol: float = 0.0) -> Switched
     """
     if steady_tol != 0.0:
         raise ValueError("steady_tol must be 0, got %r" % (steady_tol,))
-    cycle, trace = _cycle_map(config.spec, config.D, config.steps_per_cycle)
+    advance, summarize, trace = _cycle_map(config.spec, config.D, config.steps_per_cycle)
     x = np.append(np.zeros(4) if config.initial is None else config.initial, 1.0)
     summaries = []
-    for _ in range(config.n_cycles):
-        summary, plan = cycle(x)
-        summaries.append(summary)
-        x = plan[-1][-1]
-    return trace(summaries, plan)
+    for start in range(0, config.n_cycles, _BLOCK):
+        records = []
+        for _ in range(min(_BLOCK, config.n_cycles - start)):
+            x, record = advance(x)
+            records.append(record)
+        summaries += summarize(records)
+    return trace(summaries, record, x)
 
 
 def cycle_average(waveform: SwitchedWaveform, cycle_index: int):

@@ -28,8 +28,9 @@ from convavg import (
     solve_dc,
 )
 from convavg.avgmodel import MU_CLAMP_EPS
-from convavg.switched import (DIODE, ON, OPEN, CycleSummary, SwitchIntervalDuties,
-                              _interval_system, _output_map)
+from convavg.switched import (_BLOCK, DIODE, ON, OPEN, CycleSummary,
+                              SwitchIntervalDuties, _cycle_map, _interval_system,
+                              _open_step, _output_map)
 from strategies import CUK_BENCH, SEPIC_BENCH, bundled, converter_specs
 
 
@@ -43,6 +44,9 @@ REFERENCE_POINTS = [
 ]
 POINT_IDS = ["%s-%s-%s" % (spec.kind, "ideal" if spec.ideal else "nonideal", mode)
              for spec, _, mode in REFERENCE_POINTS]
+BENCH_SPECS = [SEPIC_BENCH, CUK_BENCH, dataclasses.replace(SEPIC_BENCH, ideal=True),
+               dataclasses.replace(CUK_BENCH, ideal=True)]
+BENCH_IDS = ["sepic", "cuk", "sepic-ideal", "cuk-ideal"]
 
 
 # --- references: the port algebra written out per interval ----------
@@ -365,34 +369,46 @@ VOLT_FIELDS = ("v0_avg", "v_C1_avg", "v_C2_avg", "V1_avg", "V2_avg")
 AMP_FIELDS = ("i_L1_avg", "i_L2_avg", "I1_avg", "I2_avg")
 
 
+def unit_scales(summaries):
+    """The largest |average| among the summaries, volts and amps."""
+    return [max(abs(getattr(s, name)) for s in summaries for name in fields)
+            for fields in (VOLT_FIELDS, AMP_FIELDS)]
+
+
+def assert_summary_matches(got, want, D, scales, duty_tol=1e-12, where=None):
+    """One summary of run_switched against step_loop_run's: mode exactly,
+    D2/D3 to duty_tol and every average to 1e-9 relative.  An average
+    that passes near zero by cancellation (a port voltage during a
+    start-up) is held to 1e-12 of scales, the largest value in its unit,
+    instead.  The duties also hold the interval invariant run_switched
+    does not check at run time: D1 is the duty, D2 and D3 lie in [0, 1],
+    the three sum to 1 and D3 is 0 in CCM."""
+    assert got.mode == want.mode, where
+    d = got.duties
+    assert d.D1 == D, where
+    assert 0.0 <= d.D2 <= 1.0 and 0.0 <= d.D3 <= 1.0, (where, d)
+    assert abs(d.D1 + d.D2 + d.D3 - 1.0) <= 1e-15, (where, d)
+    assert got.mode == DCM or d.D3 == 0.0, (where, d)
+    assert got.duties.D2 == pytest.approx(want.duties.D2, rel=0.0, abs=duty_tol)
+    assert got.duties.D3 == pytest.approx(want.duties.D3, rel=0.0, abs=duty_tol)
+    for fields, scale in zip((VOLT_FIELDS, AMP_FIELDS), scales):
+        for name in fields:
+            assert getattr(got, name) == pytest.approx(
+                getattr(want, name), rel=1e-9, abs=1e-12 * scale), (where, name)
+
+
 def assert_matches_step_loop(cfg, duty_tol=1e-12):
-    """Every cycle of run_switched agrees with step_loop_run: mode,
-    crossing step and segment layout exactly, D2/D3 to duty_tol and
-    every average to 1e-9 relative.  An average that passes near zero by
-    cancellation (a port voltage during a start-up) is held to 1e-12 of
-    the run's largest value in its unit instead.  The layout and the
-    crossing of cycle c come from the retained final cycle of a run cut
-    after c + 1 cycles.  Every cycle's duties also hold the interval
-    invariant run_switched does not check at run time: D1 is the duty,
-    D2 and D3 lie in [0, 1], the three sum to 1 and D3 is 0 in CCM."""
+    """Every cycle of run_switched agrees with step_loop_run: each
+    summary as assert_summary_matches holds it, scaled over the whole
+    run, and the crossing step and segment layout exactly.  The layout
+    and the crossing of cycle c come from the retained final cycle of a
+    run cut after c + 1 cycles."""
     ref = step_loop_run(cfg)
     full = run_switched(cfg).summaries
     assert len(full) == len(ref)
+    scales = unit_scales([s for s, _, _ in ref])
     for c, (want, crossed, layout) in enumerate(ref):
-        got = full[c]
-        assert got.mode == want.mode
-        d = got.duties
-        assert d.D1 == cfg.D, c
-        assert 0.0 <= d.D2 <= 1.0 and 0.0 <= d.D3 <= 1.0, (c, d)
-        assert abs(d.D1 + d.D2 + d.D3 - 1.0) <= 1e-15, (c, d)
-        assert got.mode == DCM or d.D3 == 0.0, (c, d)
-        assert got.duties.D2 == pytest.approx(want.duties.D2, rel=0.0, abs=duty_tol)
-        assert got.duties.D3 == pytest.approx(want.duties.D3, rel=0.0, abs=duty_tol)
-        for fields in (VOLT_FIELDS, AMP_FIELDS):
-            scale = max(abs(getattr(s, name)) for s, _, _ in ref for name in fields)
-            for name in fields:
-                assert getattr(got, name) == pytest.approx(
-                    getattr(want, name), rel=1e-9, abs=1e-12 * scale), (c, name)
+        assert_summary_matches(full[c], want, cfg.D, scales, duty_tol, c)
         cut = run_switched(dataclasses.replace(cfg, n_cycles=c + 1))
         got_layout = [(k, last - first) for _, k, first, last in cut.segments]
         assert got_layout == layout, c
@@ -409,10 +425,7 @@ def trapezoid(t, y):
     return 0.5 * np.sum(np.diff(t) * (y[1:] + y[:-1]).T, axis=-1)
 
 
-@pytest.mark.parametrize("spec", [SEPIC_BENCH, CUK_BENCH,
-                                  dataclasses.replace(SEPIC_BENCH, ideal=True),
-                                  dataclasses.replace(CUK_BENCH, ideal=True)],
-                         ids=["sepic", "cuk", "sepic-ideal", "cuk-ideal"])
+@pytest.mark.parametrize("spec", BENCH_SPECS, ids=BENCH_IDS)
 def test_output_map_reproduces_the_port_algebra(spec):
     """Each interval's G maps (x, 1) to the v0 and switch ports of the
     written-out reference, at seeded random states, to 1e-12 of the
@@ -690,6 +703,138 @@ def test_final_cycle_trace_sits_on_the_off_time_grid(off_time_starts, case):
                                rtol=0.0, atol=1e-9 * h_off)
     assert wf.times[-1] == pytest.approx(Ts, rel=0.0, abs=1e-9 * h_off)
     assert_matches_step_loop(cfg)
+
+
+@pytest.fixture(scope="module")
+def record_kind_starts(off_time_starts):
+    """off_time_starts with a 'ccm' start and a 'no open time' one.  The
+    sepic_bench DC point with v_C2 lowered is bisected, to adjacent
+    floats, between a cycle that crosses zero and one that stays CCM;
+    the crossing side crosses in the last DIODE step so close to its end
+    that the crossing leaves no OPEN time.  The bracket's CCM end is the
+    'ccm' start (at the float next to the crossing the step-by-step
+    reference still crosses, at the very end of the period)."""
+    advance = _cycle_map(SEPIC_BENCH, 0.2, 1000)[0]
+    x0 = np.array(solve_dc(OperatingPointRequest(spec=SEPIC_BENCH, D=0.2)).state)
+
+    def shifted(dv):
+        return x0 - (0.0, 0.0, 0.0, dv)
+
+    def crosses(dv):
+        return advance(np.append(shifted(dv), 1.0))[1].j is not None
+
+    ccm = 0.2 * x0[3]
+    assert crosses(0.0) and not crosses(ccm)
+    lo, hi = 0.0, ccm
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if crosses(mid) else (lo, mid)
+    return dict(off_time_starts, ccm=shifted(ccm), **{"no open time": shifted(lo)})
+
+
+RECORD_KINDS = ["ccm", "no current", "first", "middle", "last", "no open time"]
+
+
+def record_kind(record):
+    if record.j is None:
+        return "ccm"
+    if not record.j:
+        return "no current"
+    return "crossing" if record.x_in is not None else "no open time"
+
+
+def test_one_block_of_every_record_kind_matches_the_step_loop(record_kind_starts):
+    """One block holds a record of every kind: CCM, no current at the end
+    of ON, a crossing in the first, a middle and the last DIODE step, and
+    a crossing that leaves no OPEN time.  Each summary of the block
+    equals the one-cycle run's from the same start bit for bit, and
+    agrees with the step-by-step reference at the tolerances of
+    assert_matches_step_loop."""
+    advance, summarize, _ = _cycle_map(SEPIC_BENCH, 0.2, 1000)
+    records = [advance(np.append(record_kind_starts[k], 1.0))[1] for k in RECORD_KINDS]
+    assert [record_kind(r) for r in records] == [
+        "ccm", "no current", "crossing", "crossing", "crossing", "no open time"]
+    for kind, got in zip(RECORD_KINDS, summarize(records)):
+        cfg = one_cycle(record_kind_starts[kind])
+        assert got == run_switched(cfg).summaries[0], kind
+        (want, _, _), = step_loop_run(cfg)
+        assert_summary_matches(got, want, cfg.D, unit_scales([want]), where=kind)
+
+
+def test_summaries_do_not_depend_on_the_block():
+    """A cold start of 2 _BLOCK + 3 cycles, through CCM into DCM, has
+    the summaries of its runs cut at _BLOCK - 1, _BLOCK and _BLOCK + 1
+    cycles, bit for bit: a cycle's summary is the same in a full block
+    and in a part one, at any place in either."""
+    cfg = SwitchedRunConfig(spec=SEPIC_BENCH, D=0.2, n_cycles=2 * _BLOCK + 3)
+    full = run_switched(cfg).summaries
+    assert {s.mode for s in full} == {CCM, DCM}
+    for n in (_BLOCK - 1, _BLOCK, _BLOCK + 1):
+        assert run_switched(dataclasses.replace(cfg, n_cycles=n)).summaries == full[:n], n
+
+
+def assert_open_system_zeros(spec):
+    """The zeros of the OPEN system the float partial step relies on: no
+    row reads i_L2 and the last row is zero; v_C1 follows i_L1 alone and
+    v_C2 i_L1 and itself."""
+    F = _interval_system(spec, OPEN)
+    assert np.all(F[:, 1] == 0.0) and np.all(F[4] == 0.0)
+    assert np.all(F[2, 1:] == 0.0)
+    assert F[3, 2] == F[3, 4] == 0.0
+
+
+@pytest.mark.parametrize("spec", BENCH_SPECS, ids=BENCH_IDS)
+def test_open_system_has_the_zeros_of_the_float_step(spec):
+    assert_open_system_zeros(spec)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(converter_specs())
+def test_open_system_has_the_zeros_of_the_float_step_on_random_converters(spec):
+    assert_open_system_zeros(spec)
+
+
+@pytest.mark.parametrize("spec", BENCH_SPECS, ids=BENCH_IDS)
+def test_float_open_step_is_the_linear_solve(spec):
+    """The written-out partial OPEN step of (1 - theta) h_off from x is
+    2 y - x with integral 2a y, y = solve(I - aF, x) and
+    a = (1 - theta) h_off / 2, within 1e-14 relative, at seeded theta,
+    duties, step counts and states."""
+    F = _interval_system(spec, OPEN)
+    step = _open_step(F)
+    rng = np.random.default_rng(20261020)
+    units = np.array([spec.Vg / spec.R] * 2 + [spec.Vg] * 2)
+    for _ in range(200):
+        D, theta = rng.uniform(0.05, 0.9), rng.uniform()
+        n_off = int(rng.integers(100, 8000))
+        a = 0.5 * (1.0 - theta) * (1.0 - D) / spec.f_s / n_off
+        x = np.append(rng.uniform(-2.0, 2.0, 4) * units, 1.0)
+        y = np.linalg.solve(np.eye(5) - a * F, x)
+        x_in, S = step(x.tolist(), a)
+        np.testing.assert_allclose(x_in, 2.0 * y - x, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(S, 2.0 * a * y, rtol=1e-14, atol=0.0)
+
+
+def test_linear_solves_do_not_grow_with_the_cycle_count(monkeypatch):
+    """A run's np.linalg.solve calls build its stacks, so one DCM cycle
+    and fifty make as many: the partial OPEN step solves on floats."""
+    op = solve_dc(OperatingPointRequest(spec=SEPIC_BENCH, D=0.2))
+    calls = []
+    solve = np.linalg.solve
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    counts = []
+    for n in (1, 50):
+        calls.clear()
+        wf = run_switched(SwitchedRunConfig(spec=SEPIC_BENCH, D=0.2, n_cycles=n,
+                                            initial=op.state))
+        assert all(s.mode == DCM and s.duties.D2 > 0.0 for s in wf.summaries)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
 
 
 def run_on(wf):
