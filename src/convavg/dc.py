@@ -247,12 +247,14 @@ def sweep_duty(spec: ConverterSpec, D_from: float, D_to: float,
     solve_dc solves it, from the closed-form guess at its own duty.
 
     A point that fails to converge is recorded with ``converged=False``
-    (NaN state) and the sweep goes on.  A non-positive step, a
-    non-finite bound, a reversed range or a grid above MAX_SWEEP_POINTS
+    (NaN state) and the sweep goes on.  A non-positive or infinite step,
+    a non-finite bound, a reversed range or a grid above MAX_SWEEP_POINTS
     raises ValueError first.
     """
     if not (D_step > 0.0):
         raise ValueError("duty step must be positive")
+    if not isfinite(D_step):        # 0 * inf would make a NaN duty
+        raise ValueError("duty step must be finite")
     if not (isfinite(D_from) and isfinite(D_to)):
         raise ValueError("duty bounds must be finite")
     span = (D_to - D_from) / D_step

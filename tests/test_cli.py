@@ -287,6 +287,16 @@ def test_usage_error_is_exit_1(monkeypatch, capsys):
         assert "must be finite" in capsys.readouterr().err
 
 
+def test_sweep_infinite_step_is_exit_1(capsys):
+    """An infinite --step is a usage error; it once ended in exit 2 with
+    'duty cycle must lie in (0, 1), got nan'."""
+    argv = ["sweep", "--config", "sepic_bench", "--from", "0.1", "--to", "0.2",
+            "--step", "inf"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "step must be finite" in err
+
+
 # argv fuzz: every subcommand's flags, each absent or set from a pool of
 # values that are out of range, non-finite or not numbers at all
 FUZZ_VALUES = ("0", "-1", "nan", "inf", "-inf", "1e-300", "1e300", "abc", "")

@@ -213,6 +213,13 @@ def test_sweep_rejects_bad_step():
         sweep_duty(SEPIC_BENCH, 0.2, 0.4, -0.01)
 
 
+def test_sweep_rejects_an_infinite_step():
+    """An infinite step once made the grid's one duty 0 * inf, a NaN that
+    the converter check refused as a config error."""
+    with pytest.raises(ValueError, match="step must be finite"):
+        sweep_duty(SEPIC_BENCH, 0.1, 0.2, float("inf"))
+
+
 def test_sweep_rejects_oversized_grid_before_solving(monkeypatch):
     import convavg.dc
 
