@@ -387,7 +387,8 @@ def _cycle_map(spec, D, steps):
     i_sum_d = np.ascontiguousarray((P_d[1:, 0] + P_d[1:, 1]).T)
     t_sw = D * Ts                       # switching instant within a cycle
     t_off = t_sw + n_off * h_off        # the last sample of the off-time grid
-    K = {}      # DIODE and OPEN integral maps at h_off, for every step count
+    K = {}      # DIODE and OPEN integral maps at h_off, for every step count,
+                # built with the OPEN stack on the first DCM cycle
 
     def diode_duty(j, theta):
         return (j - 1 + theta) * h_off / Ts
@@ -401,8 +402,9 @@ def _cycle_map(spec, D, steps):
             j = int(below.argmax()) + 1     # first sample below zero
             if not below[j - 1]:
                 return Z_d @ x1, _Cycle(x, x1)
-        if OPEN not in stacks:
+        if not K:
             stacks[OPEN] = _powers(_affine(sys_open, h_off), n_off)
+            K[DIODE], K[OPEN] = (_integral_maps(stacks[k], h_off) for k in (DIODE, OPEN))
         if not j:                           # no current: the whole off-time is open
             return stacks[OPEN][n_off] @ x1, _Cycle(x, x1, 0, x_in=x1)
         # interpolate the crossing inside step j; the event sample is the
@@ -442,8 +444,6 @@ def _cycle_map(spec, D, steps):
         ccm = [n for n, j in enumerate(c.j) if j is None]
         if ccm:
             add(ccm, parts_d, rows(ccm, c.x1))
-        if len(ccm) < len(records) and not K:
-            K[DIODE], K[OPEN] = (_integral_maps(stacks[k], h_off) for k in (DIODE, OPEN))
         cut = [n for n, j in enumerate(c.j) if j]
         if cut:
             add(cut, SG[DIODE], np.einsum("nij,nj->ni", K[DIODE][rows(cut, c.j) - 1],
