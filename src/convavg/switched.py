@@ -440,29 +440,29 @@ def _cycle_map(spec, D, steps):
         def add(which, maps, S):
             parts[which] += np.einsum("ij,nj->ni", maps, S)
 
+        X1 = np.array(c.x1)
         parts = np.einsum("ij,nj->ni", parts_on, np.array(c.x))
+        d2 = np.full(len(records), 1.0 - D)
+        modes = [CCM if j is None else DCM for j in c.j]
         ccm = [n for n, j in enumerate(c.j) if j is None]
         if ccm:
-            add(ccm, parts_d, rows(ccm, c.x1))
+            add(ccm, parts_d, X1[ccm])
+        d2[[n for n, j in enumerate(c.j) if j == 0]] = 0.0     # no current left
         cut = [n for n, j in enumerate(c.j) if j]
         if cut:
-            add(cut, SG[DIODE], np.einsum("nij,nj->ni", K[DIODE][rows(cut, c.j) - 1],
-                                          rows(cut, c.x1))
-                + (0.5 * rows(cut, c.theta) * h_off)[:, None]
-                * (rows(cut, c.xa) + rows(cut, c.x_open)))
+            j, theta = rows(cut, c.j), rows(cut, c.theta)
+            d2[cut] = diode_duty(j, theta)
+            add(cut, SG[DIODE], np.einsum("nij,nj->ni", K[DIODE][j - 1], X1[cut])
+                + (0.5 * theta * h_off)[:, None] * (rows(cut, c.xa) + rows(cut, c.x_open)))
         tail = [n for n, x_in in enumerate(c.x_in) if x_in is not None]
         if tail:
             add(tail, SG[OPEN], np.einsum("nij,nj->ni", K[OPEN][n_off - rows(tail, c.j)],
                                           rows(tail, c.x_in))
                 + rows(tail, c.S))
-        summaries = []
-        for r, (iL1, iL2, vC1, vC2, _, v0_avg, V1, V2, I1, I2) in zip(
-                records, (parts / Ts).tolist()):
-            d2 = 1.0 - D if r.j is None else diode_duty(r.j, r.theta) if r.j else 0.0
-            summaries.append(CycleSummary(
-                SwitchIntervalDuties(D, d2, 1.0 - D - d2), v0_avg, iL1, iL2, vC1, vC2,
-                I1, I2, V1, V2, CCM if r.j is None else DCM))
-        return summaries
+        return [CycleSummary(SwitchIntervalDuties(D, D2, D3), v0_avg, iL1, iL2, vC1, vC2,
+                             I1, I2, V1, V2, mode)
+                for (iL1, iL2, vC1, vC2, _, v0_avg, V1, V2, I1, I2), D2, D3, mode
+                in zip((parts / Ts).tolist(), d2.tolist(), (1.0 - D - d2).tolist(), modes)]
 
     def trace(summaries, r, x_end):
         # the record's intervals as (interval, entry state, first and last
