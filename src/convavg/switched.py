@@ -340,8 +340,8 @@ class _Cycle(NamedTuple):
     x1: np.ndarray
     j: int = None
     theta: float = None
-    xa: np.ndarray = None
-    x_open: np.ndarray = None
+    xa: list = None
+    x_open: list = None
     x_in: np.ndarray = None
     S: tuple = (0.0,) * 5
 
@@ -416,13 +416,13 @@ def _cycle_map(spec, D, steps):
                 "summed inductor current not positive entering the "
                 "step that crossed zero; reduce the step size")
         theta = float(sa / (sa - sb))
-        xa, xb = P_d[j - 1:j + 1] @ x1
-        x_open = xa + theta * (xb - xa)
+        xa, xb = (P_d[j - 1:j + 1] @ x1).tolist()
+        x_open = [a + theta * (b - a) for a, b in zip(xa, xb)]
         if not 1.0 - D - diode_duty(j, theta) > 0.0:
-            return x_open, _Cycle(x, x1, j, theta, xa, x_open)
+            return np.array(x_open), _Cycle(x, x1, j, theta, xa, x_open)
         # the OPEN interval on the DIODE grid: the rest of step j in one
         # trapezoid step, then n_off - j whole steps
-        x_in, S = open_step(x_open.tolist(), 0.5 * (1.0 - theta) * h_off)
+        x_in, S = open_step(x_open, 0.5 * (1.0 - theta) * h_off)
         x_in = np.array(x_in)
         return (stacks[OPEN][n_off - j] @ x_in,
                 _Cycle(x, x1, j, theta, xa, x_open, x_in, S))
