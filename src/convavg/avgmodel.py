@@ -43,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import sqrt
 
-from .converter import ConverterSpec, SEPIC, effective_resistance
+from .converter import ConverterSpec, SEPIC, equivalent_inductance
 from .switchcell import CCM, DCM
 
 # Effective duty is clamped below 1 by this margin so the transformer
@@ -81,20 +81,19 @@ class PortSolution:
         return self._candidate
 
 
-def _loop_coefficients(spec, d, i_L1, i_L2, v_C1, v_C2):
-    """Coefficients of W(mu) = a + b*mu + c*(1-mu)/mu for this state."""
-    i_sum = i_L1 + i_L2
-    if spec.kind == SEPIC:
-        share = spec.R * spec.R_C2 / (spec.R + spec.R_C2)
-        a = (v_C1 + spec.R_C1 * i_L1
-             + (spec.R * v_C2) / (spec.R + spec.R_C2) + share * i_sum
-             + spec.R_d * i_sum)
-        b = -(spec.R_C1 + share + spec.R_d + spec.R_on1) * i_sum
-    else:
-        a = v_C1 + spec.R_C1 * i_L1 + spec.R_d * i_sum
-        b = -(spec.R_C1 + spec.R_d + spec.R_on1) * i_sum
-    c = spec.V_d * d if i_sum > 0.0 else 0.0
-    return a, b, c
+def _cell(spec):
+    """(sepic, R + R_C2, SEPIC share R*R_C2/(R + R_C2), b_s in b = b_s*i_sum,
+    2*L_eq*f_s), kept on the spec; one dataclasses.replace builds has none."""
+    cell = getattr(spec, "_cell", None)
+    if cell is None:
+        sepic, R, R_C2 = spec.kind == SEPIC, spec.R, spec.R_C2
+        rr = R + R_C2
+        share = R * R_C2 / rr if sepic else 0.0
+        b_s = (-(spec.R_C1 + share + spec.R_d + spec.R_on1) if sepic
+               else -(spec.R_C1 + spec.R_d + spec.R_on1))
+        cell = (sepic, rr, share, b_s, 2.0 * equivalent_inductance(spec) * spec.f_s)
+        object.__setattr__(spec, "_cell", cell)
+    return cell
 
 
 def _solve_mu_dcm(a, b, c, re_i):
@@ -148,14 +147,19 @@ def resolve_ports(spec: ConverterSpec, d: float, x) -> PortSolution:
     """
     i_L1, i_L2, v_C1, v_C2 = float(x[0]), float(x[1]), float(x[2]), float(x[3])
     d = min(max(d, _MU_FLOOR), 1.0 - MU_CLAMP_EPS)
+    sepic, rr, share, b_s, k_re = _cell(spec)
+    R, R_C1, R_C2, R_d = spec.R, spec.R_C1, spec.R_C2, spec.R_d
     i_sum = i_L1 + i_L2
-    a, b, c = _loop_coefficients(spec, d, i_L1, i_L2, v_C1, v_C2)
+    a = (v_C1 + R_C1 * i_L1 + (R * v_C2) / rr + share * i_sum + R_d * i_sum if sepic
+         else v_C1 + R_C1 * i_L1 + R_d * i_sum)       # W(mu) = a + b*mu + c*(1-mu)/mu
+    b = b_s * i_sum
+    c = spec.V_d * d if i_sum > 0.0 else 0.0
 
     fallback = (i_sum < 0.0) or (a <= 0.0)
     mu, mode, mu_candidate, re_i = d, CCM, d, 0.0
     w = a + b * d + c * (1.0 - d) / d         # W(mu) at mu = d
     if not fallback:
-        re_i = effective_resistance(spec, d) * i_sum
+        re_i = k_re / (d * d) * i_sum     # Re = 2*L_eq*f_s/d**2
         if d > _MU_FLOOR and (d - 1.0) * w + d * re_i >= 0.0:    # g(d) >= 0: CCM
             mu_candidate = None
         else:
@@ -173,15 +177,15 @@ def resolve_ports(spec: ConverterSpec, d: float, x) -> PortSolution:
     i_c1 = nu * i_L1 - mu * i_L2
     v_node1 = V1 + spec.R_on1 * I1
 
-    if spec.kind == SEPIC:
-        i_c2 = (spec.R * I2 - v_C2) / (spec.R + spec.R_C2)
-        v_out = v_C2 + spec.R_C2 * i_c2
-        v_node2 = v_node1 - v_C1 - spec.R_C1 * i_c1
+    if sepic:
+        i_c2 = (R * I2 - v_C2) / rr
+        v_out = v_C2 + R_C2 * i_c2
+        v_node2 = v_node1 - v_C1 - R_C1 * i_c1
     else:
         d2e = d * nu / mu     # diode conduction fraction
-        diode_drop = (spec.V_d * d2e if i_sum > 0.0 else 0.0) + spec.R_d * I2
-        i_c2 = -(spec.R * i_L2 + v_C2) / (spec.R + spec.R_C2)
-        v_out = v_C2 + spec.R_C2 * i_c2
+        diode_drop = (spec.V_d * d2e if i_sum > 0.0 else 0.0) + R_d * I2
+        i_c2 = -(R * i_L2 + v_C2) / rr
+        v_out = v_C2 + R_C2 * i_c2
         v_node2 = -V2 + diode_drop
 
     # positional: keyword parsing would cost a third of a CCM resolve
@@ -230,28 +234,23 @@ def jacobian_columns(spec: ConverterSpec, d: float, x, ports: PortSolution,
     d_in = d
     d = min(max(d, _MU_FLOOR), 1.0 - MU_CLAMP_EPS)
     a, b, c, _ = ports._loop
+    sepic, rr, share, b_s, k_re = _cell(spec)
     mu = ports.mu
     w = a + b * mu + c * (1.0 - mu) / mu
     w_mu = b - c / (mu * mu)
     re = 0.0
     k_mu = 0.0              # dmu = k_mu * (change of g at fixed mu)
     if ports.mode == DCM and mu == ports.mu_candidate:
-        re = effective_resistance(spec, d)
+        re = k_re / (d * d)
         k_mu = -1.0 / (w + (mu - 1.0) * w_mu + re * i_sum)
     mu_d = 1.0 if ports.mode == CCM else 0.0    # mu = d: CCM and fallback
-    sepic = spec.kind == SEPIC
     R, R_C1, R_C2, R_L2, R_d = spec.R, spec.R_C1, spec.R_C2, spec.R_L2, spec.R_d
     R_on1, R_L1, L1, L2, C1, C2 = spec.R_on1, spec.R_L1, spec.L1, spec.L2, spec.C1, spec.C2
     nu, mu_re, mu_i, c_mu = 1.0 - mu, mu * re, mu * i_sum, c / (mu * mu)
-    # _loop_coefficients' a along each direction, summed in its order; b
-    # along a direction is b_s times the direction's summed current.
-    if sepic:
-        share = R * R_C2 / (R + R_C2)
-        a_dir = (R_C1 + share + R_d, share + R_d, 1.0, R / (R + R_C2), 0.0)
-        b_s = -(R_C1 + share + R_d + R_on1)
-    else:
-        a_dir = (R_C1 + R_d, R_d, 1.0, 0.0, 0.0)
-        b_s = -(R_C1 + R_d + R_on1)
+    # resolve_ports' a along each direction, summed in its order; b along
+    # a direction is b_s times the direction's summed current.
+    a_dir = ((R_C1 + share + R_d, share + R_d, 1.0, R / rr, 0.0) if sepic
+             else (R_C1 + R_d, R_d, 1.0, 0.0, 0.0))
     cols = []
     for j in range(count):
         e0, e1, e2, e3 = _DIRECTIONS[j]
@@ -267,11 +266,11 @@ def jacobian_columns(spec: ConverterSpec, d: float, x, ports: PortSolution,
         di_c1 = nu * e0 - mu * e1 - i_sum * dmu
         dv_node1 = nu * dw - w * dmu + R_on1 * dI1
         if sepic:
-            di_c2 = (R * dI2 - e3) / (R + R_C2)
+            di_c2 = (R * dI2 - e3) / rr
             dv_node2 = dv_node1 - e2 - R_C1 * di_c1
             df2 = -(dv_node2 + R_L2 * e1) / L2
         else:
-            di_c2 = -(R * e1 + e3) / (R + R_C2)
+            di_c2 = -(R * e1 + e3) / rr
             dv_node2 = (-(mu * dw + w * dmu) + dc * nu / mu
                         - c_mu * dmu + R_d * dI2)
             dv_out = e3 + R_C2 * di_c2

@@ -1,5 +1,7 @@
 """Tests for the analytic state and duty derivatives of the averaged cell."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 from convavg import (
     CCM,
     DCM,
+    SEPIC,
+    ConverterSpec,
     OperatingPointRequest,
     avgmodel,
     derivative,
@@ -18,7 +22,7 @@ from convavg import (
 )
 from convavg.dc import _guess_values
 from convavg.avgmodel import MU_CLAMP_EPS
-from strategies import bundled, converter_specs
+from strategies import bundled, converter_specs, decades
 
 
 def state_jacobian(spec, d, x, ports):
@@ -89,12 +93,30 @@ def test_state_jacobian_matches_linearize_at_bundled_point(name):
     assert np.max(np.abs(J - A)) <= 1e-8 * np.max(np.abs(A))
 
 
+def loop_coefficients(spec, d, x):
+    """a, b, c of W(mu) = a + b*mu + c*(1-mu)/mu at state x, written out
+    from the spec's fields as the reference."""
+    i_L1, i_L2, v_C1, v_C2 = x
+    i_sum = i_L1 + i_L2
+    if spec.kind == SEPIC:
+        share = spec.R * spec.R_C2 / (spec.R + spec.R_C2)
+        a = (v_C1 + spec.R_C1 * i_L1
+             + (spec.R * v_C2) / (spec.R + spec.R_C2) + share * i_sum
+             + spec.R_d * i_sum)
+        b = -(spec.R_C1 + share + spec.R_d + spec.R_on1) * i_sum
+    else:
+        a = v_C1 + spec.R_C1 * i_L1 + spec.R_d * i_sum
+        b = -(spec.R_C1 + spec.R_d + spec.R_on1) * i_sum
+    c = spec.V_d * d if i_sum > 0.0 else 0.0
+    return a, b, c
+
+
 def root_solve_mode(spec, d, x):
     """The mode rule before the sign test, kept as the reference: solve
     the DCM root at every non-fallback point and compare it with D.
     Returns (mode, mu, mu_candidate)."""
     d = min(max(d, avgmodel._MU_FLOOR), 1.0 - MU_CLAMP_EPS)
-    a, b, c = avgmodel._loop_coefficients(spec, d, *x)
+    a, b, c = loop_coefficients(spec, d, x)
     i_sum = x[0] + x[1]
     if i_sum < 0.0 or a <= 0.0:
         return CCM, d, d
@@ -128,3 +150,40 @@ def test_sign_of_g_at_the_duty_picks_the_root_solve_mode(point):
     spec, d, x = point
     ports = resolve_ports(spec, d, x)
     assert (ports.mode, ports.mu, ports.mu_candidate) == root_solve_mode(spec, d, x)
+
+
+def bits(value):
+    """value with every float spelled out in hex, so == compares bits."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (tuple, list)):
+        return tuple(map(bits, value))
+    if dataclasses.is_dataclass(value):
+        return tuple(bits(getattr(value, f.name)) for f in dataclasses.fields(value))
+    return value
+
+
+def fresh(spec, **changes):
+    """A spec constructed anew from spec's field values and ``changes``."""
+    values = {f.name: getattr(spec, f.name) for f in dataclasses.fields(spec)}
+    return ConverterSpec(**dict(values, **changes))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(cell_points(), decades(-1, 4), decades(-4, 0), decades(-4, 0))
+def test_replaced_and_ideal_specs_resolve_as_freshly_built_ones(point, R, R_L1, R_L2):
+    """The cell's per-spec constants follow the spec: resolve_ports and
+    jacobian_columns on a spec that dataclasses.replace stepped, after
+    the original has been resolved, and on an ideal=True spec are the
+    same bits as on a spec constructed with those field values."""
+    spec, d, x = point
+    resolve_ports(spec, d, x)
+    for got, built in ((dataclasses.replace(spec, R=R, R_L1=R_L1, R_L2=R_L2),
+                        fresh(spec, R=R, R_L1=R_L1, R_L2=R_L2)),
+                       (fresh(spec, ideal=True),
+                        fresh(spec, R_L1=0.0, R_L2=0.0, R_on1=0.0, V_d=0.0, R_d=0.0,
+                              R_C1=0.0, R_C2=0.0))):
+        ports = resolve_ports(got, d, x)
+        assert bits(ports) == bits(resolve_ports(built, d, x))
+        assert bits(jacobian_columns(got, d, x, ports, 5)) == \
+            bits(jacobian_columns(built, d, x, resolve_ports(built, d, x), 5))
