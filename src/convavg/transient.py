@@ -5,15 +5,17 @@ trapezoidal stage to t + gamma*h, then a BDF2 stage through the step's
 start and that stage to t + h.  With gamma = 2 - sqrt(2) both stages
 solve with the same Newton matrix I - (gamma/2)*h*J, and an embedded
 estimate, filtered through that matrix, drives the adaptive step size.
-J is the analytic Jacobian of the averaged cell.  It is kept from step
-to step and rebuilt only at a segment start or when the simplified
-Newton iteration fails; the step shrinks only when Newton fails with a
-fresh J.  The stage derivatives are recovered from the stage equations,
-so a step costs one derivative per Newton iteration plus the one that
-starts the next step.  The step and the cell's derivative run on plain
-floats, each 4-vector as four named floats and each 4x4 product summed
-left to right; numpy only inverts the per-step Newton matrix and builds
-the output arrays.
+J, the cell's analytic Jacobian, and the inverse Newton matrix M are
+kept across steps, after CVODE (Hindmarsh et al., ACM TOMS 2005): J is
+rebuilt at a segment start and when Newton fails with a fresh M; M with
+J, when dh moves over 30 % from the dh it was built at, and when Newton
+fails with M built at another dh; h shrinks when Newton fails with both
+fresh.  A stage also stops on the error left at its convergence rate
+(Hairer & Wanner, Solving ODEs II, IV.8).  Stage derivatives come from
+the stage equations, so a step costs one derivative per Newton iteration
+plus the one that starts the next step.  The step, the cell and M's
+inverse run on plain floats, 4-vectors as named floats and 4x4 products
+summed left to right; numpy only builds the output arrays.
 
 The effective duty is resolved algebraically inside every derivative
 evaluation, so mode transitions need no special handling; parameter
@@ -28,14 +30,14 @@ from __future__ import annotations
 import dataclasses
 from bisect import bisect_right
 from dataclasses import dataclass
-from math import inf, isfinite, isnan, sqrt
+from math import inf, isfinite, isnan, nan, sqrt
 from operator import itemgetter
 
 import numpy as np
 
-from .avgmodel import derivative, jacobian_columns, resolve_ports
+from .avgmodel import _DIRECTIONS, derivative, jacobian_columns, resolve_ports
 from .converter import ConverterSpec, ValidationError
-from .dc import SolverError, state_values
+from .dc import SolverError, _solve4, state_values
 
 # Parameters that a stimulus may step during a run.
 STEPPABLE = ("R_L1", "R_L2", "R")
@@ -43,7 +45,8 @@ STEPPABLE = ("R_L1", "R_L2", "R")
 _NEWTON_MAX = 4
 _STEP_GROW = 5.0
 _STEP_SHRINK = 0.2
-_EYE = np.eye(4)
+_DH_KEEP = 0.3          # M is kept while |dh/dh_M - 1| stays within this
+_UNITS = _DIRECTIONS[:4]
 
 # TR-BDF2 stage weights: y1 - (gamma/2) h f(y1) = _B_G*y_g - _B_0*x.
 _GAMMA = 2.0 - sqrt(2.0)
@@ -121,6 +124,7 @@ class TransientStats:
     rejected: int = 0         # steps that failed the error test
     newton_failures: int = 0  # steps whose stage Newton iteration failed
     jacobians: int = 0
+    inverses: int = 0         # inverse Newton matrices built
     rhs: int = 0              # derivative evaluations that resolve the cell
     h_min: float = 0.0        # smallest and largest accepted step [s]
     h_max: float = 0.0
@@ -136,6 +140,13 @@ class Waveform:
     mu: np.ndarray
     mode: list
     stats: TransientStats = TransientStats()
+
+
+def _inverse(J, dh):
+    """(I - dh*J)^-1 row by row from J's columns: row i solves (I - dh*J)^T m = e_i."""
+    a0, a1, a2, a3 = [[e - dh * j for e, j in zip(u, c)] for u, c in zip(_DIRECTIONS, J)]
+    rows = [_solve4([a0 + [p], a1 + [q], a2 + [r], a3 + [s]]) for p, q, r, s in _UNITS]
+    return (nan,) * 16 if None in rows else rows[0] + rows[1] + rows[2] + rows[3]
 
 
 def _solve_stage(spec, d, z, rhs, dh, M, tol, work):
@@ -160,8 +171,9 @@ def _solve_stage(spec, d, z, rhs, dh, M, tol, work):
         z = (z0 + s0, z1 + s1, z2 + s2, z3 + s3)
         # a nan residual makes every s_i nan, and max(); the error test catches the rest
         norm = max(abs(s0) / t0, abs(s1) / t1, abs(s2) / t2, abs(s3) / t3)
-        if norm <= 1.0:
-            return z
+        rate = norm / prev      # 0 on the first iteration
+        if norm <= 1.0 or 0.0 < rate < 1.0 and rate / (1.0 - rate) * norm <= 1.0:
+            return z            # the error left at this rate is within tol
         if not norm < prev:     # diverging, or not finite
             return None
         prev = norm
@@ -178,7 +190,7 @@ def _integrate_segment(spec, stim, t0, t1, x, f0, h, rtol, atol, accept, work):
     """
     t = t0
     h_min = max(1e-18, 1e-14 * max(t1, 1.0))
-    J = None                # Jacobian kept across steps within the segment
+    J = M = None            # J and M = (I - dh_M*J)^-1, kept across steps
     fresh = False           # J was taken at the current (t, x)
     while t < t1:
         h = min(h, t1 - t)
@@ -187,12 +199,14 @@ def _integrate_segment(spec, stim, t0, t1, x, f0, h, rtol, atol, accept, work):
                 "step size underflow at t = %.6e s" % (t,))
         if J is None:
             d = stim.duty_at(t)
-            J = np.array(jacobian_columns(spec, d, x, resolve_ports(spec, d, x), 4)).T
+            J = jacobian_columns(spec, d, x, resolve_ports(spec, d, x), 4)
             work["jacobians"] += 1
-            fresh = True
+            fresh, M = True, None
         dh = 0.5 * _GAMMA * h
         gh = _GAMMA * h
-        M = np.linalg.inv(_EYE - dh * J).ravel().tolist()
+        if M is None or abs(dh / dh_M - 1.0) > _DH_KEEP:
+            M, dh_M = _inverse(J, dh), dh
+            work["inverses"] += 1
         x0, x1, x2, x3 = x
         p0, p1, p2, p3 = f0
         # stages are solved to a fraction of the error tolerance, not to round-off
@@ -221,7 +235,9 @@ def _integrate_segment(spec, stim, t0, t1, x, f0, h, rtol, atol, accept, work):
                               (r0, r1, r2, r3), dh, M, tol, work)
         if y1 is None:
             work["newton_failures"] += 1
-            if fresh:
+            if dh != dh_M:
+                M = None
+            elif fresh:
                 h *= 0.25
             else:
                 J = None

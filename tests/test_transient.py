@@ -312,15 +312,27 @@ def left_to_right(M, v):
     return np.array([a * v[0] + b * v[1] + c * v[2] + e * v[3] for a, b, c, e in M])
 
 
+def numpy_inverse(J, dh):
+    """(I - dh*J)^-1 for J given by its columns, from numpy."""
+    return np.linalg.inv(np.eye(4) - dh * np.array(J).T)
+
+
+def float_inverse(J, dh):
+    """The kernel's plain-float (I - dh*J)^-1, as a 4x4 array."""
+    return np.array(transient._inverse(J, dh)).reshape(4, 4)
+
+
 def numpy_solve_stage(spec, d, z, rhs, dh, M_inv, tol, product):
     """The stage Newton iteration on numpy arrays, as the integrator ran
-    it before its kernel moved to plain floats."""
+    it before its kernel moved to plain floats, with the kernel's stop
+    on the error left at the convergence rate."""
     prev = np.inf
     for _ in range(transient._NEWTON_MAX):
         delta = product(M_inv, rhs - z + dh * np.array(derivative(spec, d, z)))
         z = z + delta
         norm = float(np.max(np.abs(delta) / tol))
-        if norm <= 1.0:
+        rate = norm / prev
+        if norm <= 1.0 or 0.0 < rate < 1.0 and rate / (1.0 - rate) * norm <= 1.0:
             return z
         if not norm < prev:     # diverging, or not finite
             return None
@@ -329,16 +341,17 @@ def numpy_solve_stage(spec, d, z, rhs, dh, M_inv, tol, product):
 
 
 def numpy_integrate_segment(spec, stim, t0, t1, x, f0, h, rtol, atol, accept, work,
-                            product=np.matmul):
+                            product=np.matmul, inverse=numpy_inverse):
     """Reference for transient._integrate_segment: the same TR-BDF2
-    step on numpy arrays.  ``work`` is accepted and left alone;
-    ``product`` computes the 4x4 matrix-vector products."""
+    step, with the same rule for keeping J and M, on numpy arrays.
+    ``work`` is accepted and left alone; ``product`` computes the 4x4
+    matrix-vector products and ``inverse(J, dh)`` the matrix M."""
     gamma, err_0, err_g, err_1 = (transient._GAMMA, transient._ERR_0,
                                   transient._ERR_G, transient._ERR_1)
     x, f0 = np.asarray(x), np.asarray(f0)
     t = t0
     h_min = max(1e-18, 1e-14 * max(t1, 1.0))
-    J = None
+    J = M_inv = None
     fresh = False
     while t < t1:
         h = min(h, t1 - t)
@@ -347,10 +360,11 @@ def numpy_integrate_segment(spec, stim, t0, t1, x, f0, h, rtol, atol, accept, wo
         if J is None:
             d = stim.duty_at(t)
             ports = transient.resolve_ports(spec, d, x)
-            J = np.array(jacobian_columns(spec, d, x, ports, 4)).T
-            fresh = True
+            J = jacobian_columns(spec, d, x, ports, 4)
+            fresh, M_inv = True, None
         dh = 0.5 * gamma * h
-        M_inv = np.linalg.inv(np.eye(4) - dh * J)
+        if M_inv is None or abs(dh / dh_M - 1.0) > transient._DH_KEEP:
+            M_inv, dh_M = inverse(J, dh), dh
         tol = np.maximum(0.05 * (atol + rtol * np.abs(x)), 1e-14 * (1.0 + np.abs(x)))
         rhs = x + dh * f0
         y_g = numpy_solve_stage(spec, stim.duty_at(t + gamma * h), x + gamma * h * f0,
@@ -363,7 +377,9 @@ def numpy_integrate_segment(spec, stim, t0, t1, x, f0, h, rtol, atol, accept, wo
                                    x + h * f0 + (y_g - x - gamma * h * f0) / gamma ** 2,
                                    rhs, dh, M_inv, tol, product)
         if y1 is None:
-            if fresh:
+            if dh != dh_M:
+                M_inv = None
+            elif fresh:
                 h *= 0.25
             else:
                 J = None
@@ -425,7 +441,8 @@ def test_float_kernel_matches_numpy_reference(monkeypatch, spec, d_dcm, d_ccm):
         got = simulate(spec, stim, t_end, initial, rtol=rtol, atol=atol)
         with monkeypatch.context() as patch:
             patch.setattr(transient, "_integrate_segment",
-                          functools.partial(numpy_integrate_segment, product=left_to_right))
+                          functools.partial(numpy_integrate_segment, product=left_to_right,
+                                            inverse=float_inverse))
             same = simulate(spec, stim, t_end, initial, rtol=rtol, atol=atol)
             patch.setattr(transient, "_integrate_segment", numpy_integrate_segment)
             ref = simulate(spec, stim, t_end, initial, rtol=rtol, atol=atol)
@@ -483,7 +500,8 @@ def test_float_kernel_is_the_reference_step_on_random_converters(spec, u, v):
         got = outcome(spec, stim, t_end, initial)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(transient, "_integrate_segment",
-                          functools.partial(numpy_integrate_segment, product=left_to_right))
+                          functools.partial(numpy_integrate_segment, product=left_to_right,
+                                            inverse=float_inverse))
             same = outcome(spec, stim, t_end, initial)
         if isinstance(got, str):
             assert got == same
@@ -494,15 +512,35 @@ def test_float_kernel_is_the_reference_step_on_random_converters(spec, u, v):
         assert got.mode == same.mode
 
 
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.lists(st.floats(-1e6, 1e6), min_size=16, max_size=16), st.floats(1e-9, 1e-3))
+def test_float_inverse_matches_numpy(entries, dh):
+    """The kernel's (I - dh*J)^-1 from J's columns agrees with numpy's
+    inverse to round-off wherever the matrix is well conditioned."""
+    J = [tuple(entries[4 * k:4 * k + 4]) for k in range(4)]
+    A = np.eye(4) - dh * np.array(J).T
+    assume(np.linalg.cond(A) < 1e6)
+    M = np.array(transient._inverse(J, dh)).reshape(4, 4)
+    assert np.allclose(M @ A, np.eye(4), rtol=0.0, atol=1e-8)
+
+
+def test_float_inverse_of_a_singular_matrix_is_nan():
+    """An exactly singular I - dh*J gives an all-nan M, which fails the
+    stage iteration instead of raising."""
+    assert all(map(math.isnan, transient._inverse(((1.0, 0.0, 0.0, 0.0),) * 4, 1.0)))
+
+
 # --- work per step --------------------------------------------------
 
 def test_startup_work_per_accepted_step(monkeypatch):
     """A start-up from zero needs a handful of cell resolutions per
     accepted step: one per Newton iteration of the two TR-BDF2 stages,
     one to label the sample, and one per Jacobian rebuild, which the
-    kept Jacobian makes rare."""
-    calls = [0]
-    derivative_fn, resolve_fn = transient.derivative, transient.resolve_ports
+    kept Jacobian makes rare.  The kept Newton matrix makes its inverse
+    rarer still: one per five accepted steps at most."""
+    calls, inverses = [0], [0]
+    derivative_fn, resolve_fn, inverse_fn = (transient.derivative, transient.resolve_ports,
+                                             transient._inverse)
 
     def counted_derivative(spec, d, x, ports=None):
         calls[0] += ports is None
@@ -512,8 +550,13 @@ def test_startup_work_per_accepted_step(monkeypatch):
         calls[0] += 1
         return resolve_fn(spec, d, x)
 
+    def counted_inverse(J, dh):
+        inverses[0] += 1
+        return inverse_fn(J, dh)
+
     monkeypatch.setattr(transient, "derivative", counted_derivative)
     monkeypatch.setattr(transient, "resolve_ports", counted_resolve)
+    monkeypatch.setattr(transient, "_inverse", counted_inverse)
     wf = simulate(SEPIC_BENCH, Stimulus(duty=0.2), t_end=0.12)
     accepted = len(wf.times) - 1
     assert accepted > 100
@@ -521,6 +564,8 @@ def test_startup_work_per_accepted_step(monkeypatch):
     # the run's own counters agree with the count taken from outside
     assert wf.stats.rhs + wf.stats.jacobians == calls[0]
     assert wf.stats.accepted == accepted
+    assert wf.stats.inverses == inverses[0]
+    assert 0 < wf.stats.inverses <= accepted / 5
     assert 0.0 < wf.stats.h_min <= wf.stats.h_max
 
 
