@@ -82,8 +82,8 @@ class PortSolution:
 
 
 def _cell(spec):
-    """(sepic, R + R_C2, SEPIC share R*R_C2/(R + R_C2), b_s in b = b_s*i_sum,
-    2*L_eq*f_s), kept on the spec; one dataclasses.replace builds has none."""
+    """Per-spec constants (sepic, R + R_C2, share R*R_C2/(R + R_C2), b_s of
+    b = b_s*i_sum, 2*L_eq*f_s), kept on the spec; dataclasses.replace drops them."""
     cell = getattr(spec, "_cell", None)
     if cell is None:
         sepic, R, R_C2 = spec.kind == SEPIC, spec.R, spec.R_C2

@@ -144,7 +144,7 @@ class Waveform:
 
 def _inverse(J, dh):
     """(I - dh*J)^-1 row by row from J's columns: row i solves (I - dh*J)^T m = e_i."""
-    a0, a1, a2, a3 = [[e - dh * j for e, j in zip(u, c)] for u, c in zip(_DIRECTIONS, J)]
+    a0, a1, a2, a3 = [[e - dh * j for e, j in zip(u, c)] for u, c in zip(_UNITS, J)]
     rows = [_solve4([a0 + [p], a1 + [q], a2 + [r], a3 + [s]]) for p, q, r, s in _UNITS]
     return (nan,) * 16 if None in rows else rows[0] + rows[1] + rows[2] + rows[3]
 

@@ -527,7 +527,11 @@ def test_float_inverse_matches_numpy(entries, dh):
 def test_float_inverse_of_a_singular_matrix_is_nan():
     """An exactly singular I - dh*J gives an all-nan M, which fails the
     stage iteration instead of raising."""
-    assert all(map(math.isnan, transient._inverse(((1.0, 0.0, 0.0, 0.0),) * 4, 1.0)))
+    M = transient._inverse(((1.0, 0.0, 0.0, 0.0),) * 4, 1.0)
+    assert all(map(math.isnan, M))
+    zero = (0.0, 0.0, 0.0, 0.0)
+    assert transient._solve_stage(SEPIC_BENCH, 0.2, zero, zero, 1e-6, M, (1e-6,) * 4,
+                                  {"rhs": 0}) is None
 
 
 # --- work per step --------------------------------------------------
