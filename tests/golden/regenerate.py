@@ -12,7 +12,10 @@ its row number.  With names, only those cases are rewritten.  For each
 file it rewrites it prints the number of lines after the header that
 changed and the largest relative change in each column that moved (a
 CSV column, or the key of a ``key = value`` line; for ``tran`` the kept
-rows), ``inf`` where a field moved from 0 or is not a number.
+rows), ``inf`` where a field moved from 0 or is not a number.  When a
+``tran`` table's row count moves, its kept rows fall at other times, so
+the summary gives the row counts and the change of the last row (at
+t_end) alone.
 
 ``tests/test_golden.py`` runs the same cases and compares everything
 after the header byte for byte.  ``ac``, ``tran`` and ``compare`` go
@@ -141,11 +144,25 @@ def cells(body):
     return out
 
 
+def last_row_only(body):
+    """A tran digest cut to its header lines and its last kept row,
+    renumbered as row 0."""
+    lines = body.splitlines()
+    return "\n".join(lines[:3] + ["0 " + lines[-1].partition(" ")[2]]) + "\n"
+
+
 def diff_summary(old, new):
     """'K of N lines changed' after the header, then the largest relative
-    change of each column that moved, in order of appearance."""
+    change of each column that moved, in order of appearance.  Between
+    tran digests of different row counts, 'rows A -> B' and the change of
+    the last row instead."""
     a, b = old.splitlines(), new.splitlines()
     changed = sum(x != y for x, y in zip(a, b)) + abs(len(a) - len(b))
+    head = "%d of %d lines changed" % (changed, len(b))
+    rows = [text.splitlines()[1] for text in (old, new) if text.startswith("sha256 ")]
+    if len(rows) == 2 and rows[0] != rows[1]:
+        head += "; %s -> %s, last row" % (rows[0], rows[1].split()[1])
+        old, new = last_row_only(old), last_row_only(new)
     worst = {}
     before = cells(old)
     for (row, column), field in cells(new).items():
@@ -157,8 +174,7 @@ def diff_summary(old, new):
         except (ValueError, ZeroDivisionError):
             rel = math.inf
         worst[column] = max(worst.get(column, 0.0), rel)
-    lines = ["%d of %d lines changed" % (changed, len(b))]
-    lines += ["    %s: %.2g" % item for item in worst.items()]
+    lines = [head] + ["    %s: %.2g" % item for item in worst.items()]
     return "\n".join(lines)
 
 
