@@ -1,28 +1,22 @@
 """Large-signal time-domain simulation of the averaged model.
 
-TR-BDF2 (Bank et al., IEEE TCAD 1985; Hosea & Shampine, APNUM 1996): a
-trapezoidal stage to t + gamma*h, then a BDF2 stage through the step's
-start and that stage to t + h.  With gamma = 2 - sqrt(2) both stages
-solve with the same Newton matrix I - (gamma/2)*h*J, and an embedded
-estimate, filtered through that matrix, drives the adaptive step size.
-J, the cell's analytic Jacobian, and the inverse Newton matrix M are
-kept across steps, after CVODE (Hindmarsh et al., ACM TOMS 2005): J is
-rebuilt at a segment start and when Newton fails with a fresh M; M with
-J, when dh moves over 30 % from the dh it was built at, and when Newton
-fails with M built at another dh; h shrinks when Newton fails with both
-fresh.  A stage also stops on the error left at its convergence rate
-(Hairer & Wanner, Solving ODEs II, IV.8).  Stage derivatives come from
-the stage equations, so a step costs one derivative per Newton iteration
-plus the one that starts the next step.  The step, the cell and M's
-inverse run on plain floats, 4-vectors as named floats and 4x4 products
-summed left to right; numpy only builds the output arrays.
-
-The effective duty is resolved algebraically inside every derivative
-evaluation, so mode transitions need no special handling; parameter
-steps and duty breakpoints are events at which integration restarts
-with the updated values (the method is self-starting).  Each accepted
-sample is labelled (v0, mu, mode) as it is accepted, and the same port
-resolution gives the derivative that starts the next step.
+ESDIRK4(3)6L[2]SA (Kennedy & Carpenter, Appl. Numer. Math. 44, 2003):
+six stages, the first explicit, five implicit with 1/4 on the diagonal,
+stiffly accurate and L-stable, fourth order with an embedded third-order
+estimate.  Every implicit stage solves with the one Newton matrix
+I - (h/4)*J, and the estimate, filtered through that matrix, drives the
+adaptive step size.  J, the cell's analytic Jacobian, and the inverse
+Newton matrix M are kept across steps, after CVODE (Hindmarsh et al.,
+ACM TOMS 2005): J is rebuilt at a segment start and when Newton fails
+with a fresh M; M with J, when h/4 moves over 30 % from the value it was
+built at, and when Newton fails with M built at another h; h shrinks
+when Newton fails with both fresh.  A stage starts from the previous
+stage's derivative and also stops on the error left at its convergence
+rate (Hairer & Wanner, Solving ODEs II, IV.8).  Stage derivatives come
+from the stage equations, so a step costs one derivative per Newton
+iteration plus the one that starts the next step.  The step, the cell
+and M's inverse run on plain floats, 4-vectors as named floats and 4x4
+products summed left to right; numpy only builds the output arrays.
 """
 
 from __future__ import annotations
@@ -30,7 +24,8 @@ from __future__ import annotations
 import dataclasses
 from bisect import bisect_right
 from dataclasses import dataclass
-from math import inf, isfinite, isnan, nan, sqrt
+from fractions import Fraction
+from math import inf, isfinite, isnan, nan
 from operator import itemgetter
 
 import numpy as np
@@ -48,17 +43,22 @@ _STEP_SHRINK = 0.2
 _DH_KEEP = 0.3          # M is kept while |dh/dh_M - 1| stays within this
 _UNITS = _DIRECTIONS[:4]
 
-# TR-BDF2 stage weights: y1 - (gamma/2) h f(y1) = _B_G*y_g - _B_0*x.
-_GAMMA = 2.0 - sqrt(2.0)
-_B_G = 1.0 / (_GAMMA * (2.0 - _GAMMA))
-_B_0 = (1.0 - _GAMMA) ** 2 / (_GAMMA * (2.0 - _GAMMA))
-_GAMMA_SQ = _GAMMA ** 2
-# Local error k*h*(f0/gamma - f_g/(gamma*(1-gamma)) + f1/(1-gamma)).
-_ERR_K = (-3.0 * _GAMMA ** 2 + 4.0 * _GAMMA - 2.0) / (6.0 * (2.0 - _GAMMA))
-_ERR_0 = _ERR_K / _GAMMA
-_ERR_G = -_ERR_K / (_GAMMA * (1.0 - _GAMMA))
-_ERR_1 = _ERR_K / (1.0 - _GAMMA)
-
+# ESDIRK4(3)6L[2]SA, exact: below the explicit first stage, each implicit
+# stage's row a_ij (j < i) and node c_i; 1/4 on the diagonal.  The last
+# row is b, with 1/4 (stiffly accurate), and B_HAT the embedded weights.
+_GAMMA = Fraction(1, 4)
+_ROWS = tuple(tuple(map(Fraction, row.split())) for row in (
+    "1/4",
+    "8611/62500 -1743/31250",
+    "5012029/34652500 -654441/2922500 174375/388108",
+    "15267082809/155376265600 -71443401/120774400 730878875/902184768 2285395/8070912",
+    "82889/524892 0 15625/83664 69875/102672 -2260/8211"))
+_NODES = tuple(map(Fraction, "1/2 83/250 31/50 17/20 1".split()))
+_B_HAT = tuple(map(Fraction, "4586570599/29645900160 0 178811875/945068544 "
+                             "814220225/1159782912 -3700637/11593932 61727/225920".split()))
+_STAGES = tuple((tuple(map(float, row)), float(c)) for row, c in zip(_ROWS, _NODES))
+# local error h * sum_i (b_i - b_hat_i) K_i
+_ERR = tuple(float(b - e) for b, e in zip(_ROWS[-1] + (_GAMMA,), _B_HAT))
 
 class StepSizeUnderflow(SolverError):
     """Adaptive integration failed to meet tolerance at the minimum step."""
@@ -180,9 +180,20 @@ def _solve_stage(spec, d, z, rhs, dh, M, tol, work):
     return None
 
 
+def _combine(x, h, w, K):
+    """x + h * sum_j w_j K_j on four floats, the sum taken left to right."""
+    s0 = s1 = s2 = s3 = 0.0
+    for a, (k0, k1, k2, k3) in zip(w, K):
+        s0 += a * k0
+        s1 += a * k1
+        s2 += a * k2
+        s3 += a * k3
+    return x[0] + h * s0, x[1] + h * s1, x[2] + h * s2, x[3] + h * s3
+
+
 def _integrate_segment(spec, stim, t0, t1, x, f0, h, rtol, atol, accept, work):
-    """Adaptive TR-BDF2 integration over [t0, t1] from state x with
-    derivative f0, each four floats; returns (x, f0, h).
+    """Adaptive ESDIRK4(3)6L[2]SA integration over [t0, t1] from state x
+    with derivative f0, each four floats; returns (x, f0, h).
 
     ``accept(t, x)`` records each accepted sample and returns the
     derivative there, which starts the next step.  The TransientStats
@@ -202,38 +213,27 @@ def _integrate_segment(spec, stim, t0, t1, x, f0, h, rtol, atol, accept, work):
             J = jacobian_columns(spec, d, x, resolve_ports(spec, d, x), 4)
             work["jacobians"] += 1
             fresh, M = True, None
-        dh = 0.5 * _GAMMA * h
-        gh = _GAMMA * h
+        dh = 0.25 * h
         if M is None or abs(dh / dh_M - 1.0) > _DH_KEEP:
             M, dh_M = _inverse(J, dh), dh
             work["inverses"] += 1
         x0, x1, x2, x3 = x
-        p0, p1, p2, p3 = f0
         # stages are solved to a fraction of the error tolerance, not to round-off
         tol = (max(0.05 * (atol + rtol * abs(x0)), 1e-14 * (1.0 + abs(x0))),
                max(0.05 * (atol + rtol * abs(x1)), 1e-14 * (1.0 + abs(x1))),
                max(0.05 * (atol + rtol * abs(x2)), 1e-14 * (1.0 + abs(x2))),
                max(0.05 * (atol + rtol * abs(x3)), 1e-14 * (1.0 + abs(x3))))
-        # stage 1: trapezoid to t + gamma*h from an explicit Euler guess
-        r0, r1, r2, r3 = x0 + dh * p0, x1 + dh * p1, x2 + dh * p2, x3 + dh * p3
-        y_g = _solve_stage(spec, stim.duty_at(t + gh),
-                           (x0 + gh * p0, x1 + gh * p1, x2 + gh * p2, x3 + gh * p3),
-                           (r0, r1, r2, r3), dh, M, tol, work)
-        y1 = None
-        if y_g is not None:
-            g0, g1, g2, g3 = y_g
-            q0, q1, q2, q3 = (g0 - r0) / dh, (g1 - r1) / dh, (g2 - r2) / dh, (g3 - r3) / dh
-            # stage 2: BDF2 through x, y_g to t + h, guessed by the
-            # quadratic through x (slope f0) and y_g
-            r0, r1, r2, r3 = (_B_G * g0 - _B_0 * x0, _B_G * g1 - _B_0 * x1,
-                              _B_G * g2 - _B_0 * x2, _B_G * g3 - _B_0 * x3)
-            y1 = _solve_stage(spec, stim.duty_at(t + h),
-                              (x0 + h * p0 + (g0 - x0 - gh * p0) / _GAMMA_SQ,
-                               x1 + h * p1 + (g1 - x1 - gh * p1) / _GAMMA_SQ,
-                               x2 + h * p2 + (g2 - x2 - gh * p2) / _GAMMA_SQ,
-                               x3 + h * p3 + (g3 - x3 - gh * p3) / _GAMMA_SQ),
-                              (r0, r1, r2, r3), dh, M, tol, work)
-        if y1 is None:
+        K = [f0]            # stage derivatives; the explicit first stage's is f0
+        for row, c in _STAGES:
+            r0, r1, r2, r3 = rhs = _combine(x, h, row, K)
+            k0, k1, k2, k3 = K[-1]
+            z = _solve_stage(spec, stim.duty_at(t + c * h),
+                             (r0 + dh * k0, r1 + dh * k1, r2 + dh * k2, r3 + dh * k3),
+                             rhs, dh, M, tol, work)
+            if z is None:
+                break
+            K.append(((z[0] - r0) / dh, (z[1] - r1) / dh, (z[2] - r2) / dh, (z[3] - r3) / dh))
+        if z is None:
             work["newton_failures"] += 1
             if dh != dh_M:
                 M = None
@@ -242,12 +242,8 @@ def _integrate_segment(spec, stim, t0, t1, x, f0, h, rtol, atol, accept, work):
             else:
                 J = None
             continue
-        u0, u1, u2, u3 = y1
-        # local error estimate, the stage-2 derivative recovered as (y1 - rhs)/dh
-        e0 = h * (_ERR_0 * p0 + _ERR_G * q0 + _ERR_1 * ((u0 - r0) / dh))
-        e1 = h * (_ERR_0 * p1 + _ERR_G * q1 + _ERR_1 * ((u1 - r1) / dh))
-        e2 = h * (_ERR_0 * p2 + _ERR_G * q2 + _ERR_1 * ((u2 - r2) / dh))
-        e3 = h * (_ERR_0 * p3 + _ERR_G * q3 + _ERR_1 * ((u3 - r3) / dh))
+        u0, u1, u2, u3 = z  # the last stage is the step's end (stiffly accurate)
+        e0, e1, e2, e3 = _combine((0.0, 0.0, 0.0, 0.0), h, _ERR, K)
         c0 = atol + rtol * max(abs(x0), abs(u0))
         c1 = atol + rtol * max(abs(x1), abs(u1))
         c2 = atol + rtol * max(abs(x2), abs(u2))
@@ -259,10 +255,10 @@ def _integrate_segment(spec, stim, t0, t1, x, f0, h, rtol, atol, accept, work):
         k2 = abs(m20 * e0 + m21 * e1 + m22 * e2 + m23 * e3) / c2 if c2 else inf
         k3 = abs(m30 * e0 + m31 * e1 + m32 * e2 + m33 * e3) / c3 if c3 else inf
         err_norm = inf if isnan(k0 + k1 + k2 + k3) else max(k0, k1, k2, k3)
-        factor = _STEP_GROW if err_norm == 0.0 else 0.9 * err_norm ** (-1.0 / 3.0)
+        factor = _STEP_GROW if err_norm == 0.0 else 0.9 * err_norm ** -0.25
         if err_norm <= 1.0:
             t = t1 if h == t1 - t else t + h    # the step cut to t1 ends there exactly
-            x = y1
+            x = z
             f0 = accept(t, x)
             fresh = False
             work["accepted"] += 1
@@ -271,7 +267,6 @@ def _integrate_segment(spec, stim, t0, t1, x, f0, h, rtol, atol, accept, work):
             work["rejected"] += 1
         h *= min(_STEP_GROW, max(_STEP_SHRINK, factor))
     return x, f0, h
-
 
 def simulate(spec: ConverterSpec, stimulus: Stimulus, t_end: float,
              initial=None, *, rtol: float = 1e-6, atol: float = 1e-6) -> Waveform:
