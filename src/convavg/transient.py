@@ -1,22 +1,27 @@
 """Large-signal time-domain simulation of the averaged model.
 
 ESDIRK4(3)6L[2]SA (Kennedy & Carpenter, Appl. Numer. Math. 44, 2003):
-six stages, the first explicit, five implicit with 1/4 on the diagonal,
-stiffly accurate and L-stable, fourth order with an embedded third-order
-estimate.  Every implicit stage solves with the one Newton matrix
-I - (h/4)*J, and the estimate, filtered through that matrix, drives the
-adaptive step size.  J, the cell's analytic Jacobian, and the inverse
-Newton matrix M are kept across steps, after CVODE (Hindmarsh et al.,
-ACM TOMS 2005): J is rebuilt at a segment start and when Newton fails
-with a fresh M; M with J, when h/4 moves over 30 % from the value it was
-built at, and when Newton fails with M built at another h; h shrinks
-when Newton fails with both fresh.  A stage starts from the previous
-stage's derivative and also stops on the error left at its convergence
-rate (Hairer & Wanner, Solving ODEs II, IV.8).  Stage derivatives come
-from the stage equations, so a step costs one derivative per Newton
-iteration plus the one that starts the next step.  The step, the cell
-and M's inverse run on plain floats, 4-vectors as named floats and 4x4
-products summed left to right; numpy only builds the output arrays.
+fourth order, L-stable and stiffly accurate, an explicit first stage and
+five implicit ones that all solve with the Newton matrix I - (h/4)*J; an
+embedded third-order estimate, filtered through it, sets the step size.
+J, the cell's analytic Jacobian, and M = (I - (h/4)*J)^-1 are kept
+across steps, after CVODE (Hindmarsh et al., ACM TOMS 2005): J is
+rebuilt at a segment start and when Newton fails with a fresh M; M with
+J, when h moves over 30 % from the h it was built at, and when Newton
+fails with M built at another h; h shrinks when Newton fails with both
+fresh.  A stage starts from the previous stage's derivative and also stops
+on the error left at its convergence rate (Hairer & Wanner, Solving
+ODEs II, IV.8).  Stage derivatives come from the stage equations, so a
+step costs one derivative per Newton iteration plus the one that starts
+the next.  The step, the cell and M's inverse run on plain floats,
+4-vectors as named floats and 4x4 products summed left to right.
+
+The effective duty is resolved algebraically inside every derivative
+evaluation, so mode transitions need no special handling; parameter
+steps and duty breakpoints are events at which integration restarts
+with the updated values (the method is self-starting).  Each accepted
+sample is labelled (v0, mu, mode) as it is accepted, and the same port
+resolution gives the derivative that starts the next step.
 """
 
 from __future__ import annotations
@@ -43,10 +48,8 @@ _STEP_SHRINK = 0.2
 _DH_KEEP = 0.3          # M is kept while |dh/dh_M - 1| stays within this
 _UNITS = _DIRECTIONS[:4]
 
-# ESDIRK4(3)6L[2]SA, exact: below the explicit first stage, each implicit
-# stage's row a_ij (j < i) and node c_i; 1/4 on the diagonal.  The last
-# row is b, with 1/4 (stiffly accurate), and B_HAT the embedded weights.
-_GAMMA = Fraction(1, 4)
+# ESDIRK4(3)6L[2]SA, exact: each implicit stage's row a_ij (j < i) and node c_i,
+# 1/4 on the diagonal; the last row is b (stiffly accurate), _B_HAT the embedded b.
 _ROWS = tuple(tuple(map(Fraction, row.split())) for row in (
     "1/4",
     "8611/62500 -1743/31250",
@@ -57,8 +60,8 @@ _NODES = tuple(map(Fraction, "1/2 83/250 31/50 17/20 1".split()))
 _B_HAT = tuple(map(Fraction, "4586570599/29645900160 0 178811875/945068544 "
                              "814220225/1159782912 -3700637/11593932 61727/225920".split()))
 _STAGES = tuple((tuple(map(float, row)), float(c)) for row, c in zip(_ROWS, _NODES))
-# local error h * sum_i (b_i - b_hat_i) K_i
-_ERR = tuple(float(b - e) for b, e in zip(_ROWS[-1] + (_GAMMA,), _B_HAT))
+_ERR = tuple(float(b - e) for b, e in zip(_ROWS[-1] + (Fraction(1, 4),), _B_HAT))
+
 
 class StepSizeUnderflow(SolverError):
     """Adaptive integration failed to meet tolerance at the minimum step."""
@@ -243,7 +246,7 @@ def _integrate_segment(spec, stim, t0, t1, x, f0, h, rtol, atol, accept, work):
                 J = None
             continue
         u0, u1, u2, u3 = z  # the last stage is the step's end (stiffly accurate)
-        e0, e1, e2, e3 = _combine((0.0, 0.0, 0.0, 0.0), h, _ERR, K)
+        e0, e1, e2, e3 = _combine((0.0, 0.0, 0.0, 0.0), h, _ERR, K)  # local error estimate
         c0 = atol + rtol * max(abs(x0), abs(u0))
         c1 = atol + rtol * max(abs(x1), abs(u1))
         c2 = atol + rtol * max(abs(x2), abs(u2))
@@ -267,6 +270,7 @@ def _integrate_segment(spec, stim, t0, t1, x, f0, h, rtol, atol, accept, work):
             work["rejected"] += 1
         h *= min(_STEP_GROW, max(_STEP_SHRINK, factor))
     return x, f0, h
+
 
 def simulate(spec: ConverterSpec, stimulus: Stimulus, t_end: float,
              initial=None, *, rtol: float = 1e-6, atol: float = 1e-6) -> Waveform:

@@ -145,10 +145,10 @@ def cells(body):
 
 
 def last_row_only(body):
-    """A tran digest cut to its header lines and its last kept row,
+    """A tran digest cut to its column names and its last kept row,
     renumbered as row 0."""
     lines = body.splitlines()
-    return "\n".join(lines[:3] + ["0 " + lines[-1].partition(" ")[2]]) + "\n"
+    return "\n".join([lines[2], "0 " + lines[-1].partition(" ")[2]]) + "\n"
 
 
 def diff_summary(old, new):
@@ -161,7 +161,7 @@ def diff_summary(old, new):
     head = "%d of %d lines changed" % (changed, len(b))
     rows = [text.splitlines()[1] for text in (old, new) if text.startswith("sha256 ")]
     if len(rows) == 2 and rows[0] != rows[1]:
-        head += "; %s -> %s, last row" % (rows[0], rows[1].split()[1])
+        head = "%s -> %s, last row" % (rows[0], rows[1].split()[1])
         old, new = last_row_only(old), last_row_only(new)
     worst = {}
     before = cells(old)

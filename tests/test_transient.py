@@ -402,6 +402,7 @@ def numpy_integrate_segment(spec, stim, t0, t1, x, f0, h, rtol, atol, accept, wo
         h *= min(transient._STEP_GROW, max(transient._STEP_SHRINK, factor))
     return x, f0, h
 
+
 # (spec, DCM duty, CCM duty): the bundled duties resolve in DCM, and the
 # CCM targets sit just above each bench's ideal boundary 1 - sqrt(K)
 KERNEL_POINTS = ((SEPIC_BENCH, 0.2, 0.48), (CUK_BENCH, 0.42, 0.6))
@@ -467,13 +468,13 @@ def test_float_kernel_matches_numpy_reference(monkeypatch, spec, d_dcm, d_ccm):
         both = got.times == ref.times
         assert both[0] and both[-1]
         held = np.isin(got.times, nudged.times)
-        held[held] = np.all(np.abs(got.states[held] - nudged.states[np.isin(nudged.times,
-                                                                            got.times)])
-                            <= 0.05 * (atol + rtol * np.abs(got.states[held])), axis=1)
+        moved = np.abs(got.states[held] - nudged.states[np.isin(nudged.times, got.times)])
+        held[held] = np.all(moved <= 0.05 * (atol + rtol * np.abs(got.states[held])), axis=1)
         assert held[0] and (initial is not None or held[-1])
         both &= held
         for a, b in ((got.states[both], ref.states[both]), (got.v0[both], ref.v0[both])):
             assert np.all(np.abs(a - b) <= 0.05 * (atol + rtol * np.abs(b)))
+
 
 def outcome(spec, stim, t_end, initial):
     """simulate's waveform at rtol = atol = 1e-5, or the message of the
@@ -597,13 +598,13 @@ def test_esdirk_tableau_order_conditions():
     the four order-3 ones, each node is its row sum, and b is the last
     row (stiffly accurate).  The floats the kernel uses are these
     rationals rounded."""
-    g = transient._GAMMA
+    g = Fraction(1, 4)
     A = [[Fraction(0)] * 6] + [list(row) + [g] + [Fraction(0)] * (4 - i)
                                for i, row in enumerate(transient._ROWS)]
     c = (Fraction(0),) + transient._NODES
     b, b_hat = A[-1], transient._B_HAT
     assert c == tuple(Fraction(v) for v in ("0", "1/2", "83/250", "31/50", "17/20", "1"))
-    assert g == Fraction(1, 4) and b[-1] == g
+    assert b[-1] == g
     assert all(sum(row) == ci for row, ci in zip(A, c))
 
     def dot(u, v):
