@@ -3,25 +3,23 @@
 ESDIRK4(3)6L[2]SA (Kennedy & Carpenter, Appl. Numer. Math. 44, 2003):
 fourth order, L-stable and stiffly accurate, an explicit first stage and
 five implicit ones that all solve with the Newton matrix I - (h/4)*J; an
-embedded third-order estimate, filtered through it, sets the step size.
+embedded third-order estimate, filtered through it, sets the step size,
+which does not grow on the step after a rejection or a Newton failure.
 J, the cell's analytic Jacobian, and M = (I - (h/4)*J)^-1 are kept
 across steps, after CVODE (Hindmarsh et al., ACM TOMS 2005): J is
 rebuilt at a segment start and when Newton fails with a fresh M; M with
 J, when h moves over 30 % from the h it was built at, and when Newton
 fails with M built at another h; h shrinks when Newton fails with both
-fresh.  A stage starts from the previous stage's derivative and also stops
-on the error left at its convergence rate (Hairer & Wanner, Solving
-ODEs II, IV.8).  Stage derivatives come from the stage equations, so a
-step costs one derivative per Newton iteration plus the one that starts
-the next.  The step, the cell and M's inverse run on plain floats,
-4-vectors as named floats and 4x4 products summed left to right.
+fresh.  A stage starts from the derivative extrapolated through the last
+two stages and stops on the error left at its convergence rate (Hairer
+& Wanner, Solving ODEs II, IV.8); its derivative comes from the stage
+equation.  The step, the cell and M's inverse run on plain floats.
 
 The effective duty is resolved algebraically inside every derivative
-evaluation, so mode transitions need no special handling; parameter
-steps and duty breakpoints are events at which integration restarts
-with the updated values (the method is self-starting).  Each accepted
-sample is labelled (v0, mu, mode) as it is accepted, and the same port
-resolution gives the derivative that starts the next step.
+evaluation; parameter steps and duty breakpoints are events at which
+integration restarts with the updated values.  Each accepted sample is
+labelled (v0, mu, mode), and the same port resolution gives the
+derivative that starts the next step.
 """
 
 from __future__ import annotations
@@ -59,8 +57,21 @@ _ROWS = tuple(tuple(map(Fraction, row.split())) for row in (
 _NODES = tuple(map(Fraction, "1/2 83/250 31/50 17/20 1".split()))
 _B_HAT = tuple(map(Fraction, "4586570599/29645900160 0 178811875/945068544 "
                              "814220225/1159782912 -3700637/11593932 61727/225920".split()))
-_STAGES = tuple((tuple(map(float, row)), float(c)) for row, c in zip(_ROWS, _NODES))
 _ERR = tuple(float(b - e) for b, e in zip(_ROWS[-1] + (Fraction(1, 4),), _B_HAT))
+
+
+def _guess(i, row):
+    """Weights of implicit stage i's guess x + h*sum_j g_j K_j: its explicit sum plus
+    h/4 times the derivative extrapolated in c through the last two stages (f0 at i = 0)."""
+    if not i:
+        return (row[0] + Fraction(1, 4),)
+    c = (0,) + _NODES
+    w = (c[i + 1] - c[i - 1]) / (c[i] - c[i - 1])
+    return row[:i - 1] + (row[i - 1] + (1 - w) / 4, row[i] + w / 4)
+
+
+_STAGES = tuple((tuple(map(float, row)), tuple(map(float, _guess(i, row))), float(c))
+                for i, (row, c) in enumerate(zip(_ROWS, _NODES)))
 
 
 class StepSizeUnderflow(SolverError):
@@ -104,8 +115,7 @@ class Stimulus:
                     "cannot step parameter %r (one of %s)" % (name, "/".join(STEPPABLE)))
             if not (isfinite(t) and t >= 0.0):
                 raise ValidationError("parameter step times must be finite and non-negative")
-        object.__setattr__(self, "parameter_steps",
-                           tuple(sorted(steps, key=lambda s: s[0])))
+        object.__setattr__(self, "parameter_steps", tuple(sorted(steps, key=lambda s: s[0])))
 
     def duty_at(self, t: float) -> float:
         points = self.duty
@@ -198,19 +208,21 @@ def _integrate_segment(spec, stim, t0, t1, x, f0, h, rtol, atol, accept, work):
     """Adaptive ESDIRK4(3)6L[2]SA integration over [t0, t1] from state x
     with derivative f0, each four floats; returns (x, f0, h).
 
-    ``accept(t, x)`` records each accepted sample and returns the
-    derivative there, which starts the next step.  The TransientStats
-    counters in the dict ``work`` are updated in place.
+    ``accept(t, x)`` records each accepted sample and returns the derivative
+    there, which starts the next step; the TransientStats counters in the
+    dict ``work`` are updated in place.
     """
     t = t0
     h_min = max(1e-18, 1e-14 * max(t1, 1.0))
     J = M = None            # J and M = (I - dh_M*J)^-1, kept across steps
     fresh = False           # J was taken at the current (t, x)
+    grow = _STEP_GROW       # 1 after a rejected step or a Newton failure
+    # a stage at t1 takes the duty from the left: a breakpoint at t1 starts the next segment
+    d_end = next((v for s, v in stim.duty if s == t1), stim.duty_at(t1))
     while t < t1:
         h = min(h, t1 - t)
         if h < h_min:
-            raise StepSizeUnderflow(
-                "step size underflow at t = %.6e s" % (t,))
+            raise StepSizeUnderflow("step size underflow at t = %.6e s" % (t,))
         if J is None:
             d = stim.duty_at(t)
             J = jacobian_columns(spec, d, x, resolve_ports(spec, d, x), 4)
@@ -220,24 +232,19 @@ def _integrate_segment(spec, stim, t0, t1, x, f0, h, rtol, atol, accept, work):
         if M is None or abs(dh / dh_M - 1.0) > _DH_KEEP:
             M, dh_M = _inverse(J, dh), dh
             work["inverses"] += 1
-        x0, x1, x2, x3 = x
         # stages are solved to a fraction of the error tolerance, not to round-off
-        tol = (max(0.05 * (atol + rtol * abs(x0)), 1e-14 * (1.0 + abs(x0))),
-               max(0.05 * (atol + rtol * abs(x1)), 1e-14 * (1.0 + abs(x1))),
-               max(0.05 * (atol + rtol * abs(x2)), 1e-14 * (1.0 + abs(x2))),
-               max(0.05 * (atol + rtol * abs(x3)), 1e-14 * (1.0 + abs(x3))))
+        tol = tuple(max(0.05 * (atol + rtol * abs(v)), 1e-14 * (1.0 + abs(v))) for v in x)
         K = [f0]            # stage derivatives; the explicit first stage's is f0
-        for row, c in _STAGES:
+        for row, guess, c in _STAGES:
             r0, r1, r2, r3 = rhs = _combine(x, h, row, K)
-            k0, k1, k2, k3 = K[-1]
-            z = _solve_stage(spec, stim.duty_at(t + c * h),
-                             (r0 + dh * k0, r1 + dh * k1, r2 + dh * k2, r3 + dh * k3),
-                             rhs, dh, M, tol, work)
+            z = _solve_stage(spec, stim.duty_at(t + c * h) if t + c * h < t1 else d_end,
+                             _combine(x, h, guess, K), rhs, dh, M, tol, work)
             if z is None:
                 break
             K.append(((z[0] - r0) / dh, (z[1] - r1) / dh, (z[2] - r2) / dh, (z[3] - r3) / dh))
         if z is None:
             work["newton_failures"] += 1
+            grow = 1.0
             if dh != dh_M:
                 M = None
             elif fresh:
@@ -245,12 +252,8 @@ def _integrate_segment(spec, stim, t0, t1, x, f0, h, rtol, atol, accept, work):
             else:
                 J = None
             continue
-        u0, u1, u2, u3 = z  # the last stage is the step's end (stiffly accurate)
         e0, e1, e2, e3 = _combine((0.0, 0.0, 0.0, 0.0), h, _ERR, K)  # local error estimate
-        c0 = atol + rtol * max(abs(x0), abs(u0))
-        c1 = atol + rtol * max(abs(x1), abs(u1))
-        c2 = atol + rtol * max(abs(x2), abs(u2))
-        c3 = atol + rtol * max(abs(x3), abs(u3))
+        c0, c1, c2, c3 = (atol + rtol * max(abs(a), abs(b)) for a, b in zip(x, z))
         # |M @ e| / scale; a nan ratio, or a division by zero, fails the test
         m00, m01, m02, m03, m10, m11, m12, m13, m20, m21, m22, m23, m30, m31, m32, m33 = M
         k0 = abs(m00 * e0 + m01 * e1 + m02 * e2 + m03 * e3) / c0 if c0 else inf
@@ -261,14 +264,15 @@ def _integrate_segment(spec, stim, t0, t1, x, f0, h, rtol, atol, accept, work):
         factor = _STEP_GROW if err_norm == 0.0 else 0.9 * err_norm ** -0.25
         if err_norm <= 1.0:
             t = t1 if h == t1 - t else t + h    # the step cut to t1 ends there exactly
-            x = z
+            x = z           # the last stage is the step's end (stiffly accurate)
             f0 = accept(t, x)
             fresh = False
             work["accepted"] += 1
             work["h_min"], work["h_max"] = min(work["h_min"], h), max(work["h_max"], h)
         else:
             work["rejected"] += 1
-        h *= min(_STEP_GROW, max(_STEP_SHRINK, factor))
+        h *= min(grow, max(_STEP_SHRINK, factor))
+        grow = _STEP_GROW if err_norm <= 1.0 else 1.0
     return x, f0, h
 
 
@@ -290,12 +294,10 @@ def simulate(spec: ConverterSpec, stimulus: Stimulus, t_end: float,
     Raises StepSizeUnderflow when the error control cannot proceed.
     """
     if not (t_end > 0.0 and isfinite(t_end)):
-        raise ValidationError("t_end must be positive and finite, got %r"
-                              % (t_end,))
+        raise ValidationError("t_end must be positive and finite, got %r" % (t_end,))
     for name, value in (("rtol", rtol), ("atol", atol)):
         if not (isfinite(value) and value >= 0.0):
-            raise ValidationError("%s must be finite and non-negative, got %r"
-                                  % (name, value))
+            raise ValidationError("%s must be finite and non-negative, got %r" % (name, value))
     for _, name, value in stimulus.parameter_steps:
         # ConverterSpec checks the value; an ideal spec zeroes a parasitic
         if getattr(dataclasses.replace(spec, **{name: value}), name) != value:
@@ -307,8 +309,7 @@ def simulate(spec: ConverterSpec, stimulus: Stimulus, t_end: float,
     boundaries = [0.0] + events + [t_end]
 
     steps = stimulus.parameter_steps
-    current = spec
-    applied = 0
+    current, applied = spec, 0
     times, states, v0, mu, mode = [], [], [], [], []
     work = dataclasses.asdict(TransientStats(h_min=inf))
 

@@ -352,6 +352,8 @@ def numpy_integrate_segment(spec, stim, t0, t1, x, f0, h, rtol, atol, accept, wo
     h_min = max(1e-18, 1e-14 * max(t1, 1.0))
     J = M_inv = None
     fresh = False
+    grow = transient._STEP_GROW
+    d_end = next((v for s, v in stim.duty if s == t1), stim.duty_at(t1))
     while t < t1:
         h = min(h, t1 - t)
         if h < h_min:
@@ -366,17 +368,16 @@ def numpy_integrate_segment(spec, stim, t0, t1, x, f0, h, rtol, atol, accept, wo
             M_inv, dh_M = inverse(J, dh), dh
         tol = np.maximum(0.05 * (atol + rtol * np.abs(x)), 1e-14 * (1.0 + np.abs(x)))
         K = [f0]
-        for row, c in transient._STAGES:
-            s = np.zeros(4)
-            for a, k in zip(row, K):
-                s = s + a * k
-            rhs = x + h * s
-            z = numpy_solve_stage(spec, stim.duty_at(t + c * h), rhs + dh * K[-1],
-                                  rhs, dh, M_inv, tol, product)
+        for row, guess, c in transient._STAGES:
+            rhs, z = [x + h * functools.reduce(lambda s, ak: s + ak[0] * ak[1], zip(w, K),
+                                               np.zeros(4)) for w in (row, guess)]
+            d = stim.duty_at(t + c * h) if t + c * h < t1 else d_end
+            z = numpy_solve_stage(spec, d, z, rhs, dh, M_inv, tol, product)
             if z is None:
                 break
             K.append((z - rhs) / dh)
         if z is None:
+            grow = 1.0
             if dh != dh_M:
                 M_inv = None
             elif fresh:
@@ -399,7 +400,8 @@ def numpy_integrate_segment(spec, stim, t0, t1, x, f0, h, rtol, atol, accept, wo
             x = z
             f0 = np.asarray(accept(t, x))
             fresh = False
-        h *= min(transient._STEP_GROW, max(transient._STEP_SHRINK, factor))
+        h *= min(grow, max(transient._STEP_SHRINK, factor))
+        grow = transient._STEP_GROW if err_norm <= 1.0 else 1.0
     return x, f0, h
 
 
@@ -436,22 +438,11 @@ def test_float_kernel_matches_numpy_reference(monkeypatch, spec, d_dcm, d_ccm):
     0.05*(atol + rtol*|x|).  Between those instants a state is compared
     at slightly different times, which on the SEPIC's fast C1 swing after
     the duty step moves it by more than the tolerance.
-
-    The state check skips an instant at which the drive itself does not
-    hold last-bit changes to that tolerance: the kernel's own run from
-    the initial state scaled by 1 + 1e-15 (a few ulps) moves there by
-    more.  Each stage stops within 0.05*(atol + rtol*|x|) of its root,
-    and on the SEPIC duty step, which crosses the CCM/DCM boundary seven
-    times, those stops add up to 37-90 such units at t_end under a
-    1e-12 change; at a tenth of the stage tolerance they add up to
-    under one.  A start-up from zero is never skipped.
     """
     rtol = atol = 1e-6
     t_end = 1.2e-3
     for stim, initial in kernel_drives(spec, d_dcm, d_ccm):
         got = simulate(spec, stim, t_end, initial, rtol=rtol, atol=atol)
-        nudged = simulate(spec, stim, t_end, None if initial is None
-                          else np.asarray(initial) * (1.0 + 1e-15), rtol=rtol, atol=atol)
         with monkeypatch.context() as patch:
             patch.setattr(transient, "_integrate_segment",
                           functools.partial(numpy_integrate_segment, product=left_to_right,
@@ -467,11 +458,6 @@ def test_float_kernel_matches_numpy_reference(monkeypatch, spec, d_dcm, d_ccm):
         assert np.all(np.abs(got.times - ref.times) <= 0.05 * (atol + rtol * ref.times))
         both = got.times == ref.times
         assert both[0] and both[-1]
-        held = np.isin(got.times, nudged.times)
-        moved = np.abs(got.states[held] - nudged.states[np.isin(nudged.times, got.times)])
-        held[held] = np.all(moved <= 0.05 * (atol + rtol * np.abs(got.states[held])), axis=1)
-        assert held[0] and (initial is not None or held[-1])
-        both &= held
         for a, b in ((got.states[both], ref.states[both]), (got.v0[both], ref.v0[both])):
             assert np.all(np.abs(a - b) <= 0.05 * (atol + rtol * np.abs(b)))
 
@@ -621,9 +607,28 @@ def test_esdirk_tableau_order_conditions():
     assert all(dot(b, v) == rhs for v, rhs in conditions)
     assert all(dot(b_hat, v) == rhs for v, rhs in conditions[:4])
     assert any(dot(b_hat, v) != rhs for v, rhs in conditions[4:])
-    assert transient._STAGES == tuple((tuple(map(float, row[:i + 1])), float(ci))
-                                      for i, (row, ci) in enumerate(zip(A[1:], c[1:])))
+    assert [(row, ci) for row, _, ci in transient._STAGES] == [
+        (tuple(map(float, row[:i + 1])), float(ci))
+        for i, (row, ci) in enumerate(zip(A[1:], c[1:]))]
     assert transient._ERR == tuple(float(p - q) for p, q in zip(b, b_hat))
+
+
+def test_stage_guess_extrapolates_the_last_two_stage_derivatives():
+    """Implicit stage i starts from x + h*sum_j g_j K_j, its explicit sum
+    plus h/4 times a derivative extrapolated in c.  The guess is the stage
+    value itself when the stage derivatives are constant, and, from the
+    second implicit stage on, when they are linear in c; it moves only the
+    weights of the last two known stages.  The kernel's floats are these
+    rationals rounded."""
+    c = (Fraction(0),) + transient._NODES
+    for i, (row, (_, guess, _)) in enumerate(zip(transient._ROWS, transient._STAGES)):
+        g = transient._guess(i, row)
+        assert guess == tuple(map(float, g))
+        assert sum(g) == sum(row) + Fraction(1, 4) == c[i + 1]
+        assert list(g[:max(i - 1, 0)]) == list(row[:max(i - 1, 0)])
+        if i:
+            assert (sum(gj * cj for gj, cj in zip(g, c))
+                    == sum(a * cj for a, cj in zip(row, c)) + c[i + 1] / 4)
 
 def test_a_step_cut_to_the_segment_end_ends_the_run_there():
     """The last step is cut to t_end - t, and t + (t_end - t) rounds one
