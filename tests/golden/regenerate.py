@@ -13,9 +13,9 @@ file it rewrites it prints the number of lines after the header that
 changed and the largest relative change in each column that moved (a
 CSV column, or the key of a ``key = value`` line; for ``tran`` the kept
 rows), ``inf`` where a field moved from 0 or is not a number.  When a
-``tran`` table's row count moves, its kept rows fall at other times, so
-the summary gives the row counts and the change of the last row (at
-t_end) alone.
+``tran`` table's row count or the times of its kept rows move, those
+rows fall at other times, so the summary gives the row counts and the
+change of the last row (at t_end) alone.
 
 ``tests/test_golden.py`` runs the same cases and compares everything
 after the header byte for byte.  ``ac``, ``tran`` and ``compare`` go
@@ -154,13 +154,14 @@ def last_row_only(body):
 def diff_summary(old, new):
     """'K of N lines changed' after the header, then the largest relative
     change of each column that moved, in order of appearance.  Between
-    tran digests of different row counts, 'rows A -> B' and the change of
-    the last row instead."""
+    tran digests of different row counts, or whose kept rows fall at other
+    times, 'rows A -> B' and the change of the last row instead."""
     a, b = old.splitlines(), new.splitlines()
     changed = sum(x != y for x, y in zip(a, b)) + abs(len(a) - len(b))
     head = "%d of %d lines changed" % (changed, len(b))
     rows = [text.splitlines()[1] for text in (old, new) if text.startswith("sha256 ")]
-    if len(rows) == 2 and rows[0] != rows[1]:
+    regridded = any(cells(new).get(key) != t for key, t in cells(old).items() if key[1] == "t")
+    if len(rows) == 2 and (rows[0] != rows[1] or regridded):
         head = "%s -> %s, last row" % (rows[0], rows[1].split()[1])
         old, new = last_row_only(old), last_row_only(new)
     worst = {}
