@@ -630,6 +630,19 @@ def test_stage_guess_extrapolates_the_last_two_stage_derivatives():
             assert (sum(gj * cj for gj, cj in zip(g, c))
                     == sum(a * cj for a, cj in zip(row, c)) + c[i + 1] / 4)
 
+def test_a_duty_step_does_not_reach_back_into_the_segment_before_it():
+    """The last stage of a segment's last step sits at the segment end,
+    where a duty step takes effect; it takes the duty from the left, so
+    the run up to the step is the run that holds the old duty there."""
+    hold = ((0.0, 0.2), (5e-4, 0.2))
+    got = simulate(SEPIC_BENCH, Stimulus(duty=hold + ((5e-4, 0.48),)), 1e-3)
+    held = simulate(SEPIC_BENCH, Stimulus(duty=hold), 1e-3)
+    n = int(np.sum(got.times <= 5e-4))
+    assert got.times[n - 1] == 5e-4
+    assert np.array_equal(got.times[:n], held.times[:n])
+    assert np.array_equal(got.states[:n], held.states[:n])
+
+
 def test_a_step_cut_to_the_segment_end_ends_the_run_there():
     """The last step is cut to t_end - t, and t + (t_end - t) rounds one
     ulp short of t_end here; the run still ends at t_end, where the
