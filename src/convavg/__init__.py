@@ -6,8 +6,8 @@ effective resistance — giving a continuous model that resolves CCM/DCM
 operation by itself.  On top of that sit a DC operating-point solver,
 a large-signal transient integrator, small-signal transfer functions
 with stability margins, and a cycle-by-cycle switched reference
-simulation for validation.  Only the transient, small-signal and
-switched names import numpy, when first used.
+simulation for validation.  The transient, small-signal and switched
+names are imported when first used; only the last two load numpy.
 """
 
 import importlib
@@ -21,7 +21,9 @@ from .dc import (NonConvergence, OperatingPoint, SingularJacobian,
                  SolverError, StateVector, solve_dc, sweep_duty)
 from .config import ParseError, ParsedConfig, parse_config
 
-# Names served on first access (PEP 562) by the modules that import numpy.
+# Names served on first access (PEP 562).  smallsignal and switched import
+# numpy; transient does not, but its module and its fractions import still
+# cost more than a DC solve, so it stays off the import path too.
 _LAZY = {name: module for module, names in (
     ("transient", "StepSizeUnderflow Stimulus TransientStats Waveform simulate"),
     ("smallsignal", "DegenerateOperatingPoint FrequencyResponse LinearModel Margins "

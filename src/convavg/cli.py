@@ -4,7 +4,7 @@ Subcommands: dc, tran, ac, sweep, compare.  Converter descriptions come
 from config files (--config accepts a filesystem path or the name of a
 bundled config such as sepic_bench).  Exit codes: 0 success, 1 usage,
 2 config parse/validation, 3 solver failure, 4 I/O.  Only tran, ac and
-compare import their analysis modules, and with them numpy.
+compare import their analysis modules; only ac and compare load numpy.
 """
 
 from __future__ import annotations
@@ -120,11 +120,9 @@ def _cmd_tran(args):
                   rtol=args.rtol, atol=args.atol)
     with _output(args.output) as out:
         out.write("t,iL1,iL2,vC1,vC2,V0,mu,mode\n")
-        for i in range(len(wf.times)):
-            row = [_FMT % wf.times[i]]
-            row += [_FMT % v for v in wf.states[i]]
-            row += [_FMT % wf.v0[i], _FMT % wf.mu[i], wf.mode[i]]
-            out.write(",".join(row) + "\n")
+        for t, state, v0, mu, mode in zip(wf.times, wf.states, wf.v0, wf.mu, wf.mode):
+            row = [_FMT % v for v in (t, *state, v0, mu)]
+            out.write(",".join(row + [mode]) + "\n")
     return EXIT_OK
 
 

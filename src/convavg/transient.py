@@ -13,7 +13,9 @@ fails with M built at another h; h shrinks when Newton fails with both
 fresh.  A stage starts from the derivative extrapolated through the last
 two stages and stops on the error left at its convergence rate (Hairer
 & Wanner, Solving ODEs II, IV.8); its derivative comes from the stage
-equation.  The step, the cell and M's inverse run on plain floats.
+equation.  The step, the cell and M's inverse run on plain floats, and
+the Waveform holds the lists of floats the samples are recorded in: the
+module imports no numpy.
 
 The effective duty is resolved algebraically inside every derivative
 evaluation; parameter steps and duty breakpoints are events at which
@@ -30,8 +32,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import inf, isfinite, isnan, nan
 from operator import itemgetter
-
-import numpy as np
 
 from .avgmodel import _DIRECTIONS, derivative, jacobian_columns, resolve_ports
 from .converter import ConverterSpec, ValidationError
@@ -145,12 +145,13 @@ class TransientStats:
 
 @dataclass
 class Waveform:
-    """Sampled trajectory of a transient run."""
+    """Sampled trajectory of a transient run, one entry per sample; the
+    lists hold floats, which ``np.asarray`` turns into arrays."""
 
-    times: np.ndarray
-    states: np.ndarray        # one row per sample: i_L1, i_L2, v_C1, v_C2
-    v0: np.ndarray
-    mu: np.ndarray
+    times: list
+    states: list              # one 4-tuple per sample: i_L1, i_L2, v_C1, v_C2
+    v0: list
+    mu: list
     mode: list
     stats: TransientStats = TransientStats()
 
@@ -302,11 +303,11 @@ def simulate(spec: ConverterSpec, stimulus: Stimulus, t_end: float,
         # ConverterSpec checks the value; an ideal spec zeroes a parasitic
         if getattr(dataclasses.replace(spec, **{name: value}), name) != value:
             raise ValidationError("%s cannot step to %r on an ideal spec" % (name, value))
-    x = [0.0] * 4 if initial is None else state_values(initial)
+    x = (0.0,) * 4 if initial is None else tuple(state_values(initial))
 
     events = sorted({t for t, _, _ in stimulus.parameter_steps if 0.0 < t < t_end}
                     | {t for t, _ in stimulus.duty if 0.0 < t < t_end})
-    boundaries = [0.0] + events + [t_end]
+    boundaries = [0.0] + events + [float(t_end)]
 
     steps = stimulus.parameter_steps
     current, applied = spec, 0
@@ -335,6 +336,4 @@ def simulate(spec: ConverterSpec, stimulus: Stimulus, t_end: float,
     for t0, t1 in zip(boundaries, boundaries[1:]):
         x, f0, h = _integrate_segment(current, stimulus, t0, t1, x, f0, h,
                                       rtol, atol, accept, work)
-    return Waveform(times=np.array(times), states=np.array(states),
-                    v0=np.array(v0), mu=np.array(mu), mode=mode,
-                    stats=TransientStats(**work))
+    return Waveform(times, states, v0, mu, mode, TransientStats(**work))

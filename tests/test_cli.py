@@ -484,8 +484,10 @@ sys.exit(code)
     ["dc", "--config", "cuk_bench", "--duty", "0.7"],
     ["sweep", "--config", "sepic_bench", "--from", "0.05", "--to", "0.9", "--step", "0.01"],
     ["sweep", "--config", "cuk_bench", "--from", "0.1", "--to", "0.85", "--step", "0.05"],
-], ids=["dc-sepic", "dc-cuk", "sweep-sepic", "sweep-cuk"])
-def test_dc_and_sweep_run_without_numpy(argv):
+    ["tran", "--config", "sepic_bench"],
+    ["tran", "--config", "cuk_bench"],
+], ids=["dc-sepic", "dc-cuk", "sweep-sepic", "sweep-cuk", "tran-sepic", "tran-cuk"])
+def test_dc_sweep_and_tran_run_without_numpy(argv):
     proc = run_python(["-c", NUMPY_PROBE] + argv)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "numpy imported: False"

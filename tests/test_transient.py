@@ -455,10 +455,12 @@ def test_float_kernel_matches_numpy_reference(monkeypatch, spec, d_dcm, d_ccm):
             assert np.array_equal(a, b)
         assert got.mode == same.mode
         assert len(got.times) == len(ref.times)
-        assert np.all(np.abs(got.times - ref.times) <= 0.05 * (atol + rtol * ref.times))
-        both = got.times == ref.times
+        times, ref_times = np.asarray(got.times), np.asarray(ref.times)
+        assert np.all(np.abs(times - ref_times) <= 0.05 * (atol + rtol * ref_times))
+        both = times == ref_times
         assert both[0] and both[-1]
-        for a, b in ((got.states[both], ref.states[both]), (got.v0[both], ref.v0[both])):
+        for a, b in ((got.states, ref.states), (got.v0, ref.v0)):
+            a, b = np.asarray(a)[both], np.asarray(b)[both]
             assert np.all(np.abs(a - b) <= 0.05 * (atol + rtol * np.abs(b)))
 
 
@@ -637,7 +639,7 @@ def test_a_duty_step_does_not_reach_back_into_the_segment_before_it():
     hold = ((0.0, 0.2), (5e-4, 0.2))
     got = simulate(SEPIC_BENCH, Stimulus(duty=hold + ((5e-4, 0.48),)), 1e-3)
     held = simulate(SEPIC_BENCH, Stimulus(duty=hold), 1e-3)
-    n = int(np.sum(got.times <= 5e-4))
+    n = int(np.sum(np.asarray(got.times) <= 5e-4))
     assert got.times[n - 1] == 5e-4
     assert np.array_equal(got.times[:n], held.times[:n])
     assert np.array_equal(got.states[:n], held.states[:n])
@@ -682,14 +684,22 @@ def test_t_end_must_be_finite():
 
 
 def test_waveform_shapes_consistent():
-    wf = simulate(SEPIC_BENCH, Stimulus(duty=0.2), t_end=0.01)
-    n = len(wf.times)
-    assert wf.states.shape == (n, 4)
-    assert len(wf.v0) == n
-    assert len(wf.mu) == n
-    assert len(wf.mode) == n
-    assert np.all(np.diff(wf.times) > 0.0)
-    assert wf.times[0] == 0.0
+    """Each field holds one entry per sample, each state row is a 4-tuple
+    and every sample value is a plain float, not a numpy scalar, from
+    rest and from a StateVector alike, and whatever type t_end has."""
+    start = solve_dc(OperatingPointRequest(spec=SEPIC_BENCH, D=0.2)).state
+    for initial, t_end in ((None, 0.01), (start, np.float64(0.01))):
+        wf = simulate(SEPIC_BENCH, Stimulus(duty=0.2), t_end=t_end, initial=initial)
+        n = len(wf.times)
+        assert len(wf.states) == n
+        assert all(type(row) is tuple and len(row) == 4 for row in wf.states)
+        assert len(wf.v0) == n
+        assert len(wf.mu) == n
+        assert len(wf.mode) == n
+        values = [*wf.times, *(v for row in wf.states for v in row), *wf.v0, *wf.mu]
+        assert all(type(v) is float for v in values)
+        assert np.all(np.diff(wf.times) > 0.0)
+        assert wf.times[0] == 0.0
 
 
 @pytest.mark.parametrize("initial", [[1.0, 2.0, 3.0], [[1.0, 2.0, 3.0, 4.0]]])
