@@ -8,8 +8,10 @@ that the DC Newton iteration and the transient use
 (avgmodel.jacobian_columns).  An operating point lying on the mode
 boundary is flagged as degenerate; a tie resolves to continuous
 conduction.  Transfer functions are evaluated over a whole frequency
-grid with one batched solve of the stacked resolvents, and
-frequency_response reads the gain and phase margins off those samples.
+grid with one batched solve of the stacked resolvents; a sample whose
+resolvent is singular reads inf, found from the LU of the same batch.
+frequency_response reads the gain and phase margins off the samples on
+one log-frequency axis.
 """
 
 from __future__ import annotations
@@ -114,7 +116,8 @@ def default_frequency_grid(spec: ConverterSpec, points_per_decade: int = 100) ->
 
 
 def transfer_at(model: LinearModel, input: str, f):
-    """Evaluate the selected transfer function at frequencies f (Hz)."""
+    """Evaluate the selected transfer function at frequencies f (Hz);
+    inf where the resolvent sI - A is singular."""
     if input == "duty":
         B, D_feed = model.B_d, model.D_d
     elif input == "source":
@@ -129,30 +132,16 @@ def transfer_at(model: LinearModel, input: str, f):
     except np.linalg.LinAlgError:
         pass
     # some resolvent is singular: an eigenvalue sits on the imaginary
-    # axis at exactly that frequency.  Bisect the batch down to the
-    # singular ones, then contract every solved row in one product, as
-    # a row's last bit depends on how many rows the product holds.
-    X = np.empty((f.size, B.size), dtype=complex)
-    solved = np.zeros(f.size, dtype=bool)
-    if f.size > 1:
-        _solve_halves(resolvents, B, X, solved, 0, f.size)
+    # axis at exactly that frequency.  slogdet factors each resolvent
+    # as the solve did and reads sign 0 on the same exact zero pivot;
+    # the other rows are solved and contracted in one product, as a
+    # row's last bit depends on how many rows the product holds.
     out = np.full(f.shape, complex(np.inf, 0.0))
-    out[solved] = X[solved] @ model.C + D_feed
+    solvable = np.linalg.slogdet(resolvents)[0] != 0
+    if solvable.any():
+        out[solvable] = (np.linalg.solve(resolvents[solvable], B[:, None])[:, :, 0]
+                         @ model.C + D_feed)
     return out
-
-
-def _solve_halves(resolvents, B, X, solved, lo, hi):
-    """Solve the rows lo:hi of a batch that failed as a whole, as two
-    halves; a half that fails again is bisected the same way, down to
-    its singular resolvents, which stay unsolved."""
-    mid = (lo + hi) // 2
-    for a, b in ((lo, mid), (mid, hi)):
-        try:
-            X[a:b] = np.linalg.solve(resolvents[a:b], B[:, None])[:, :, 0]
-            solved[a:b] = True
-        except np.linalg.LinAlgError:
-            if b - a > 1:
-                _solve_halves(resolvents, B, X, solved, a, b)
 
 
 def _normalize_phase(phase, negative_dc_gain):
@@ -171,29 +160,18 @@ def _normalize_phase(phase, negative_dc_gain):
     return phase + shift
 
 
-def _interp_log_f(f0, f1, y0, y1, y_target):
-    """Interpolate the crossing frequency on a log-f axis (y0*y1 < 0)."""
-    lf0, lf1 = np.log10(f0), np.log10(f1)
-    w = (y_target - y0) / (y1 - y0)
-    return 10.0 ** (lf0 + w * (lf1 - lf0))
+def _crossings(lf, y):
+    """Positions on the log-frequency axis lf where the samples y cross
+    zero, in grid order.
 
-
-def _interp_at_f(f, y, fc):
-    lf = np.log10(f)
-    return float(np.interp(np.log10(fc), lf, y))
-
-
-def _crossings(f, y):
-    """Frequencies where the samples y cross zero, in grid order.
-
-    A sample that is exactly zero counts at its own frequency; a sign
-    change between neighbours is interpolated on log f.
+    A sample that is exactly zero counts at its own position; a sign
+    change between neighbours is interpolated linearly in lf.
     """
-    hits = [f[i] if y[i] == 0.0
-            else _interp_log_f(f[i], f[i + 1], y[i], y[i + 1], 0.0)
+    hits = [lf[i] if y[i] == 0.0
+            else lf[i] + (0.0 - y[i]) / (y[i + 1] - y[i]) * (lf[i + 1] - lf[i])
             for i in np.flatnonzero((y[:-1] == 0.0) | (y[:-1] * y[1:] < 0.0))]
     if y[-1] == 0.0:
-        hits.append(f[-1])
+        hits.append(lf[-1])
     return hits
 
 
@@ -204,30 +182,33 @@ def _gain_phase_margins(f, response, negative_dc_gain):
     The phase margin is taken at the last unity-gain crossing; the gain
     margin is the worst case over all -180-degree crossings of the
     normalized phase (see _normalize_phase for the negative_dc_gain
-    fold).
+    fold).  Crossings and the values read at them are interpolated on
+    log f.
     """
     f = np.asarray(f, dtype=float)
     response = np.asarray(response, dtype=complex)
     if f.size < 2:
         raise ValidationError("margin extraction needs at least two samples")
+    lf = np.log10(f)
     mag_db = 20.0 * np.log10(np.maximum(np.abs(response), 1e-300))
     phase = _normalize_phase(np.degrees(np.unwrap(np.angle(response))),
                              negative_dc_gain)
 
     pm = None
     f_gc = None
-    gain_crossings = _crossings(f, mag_db)
+    gain_crossings = _crossings(lf, mag_db)
     if gain_crossings:
-        f_gc = gain_crossings[-1]
-        pm = 180.0 + _interp_at_f(f, phase, f_gc)
+        hit = gain_crossings[-1]
+        f_gc = 10.0 ** hit
+        pm = 180.0 + float(np.interp(hit, lf, phase))
 
     gm = np.inf
     f_pc = None
-    for hit in _crossings(f, phase + 180.0):
-        candidate = -_interp_at_f(f, mag_db, hit)
+    for hit in _crossings(lf, phase + 180.0):
+        candidate = -float(np.interp(hit, lf, mag_db))
         if candidate < gm:
             gm = candidate
-            f_pc = hit
+            f_pc = 10.0 ** hit
 
     return mag_db, phase, Margins(
         phase_margin_deg=pm, gain_crossover_hz=f_gc,

@@ -493,7 +493,10 @@ def test_dc_sweep_and_tran_run_without_numpy(argv):
     assert proc.stdout.splitlines()[-1] == "numpy imported: False"
 
 
-def test_import_and_parse_config_run_without_numpy():
+def test_import_and_parse_config_load_neither_numpy_nor_the_lazy_modules():
+    """`import convavg` and parsing both bundled configs load neither
+    numpy nor the transient, small-signal and switched modules, which
+    are served on first use."""
     code = """\
 import sys
 from importlib import resources
@@ -501,11 +504,14 @@ import convavg
 for name in ("sepic_bench", "cuk_bench"):
     text = resources.files("convavg").joinpath("configs", name + ".conf").read_text()
     convavg.parse_config(text)
-print("numpy imported:", "numpy" in sys.modules)
+for name in ("numpy", "convavg.transient", "convavg.smallsignal", "convavg.switched"):
+    print(name, "imported:", name in sys.modules)
 """
     proc = run_python(["-c", code])
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "numpy imported: False\n"
+    assert proc.stdout.splitlines() == [
+        "numpy imported: False", "convavg.transient imported: False",
+        "convavg.smallsignal imported: False", "convavg.switched imported: False"]
 
 
 def test_averaged_cell_runs_without_numpy():

@@ -1,7 +1,6 @@
 """Tests for linearization, frequency responses and stability margins."""
 
 import dataclasses
-import math
 import warnings
 
 import numpy as np
@@ -269,6 +268,12 @@ def test_batched_transfer_matches_per_frequency_solve():
         assert np.max(np.abs(H - ref) / np.abs(ref)) <= 1e-12
 
 
+def four_state_model(A):
+    return LinearModel(A=A, B_d=np.array([1.0, 0.5, 2.0, -1.0]),
+                       B_g=np.zeros(4), C=np.array([1.0, -1.0, 0.5, 2.0]),
+                       D_d=0.1, D_g=0.0, spec=SEPIC_BENCH, D=0.2)
+
+
 def test_singular_resolvent_maps_to_inf():
     # a lossless pair rings at exactly w = 2**12 rad/s, and the grid
     # holds that frequency, where sI - A has no inverse
@@ -277,9 +282,7 @@ def test_singular_resolvent_maps_to_inf():
                   [-w, 0.0, 0.0, 0.0],
                   [50.0, 0.0, -300.0, 0.0],
                   [0.0, 20.0, 1e3, -5e3]])
-    model = LinearModel(A=A, B_d=np.array([1.0, 0.5, 2.0, -1.0]),
-                        B_g=np.zeros(4), C=np.array([1.0, -1.0, 0.5, 2.0]),
-                        D_d=0.1, D_g=0.0, spec=SEPIC_BENCH, D=0.2)
+    model = four_state_model(A)
     f_ring = w / (2.0 * np.pi)
     f = np.sort(np.append(np.logspace(1.0, 4.0, 40), f_ring))
     k = int(np.flatnonzero(f == f_ring)[0])
@@ -293,21 +296,9 @@ def test_singular_resolvent_maps_to_inf():
                                         model.B_d) + model.D_d
         assert H[j] == pytest.approx(ref, rel=1e-12)
 
-def test_singular_batch_is_bisected_not_solved_per_frequency(monkeypatch):
-    """A zero row makes A singular, so the s = 0 resolvent -A has no
-    inverse and the batch prepending it fails as a whole.  The batch is
-    bisected down to that sample (a handful of solves, not one per
-    frequency), and every other sample is the one the grid alone gives,
-    bit for bit."""
-    A = np.array([[-3.0, 1.0, 0.5, 0.0],
-                  [0.0, 0.0, 0.0, 0.0],
-                  [2.0, -1.0, -400.0, 30.0],
-                  [0.0, 5.0, 10.0, -50.0]])
-    model = LinearModel(A=A, B_d=np.array([1.0, 0.5, 2.0, -1.0]),
-                        B_g=np.zeros(4), C=np.array([1.0, -1.0, 0.5, 2.0]),
-                        D_d=0.1, D_g=0.0, spec=SEPIC_BENCH, D=0.2)
-    f = default_frequency_grid(SEPIC_BENCH)
-    alone = transfer_at(model, "duty", f)
+
+def counted_solves(monkeypatch):
+    """Count the np.linalg.solve calls made from here on."""
     calls = [0]
     solve = np.linalg.solve
 
@@ -316,11 +307,62 @@ def test_singular_batch_is_bisected_not_solved_per_frequency(monkeypatch):
         return solve(a, b)
 
     monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    return calls
+
+
+def test_singular_samples_are_masked_not_solved_per_frequency(monkeypatch):
+    """A zero row makes A singular, so the s = 0 resolvent -A has no
+    inverse and the batch prepending it fails as a whole.  The failed
+    batch's LU marks that sample, the rest are solved in one more call
+    (two solves, not one per frequency), and every other sample is the
+    one the grid alone gives, bit for bit."""
+    A = np.array([[-3.0, 1.0, 0.5, 0.0],
+                  [0.0, 0.0, 0.0, 0.0],
+                  [2.0, -1.0, -400.0, 30.0],
+                  [0.0, 5.0, 10.0, -50.0]])
+    model = four_state_model(A)
+    f = default_frequency_grid(SEPIC_BENCH)
+    alone = transfer_at(model, "duty", f)
+    calls = counted_solves(monkeypatch)
     H = transfer_at(model, "duty", np.concatenate(([0.0], f)))
-    assert calls[0] <= 2 * math.ceil(math.log2(f.size + 1)) + 2
+    assert calls[0] == 2
     assert H[0] == complex(np.inf, 0.0)
     np.testing.assert_array_equal(H[1:], alone)
     np.testing.assert_array_equal(frequency_response(model, "duty").response, alone)
+
+
+def test_two_singular_samples_in_one_batch_are_both_masked(monkeypatch):
+    """A zero row makes A singular at s = 0, and a lossless pair rings
+    at exactly w = 2**12 rad/s, a grid frequency.  Both samples read
+    inf; every other sample is the one the grid gives without them,
+    bit for bit."""
+    w = 2.0 ** 12
+    A = np.array([[0.0, w, 0.0, 0.0],
+                  [-w, 0.0, 0.0, 0.0],
+                  [50.0, 0.0, -300.0, 0.0],
+                  [0.0, 0.0, 0.0, 0.0]])
+    model = four_state_model(A)
+    f_ring = w / (2.0 * np.pi)
+    f = default_frequency_grid(SEPIC_BENCH)
+    alone = transfer_at(model, "duty", f)
+    grid = np.concatenate(([0.0], np.sort(np.append(f, f_ring))))
+    k = int(np.flatnonzero(grid == f_ring)[0])
+    calls = counted_solves(monkeypatch)
+    H = transfer_at(model, "duty", grid)
+    assert calls[0] == 2
+    assert H[0] == complex(np.inf, 0.0)
+    assert H[k] == complex(np.inf, 0.0)
+    np.testing.assert_array_equal(np.delete(H, [0, k]), alone)
+
+
+def test_batch_with_no_solvable_sample_makes_no_second_solve(monkeypatch):
+    """With A = 0 every s = 0 resolvent is singular: the failed batch is
+    the only solve, and every sample reads inf."""
+    model = four_state_model(np.zeros((4, 4)))
+    calls = counted_solves(monkeypatch)
+    H = transfer_at(model, "duty", [0.0, 0.0])
+    assert calls[0] == 1
+    np.testing.assert_array_equal(H, [complex(np.inf, 0.0)] * 2)
 
 
 def test_transfer_rejects_unknown_input():
@@ -463,32 +505,90 @@ def test_response_arrays_are_consistent():
     assert abs(direct) < abs(dc_gain(model, "source"))
 
 
-def loop_crossings(f, y):
-    """The per-sample loop that _crossings replaced, kept as its reference."""
+def loop_crossings(lf, y):
+    """The per-sample loop that _crossings replaced, kept as its
+    reference: crossing positions on the log-frequency axis lf."""
     hits = []
-    for i in range(f.size - 1):
+    for i in range(lf.size - 1):
         a, b = y[i], y[i + 1]
         if a == 0.0:
-            hits.append(f[i])
+            hits.append(lf[i])
         elif a * b < 0.0:
-            hits.append(smallsignal._interp_log_f(f[i], f[i + 1], a, b, 0.0))
+            w = (0.0 - a) / (b - a)
+            hits.append(lf[i] + w * (lf[i + 1] - lf[i]))
     if y[-1] == 0.0:
-        hits.append(f[-1])
+        hits.append(lf[-1])
     return hits
 
 
 def test_crossings_match_the_sample_loop():
-    f = default_frequency_grid(SEPIC_BENCH)
+    lf = np.log10(default_frequency_grid(SEPIC_BENCH))
     resp = frequency_response(linearized(SEPIC_BENCH, 0.2)[1], "duty")
     samples = [resp.magnitude_db, resp.phase_deg + 180.0]
     rng = np.random.default_rng(11)
     for k in range(40):
-        y = rng.normal(size=f.size) * (1.0 + 0.5 * (k % 3))
-        y[rng.integers(0, f.size, 4)] = 0.0
+        y = rng.normal(size=lf.size) * (1.0 + 0.5 * (k % 3))
+        y[rng.integers(0, lf.size, 4)] = 0.0
         y[[0, -1][k % 2]] = 0.0
-        y[rng.integers(0, f.size)] = (np.nan, np.inf, -np.inf, 1.0)[k % 4]
+        y[rng.integers(0, lf.size)] = (np.nan, np.inf, -np.inf, 1.0)[k % 4]
         samples.append(y)
     with np.errstate(invalid="ignore"):     # interpolating next to an inf
         for y in samples:
-            np.testing.assert_array_equal(smallsignal._crossings(f, y),
-                                          loop_crossings(f, y))
+            np.testing.assert_array_equal(smallsignal._crossings(lf, y),
+                                          loop_crossings(lf, y))
+
+
+# The helpers the margins were once read with: each crossing went back
+# to Hz, and log10 was taken again to read a value at it.
+
+def _interp_log_f(f0, f1, y0, y1, y_target):
+    """Interpolate the crossing frequency on a log-f axis (y0*y1 < 0)."""
+    lf0, lf1 = np.log10(f0), np.log10(f1)
+    w = (y_target - y0) / (y1 - y0)
+    return 10.0 ** (lf0 + w * (lf1 - lf0))
+
+
+def _interp_at_f(f, y, fc):
+    lf = np.log10(f)
+    return float(np.interp(np.log10(fc), lf, y))
+
+
+def reference_margins(f, mag_db, phase):
+    """(pm, f_gc, gm, f_pc) read with the old helpers, in Hz throughout."""
+    def crossings(y):
+        hits = [f[i] if y[i] == 0.0 else _interp_log_f(f[i], f[i + 1], y[i], y[i + 1], 0.0)
+                for i in range(f.size - 1) if y[i] == 0.0 or y[i] * y[i + 1] < 0.0]
+        return hits + [f[-1]] if y[-1] == 0.0 else hits
+
+    pm = f_gc = f_pc = None
+    gain_crossings = crossings(mag_db)
+    if gain_crossings:
+        f_gc = gain_crossings[-1]
+        pm = 180.0 + _interp_at_f(f, phase, f_gc)
+    gm = np.inf
+    for hit in crossings(phase + 180.0):
+        candidate = -_interp_at_f(f, mag_db, hit)
+        if candidate < gm:
+            gm, f_pc = candidate, hit
+    return pm, f_gc, gm, f_pc
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(converter_specs(), st.floats(0.05, 0.9))
+def test_margins_match_the_old_helpers(spec, d):
+    """Reading the margins on one log-frequency axis gives the same
+    values, to the bit, as converting each crossing back to Hz and
+    taking log10 again."""
+    try:
+        op = solve_dc(OperatingPointRequest(spec=spec, D=d))
+    except SolverError:
+        assume(False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateOperatingPoint)
+        model = linearize(spec, op)
+    for input in ("duty", "source"):
+        resp = frequency_response(model, input)
+        m = resp.margins
+        assert (m.phase_margin_deg, m.gain_crossover_hz, m.gain_margin_db,
+                m.phase_crossover_hz) == reference_margins(
+                    resp.f, resp.magnitude_db, resp.phase_deg)
