@@ -212,18 +212,15 @@ def solve_dc(request: OperatingPointRequest) -> OperatingPoint:
         s0, s1, s2, s3 = step
         x0, x1, x2, x3 = x
 
+        # Halve the step until the residual falls; the last, smallest one
+        # is taken anyway so kinked regions cannot stall the iteration.
         lam = 1.0
-        for _ in range(_MAX_HALVINGS + 1):
+        for _ in range(_MAX_HALVINGS + 2):
             trial = (x0 + lam * s0, x1 + lam * s1, x2 + lam * s2, x3 + lam * s3)
             trial_r, trial_norm, trial_ports = _residual_and_norm(spec, d, trial)
             if trial_norm < norm or not isfinite(norm):
                 break
             lam *= 0.5
-        else:
-            # No damping factor reduced the residual; take the smallest
-            # step anyway so kinked regions cannot stall the iteration.
-            trial = (x0 + lam * s0, x1 + lam * s1, x2 + lam * s2, x3 + lam * s3)
-            trial_r, trial_norm, trial_ports = _residual_and_norm(spec, d, trial)
 
         x, r, norm, ports = trial, trial_r, trial_norm, trial_ports
         iterations += 1

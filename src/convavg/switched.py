@@ -8,8 +8,9 @@ with a constant 1.  There is no per-step loop.  One cycle map per
 by doubling.  The diode-opening instant is the first DIODE sample whose
 summed inductor current is negative, found as one row block of the
 DIODE stack times the entry state and interpolated linearly inside that
-step; the rest of the period then runs on the constrained dynamics of
-the isolated series loop, which preserve i_L1 + i_L2 = 0 exactly.  That
+step, so a sample exactly at zero before it is itself the crossing; the
+rest of the period then runs on the constrained dynamics of the
+isolated series loop, which preserve i_L1 + i_L2 = 0 exactly.  That
 OPEN interval stays on the DIODE grid of step h_off: one trapezoid step
 over the rest of the crossing step, solved on floats from the zeros of
 the OPEN system, takes it back onto the grid, and its remaining whole
@@ -44,7 +45,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .converter import ConverterSpec, SEPIC, ValidationError, _check_duty
-from .dc import SolverError, StateVector, state_values
+from .dc import StateVector, state_values
 from .switchcell import CCM, DCM
 
 ON, DIODE, OPEN = 1, 2, 3
@@ -123,10 +124,6 @@ class SwitchedWaveform:
     cycles_run: int
 
 
-class EventDetectionError(SolverError):
-    """The diode-current zero crossing could not be bracketed cleanly."""
-
-
 def _interval_system(spec, interval):
     """F = [[A, b], [0, 0]] of one switch interval: dx/dt = A x + b,
     written as d/dt (x, 1) = F (x, 1) on the state augmented with 1.
@@ -173,9 +170,7 @@ def _interval_system(spec, interval):
             A[0][0] = -rs / Lt
             A[0][2] = -1.0 / Lt
             A[0][4] = spec.Vg / Lt
-            A[1][0] = rs / Lt
-            A[1][2] = 1.0 / Lt
-            A[1][4] = -spec.Vg / Lt
+            A[1] -= A[0]            # the series loop: d i_L2/dt = -d i_L1/dt
             A[2][0] = 1.0 / C1
             A[3][3] = -gC2
     else:
@@ -209,10 +204,7 @@ def _interval_system(spec, interval):
             A[0][2] = -1.0 / Lt
             A[0][3] = -alpha / Lt
             A[0][4] = spec.Vg / Lt
-            A[1][0] = rs / Lt
-            A[1][2] = 1.0 / Lt
-            A[1][3] = alpha / Lt
-            A[1][4] = -spec.Vg / Lt
+            A[1] -= A[0]            # the series loop: d i_L2/dt = -d i_L1/dt
             A[2][0] = 1.0 / C1
             A[3][0] = R * gC2
             A[3][3] = -gC2
@@ -411,10 +403,6 @@ def _cycle_map(spec, D, steps):
         # DIODE interval's last one
         sa = s[j - 2] if j > 1 else x1[0] + x1[1]
         sb = s[j - 1]
-        if sa <= 0.0:
-            raise EventDetectionError(
-                "summed inductor current not positive entering the "
-                "step that crossed zero; reduce the step size")
         theta = float(sa / (sa - sb))
         xa, xb = (P_d[j - 1:j + 1] @ x1).tolist()
         x_open = [a + theta * (b - a) for a, b in zip(xa, xb)]

@@ -152,6 +152,39 @@ def test_sign_of_g_at_the_duty_picks_the_root_solve_mode(point):
     assert (ports.mode, ports.mu, ports.mu_candidate) == root_solve_mode(spec, d, x)
 
 
+def assert_mu_root(a, b, c, re_i):
+    """_solve_mu_dcm returns a root of g in (0, 1) to its own tolerance."""
+    mu = avgmodel._solve_mu_dcm(a, b, c, re_i)
+    assert 0.0 < mu < 1.0
+    g = (mu - 1.0) * (a + b * mu + c * (1.0 - mu) / mu) + mu * re_i
+    assert abs(g) <= 1e-14 * (abs(a) + abs(b) + abs(c) + abs(re_i))
+
+
+def test_mu_root_survives_a_rounded_negative_discriminant():
+    """The c = 0 start's discriminant p**2 + 4ab is about 4e-16 in exact
+    arithmetic but rounds to -8.9e-16.  It is clamped to zero, where
+    sqrt would raise."""
+    a, b, c, re_i = 1.0, -(1.0 + 2.0 ** -52), 0.0, 1e-16
+    p = a - b + re_i
+    assert p * p + 4.0 * a * b < 0.0
+    assert_mu_root(a, b, c, re_i)
+
+
+def test_mu_root_survives_a_zero_derivative():
+    """The c = 0 start lies outside (0, 1), so the iteration begins at
+    the bracket's midpoint, and re_i makes g' exactly zero there.  A
+    bisection takes the place of the Newton step, which would divide
+    by zero."""
+    a, b, c = -4.0, -1.0, 1.0
+    mid = 0.5 * (avgmodel._MU_FLOOR + 1.0 - 1e-15)
+    w, dw = a + b * mid + c * (1.0 - mid) / mid, b - c / (mid * mid)
+    re_i = -(w + (mid - 1.0) * dw)
+    p = a - b + re_i
+    assert not 0.0 < 2.0 * a / (p + np.sqrt(max(p * p + 4.0 * a * b, 0.0))) < 1.0
+    assert w + (mid - 1.0) * dw + re_i == 0.0
+    assert_mu_root(a, b, c, re_i)
+
+
 def bits(value):
     """value with every float spelled out in hex, so == compares bits."""
     if isinstance(value, float):

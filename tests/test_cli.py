@@ -433,20 +433,6 @@ def test_t_end_above_cap_is_exit_1(monkeypatch, tmp_path, capsys):
         assert info.value.args[0] == pytest.approx(t_end), argv
 
 
-def test_switched_event_failure_is_exit_3(monkeypatch, capsys):
-    import convavg.switched
-    from convavg.switched import EventDetectionError
-
-    def fail(*args, **kwargs):
-        raise EventDetectionError("diode turn-off not bracketed")
-
-    monkeypatch.setattr(convavg.switched, "run_switched", fail)
-    assert main(["compare", "--config", "cuk_bench", "--cycles", "5"]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("solver error: ")
-    assert "Traceback" not in err
-
-
 def test_missing_config_file_is_exit_4(capsys):
     for name in ("/no/such/dir/x.conf", "no_such_bench"):
         assert main(["dc", "--config", name]) == 4, name

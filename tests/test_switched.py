@@ -776,11 +776,13 @@ def test_summaries_do_not_depend_on_the_block():
 def assert_open_system_zeros(spec):
     """The zeros of the OPEN system the float partial step relies on: no
     row reads i_L2 and the last row is zero; v_C1 follows i_L1 alone and
-    v_C2 i_L1 and itself."""
+    v_C2 i_L1 and itself.  The i_L2 row is the i_L1 row negated, the
+    series loop that _output_map reads from the i_L1 row alone."""
     F = _interval_system(spec, OPEN)
     assert np.all(F[:, 1] == 0.0) and np.all(F[4] == 0.0)
     assert np.all(F[2, 1:] == 0.0)
     assert F[3, 2] == F[3, 4] == 0.0
+    assert np.array_equal(F[1], -F[0])
 
 
 @pytest.mark.parametrize("spec", BENCH_SPECS, ids=BENCH_IDS)
