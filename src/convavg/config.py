@@ -11,7 +11,7 @@ are hard errors carrying line and column.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 from .converter import ConverterSpec, ValidationError
 
@@ -40,6 +40,8 @@ _CONVERTER_KEYS = {
     "f_s": "Hz",
 }
 _ANALYSIS_KEYS = {"D": None, "t_end": "s"}
+# the spec fields without a default, in declaration order
+_REQUIRED_KEYS = tuple(f.name for f in fields(ConverterSpec) if f.default is MISSING)
 
 _NUMBER_RE = re.compile(r"([+-]?(?:\d+\.?\d*|\.\d+))(?:[eE]([+-]?\d+))?")
 
@@ -144,8 +146,7 @@ def parse_config(text: str) -> ParsedConfig:
                 converter[key] = parsed
             else:
                 analysis[key] = parsed
-    missing = [k for k in ("kind", "Vg", "R", "L1", "L2", "C1", "C2", "f_s")
-               if k not in converter]
+    missing = [k for k in _REQUIRED_KEYS if k not in converter]
     if missing:
         raise ParseError("missing required keys: %s" % ", ".join(missing),
                          len(text.splitlines()) or 1, 1)

@@ -170,7 +170,7 @@ def _crossings(lf, y):
     hits = [lf[i] if y[i] == 0.0
             else lf[i] + (0.0 - y[i]) / (y[i + 1] - y[i]) * (lf[i + 1] - lf[i])
             for i in np.flatnonzero((y[:-1] == 0.0) | (y[:-1] * y[1:] < 0.0))]
-    if y[-1] == 0.0:
+    if y.size and y[-1] == 0.0:
         hits.append(lf[-1])
     return hits
 
@@ -189,23 +189,28 @@ def _gain_phase_margins(f, response, negative_dc_gain):
     response = np.asarray(response, dtype=complex)
     if f.size < 2:
         raise ValidationError("margin extraction needs at least two samples")
-    lf = np.log10(f)
     mag_db = 20.0 * np.log10(np.maximum(np.abs(response), 1e-300))
-    phase = _normalize_phase(np.degrees(np.unwrap(np.angle(response))),
-                             negative_dc_gain)
+    # a sample at a pole on the imaginary axis reads +inf dB and has no
+    # phase: the phase is unwrapped, and the margins read, over the
+    # finite samples alone
+    finite = np.isfinite(mag_db)
+    phase = np.full(f.shape, np.nan)
+    phase[finite] = _normalize_phase(np.degrees(np.unwrap(np.angle(response[finite]))),
+                                     negative_dc_gain)
+    lf, mag, ph = np.log10(f[finite]), mag_db[finite], phase[finite]
 
     pm = None
     f_gc = None
-    gain_crossings = _crossings(lf, mag_db)
+    gain_crossings = _crossings(lf, mag)
     if gain_crossings:
         hit = gain_crossings[-1]
         f_gc = 10.0 ** hit
-        pm = 180.0 + float(np.interp(hit, lf, phase))
+        pm = 180.0 + float(np.interp(hit, lf, ph))
 
     gm = np.inf
     f_pc = None
-    for hit in _crossings(lf, phase + 180.0):
-        candidate = -float(np.interp(hit, lf, mag_db))
+    for hit in _crossings(lf, ph + 180.0):
+        candidate = -float(np.interp(hit, lf, mag))
         if candidate < gm:
             gm = candidate
             f_pc = 10.0 ** hit

@@ -33,7 +33,8 @@ on its index.
 
 This module is the verification counterpart of the averaged model and
 deliberately shares no circuit algebra with it: the interval systems are
-written out element by element from each sub-circuit.
+written out element by element from each sub-circuit, each entry the
+SEPIC and Cuk share in an interval set once.
 """
 
 from __future__ import annotations
@@ -130,7 +131,9 @@ def _interval_system(spec, interval):
 
     State order (i_L1, i_L2, v_C1, v_C2); i_L2 is taken positive into
     the coupling node for the SEPIC and positive out of the load node
-    for the Cuk, matching the averaged model's conventions.
+    for the Cuk, matching the averaged model's conventions.  Each
+    interval sets the entries both topologies share once, then each
+    topology's own.
     """
     L1, L2, C1, C2 = spec.L1, spec.L2, spec.C1, spec.C2
     R, R_C2 = spec.R, spec.R_C2
@@ -138,76 +141,53 @@ def _interval_system(spec, interval):
     Rk = R * R_C2 / (R + R_C2)      # load || ESR
     gC2 = 1.0 / ((R + R_C2) * C2)
     A = np.zeros((5, 5))
-
-    if spec.kind == SEPIC:
-        if interval == ON:
-            A[0][0] = -(spec.R_L1 + spec.R_on1) / L1
-            A[0][1] = -spec.R_on1 / L1
-            A[0][4] = spec.Vg / L1
-            A[1][0] = -spec.R_on1 / L2
+    A[3][3] = -gC2
+    sepic = spec.kind == SEPIC
+    if interval == ON:
+        A[0][0] = -(spec.R_L1 + spec.R_on1) / L1
+        A[0][1] = -spec.R_on1 / L1
+        A[0][4] = spec.Vg / L1
+        A[1][0] = -spec.R_on1 / L2
+        A[1][2] = 1.0 / L2
+        A[2][1] = -1.0 / C1
+        if sepic:
             A[1][1] = -(spec.R_on1 + spec.R_C1 + spec.R_L2) / L2
-            A[1][2] = 1.0 / L2
-            A[2][1] = -1.0 / C1
-            A[3][3] = -gC2
-        elif interval == DIODE:
-            rs = Rk + spec.R_d
-            A[0][0] = -(spec.R_L1 + spec.R_C1 + rs) / L1
-            A[0][1] = -rs / L1
-            A[0][2] = -1.0 / L1
+        else:
+            A[1][1] = -(Rk + spec.R_on1 + spec.R_C1 + spec.R_L2) / L2
+            A[1][3] = alpha / L2
+            A[3][1] = -R * gC2
+    elif interval == DIODE:
+        r_node = Rk + spec.R_d if sepic else spec.R_d     # diode-side node per amp
+        A[0][0] = -(spec.R_L1 + spec.R_C1 + r_node) / L1
+        A[0][1] = -r_node / L1
+        A[0][2] = -1.0 / L1
+        A[0][4] = (spec.Vg - spec.V_d) / L1
+        A[1][0] = -r_node / L2
+        A[1][1] = -(Rk + spec.R_d + spec.R_L2) / L2
+        A[1][4] = -spec.V_d / L2
+        A[2][0] = 1.0 / C1
+        if sepic:
             A[0][3] = -alpha / L1
-            A[0][4] = (spec.Vg - spec.V_d) / L1
-            A[1][0] = -rs / L2
-            A[1][1] = -(rs + spec.R_L2) / L2
             A[1][3] = -alpha / L2
-            A[1][4] = -spec.V_d / L2
-            A[2][0] = 1.0 / C1
             A[3][0] = R * gC2
             A[3][1] = R * gC2
-            A[3][3] = -gC2
         else:
-            Lt = L1 + L2
-            rs = spec.R_L1 + spec.R_C1 + spec.R_L2
-            A[0][0] = -rs / Lt
-            A[0][2] = -1.0 / Lt
-            A[0][4] = spec.Vg / Lt
-            A[1] -= A[0]            # the series loop: d i_L2/dt = -d i_L1/dt
-            A[2][0] = 1.0 / C1
-            A[3][3] = -gC2
+            A[1][3] = alpha / L2
+            A[3][1] = -R * gC2
     else:
-        if interval == ON:
-            A[0][0] = -(spec.R_L1 + spec.R_on1) / L1
-            A[0][1] = -spec.R_on1 / L1
-            A[0][4] = spec.Vg / L1
-            A[1][0] = -spec.R_on1 / L2
-            A[1][1] = -(Rk + spec.R_on1 + spec.R_C1 + spec.R_L2) / L2
-            A[1][2] = 1.0 / L2
-            A[1][3] = alpha / L2
-            A[2][1] = -1.0 / C1
-            A[3][1] = -R * gC2
-            A[3][3] = -gC2
-        elif interval == DIODE:
-            A[0][0] = -(spec.R_L1 + spec.R_C1 + spec.R_d) / L1
-            A[0][1] = -spec.R_d / L1
-            A[0][2] = -1.0 / L1
-            A[0][4] = (spec.Vg - spec.V_d) / L1
-            A[1][0] = -spec.R_d / L2
-            A[1][1] = -(Rk + spec.R_d + spec.R_L2) / L2
-            A[1][3] = alpha / L2
-            A[1][4] = -spec.V_d / L2
-            A[2][0] = 1.0 / C1
-            A[3][1] = -R * gC2
-            A[3][3] = -gC2
-        else:
-            Lt = L1 + L2
-            rs = spec.R_L1 + spec.R_C1 + spec.R_L2 + Rk
+        Lt = L1 + L2
+        rs = spec.R_L1 + spec.R_C1 + spec.R_L2
+        A[0][2] = -1.0 / Lt
+        A[0][4] = spec.Vg / Lt
+        A[2][0] = 1.0 / C1
+        if sepic:
             A[0][0] = -rs / Lt
-            A[0][2] = -1.0 / Lt
+        else:
+            A[0][0] = -(rs + Rk) / Lt
             A[0][3] = -alpha / Lt
-            A[0][4] = spec.Vg / Lt
-            A[1] -= A[0]            # the series loop: d i_L2/dt = -d i_L1/dt
-            A[2][0] = 1.0 / C1
             A[3][0] = R * gC2
-            A[3][3] = -gC2
+        # the series loop: d i_L2/dt = -d i_L1/dt; -= keeps the zeros +0.0
+        A[1] -= A[0]
     return A
 
 

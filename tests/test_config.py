@@ -4,7 +4,8 @@ import dataclasses
 
 import pytest
 
-from convavg import ParseError, ValidationError, parse_config
+from convavg import ConverterSpec, ParseError, ValidationError, parse_config
+from convavg.config import _CONVERTER_KEYS
 from strategies import CUK_BENCH, SEPIC_BENCH, bundled
 
 MINIMAL = """\
@@ -171,6 +172,19 @@ def test_missing_required_keys_listed():
         parse_config("[converter]\nkind = sepic\nVg = 62 V\n")
     msg = str(err.value)
     assert "L1" in msg and "f_s" in msg
+
+
+def test_every_required_key_is_named_in_field_order():
+    with pytest.raises(ParseError) as err:
+        parse_config("[converter]\n")
+    assert str(err.value) == (
+        "line 1, column 1: missing required keys: kind, Vg, R, L1, L2, C1, C2, f_s")
+
+
+def test_converter_keys_are_the_spec_fields():
+    """Every ConverterSpec field has a config key, and every key a field."""
+    assert sorted(_CONVERTER_KEYS) == sorted(
+        f.name for f in dataclasses.fields(ConverterSpec))
 
 
 def test_malformed_line_rejected():

@@ -297,6 +297,39 @@ def test_singular_resolvent_maps_to_inf():
         assert H[j] == pytest.approx(ref, rel=1e-12)
 
 
+@pytest.mark.parametrize("points", [40, 300])
+@pytest.mark.parametrize("row3", [(0.0, 20.0, 1e3, -5e3), (0.0, 0.0, 0.0, -10.0)],
+                         ids=["coupled", "decoupled"])
+def test_margins_skip_the_infinite_sample(row3, points):
+    """The inf sample of a singular resolvent is no unity-gain or
+    -180-degree crossing: the margins are read on the finite samples,
+    hold no NaN, and name a phase crossover exactly when the gain
+    margin is finite.  The second model's phase passes -180 degrees
+    next to the ringing frequency."""
+    w = 2.0 ** 12
+    model = four_state_model(np.array([[0.0, w, 0.0, 0.0],
+                                       [-w, 0.0, 0.0, 0.0],
+                                       [50.0, 0.0, -300.0, 0.0],
+                                       row3]))
+    f_ring = w / (2.0 * np.pi)
+    f = np.sort(np.append(np.logspace(1.0, 4.0, points), f_ring))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        resp = frequency_response(model, "duty", f=f)
+    k = int(np.flatnonzero(f == f_ring)[0])
+    assert resp.magnitude_db.shape == resp.phase_deg.shape == f.shape
+    assert resp.magnitude_db[k] == np.inf
+    assert np.isfinite(np.delete(resp.phase_deg, k)).all()
+    m = resp.margins
+    values = (m.phase_margin_deg, m.gain_crossover_hz, m.gain_margin_db,
+              m.phase_crossover_hz)
+    assert not any(v is not None and np.isnan(v) for v in values)
+    assert (m.phase_crossover_hz is not None) == bool(np.isfinite(m.gain_margin_db))
+    assert m.phase_crossover_hz != f_ring
+    if row3[1] == 0.0:
+        assert np.isfinite(m.gain_margin_db)
+
+
 def counted_solves(monkeypatch):
     """Count the np.linalg.solve calls made from here on."""
     calls = [0]
