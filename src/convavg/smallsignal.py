@@ -10,8 +10,8 @@ boundary is flagged as degenerate; a tie resolves to continuous
 conduction.  Transfer functions are evaluated over a whole frequency
 grid with one batched solve of the stacked resolvents; a sample whose
 resolvent is singular reads inf, found from the LU of the same batch.
-frequency_response reads the gain and phase margins off the samples on
-one log-frequency axis.
+frequency_response reads the gain and phase margins off the finite
+samples on one log-frequency axis.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ class FrequencyResponse:
     f: np.ndarray
     response: np.ndarray          # complex transfer-function samples
     magnitude_db: np.ndarray
-    phase_deg: np.ndarray         # unwrapped
+    phase_deg: np.ndarray         # unwrapped; NaN at an inf sample
     margins: Margins
 
 
@@ -154,7 +154,7 @@ def _normalize_phase(phase, negative_dc_gain):
     to the sign-corrected loop and a phase margin above 180 degrees
     stays representable.
     """
-    shift = -360.0 if phase[0] > 0.0 else 0.0
+    shift = -360.0 if phase.size and phase[0] > 0.0 else 0.0
     if negative_dc_gain:
         shift += 180.0
     return phase + shift

@@ -172,9 +172,6 @@ def test_missing_required_keys_listed():
         parse_config("[converter]\nkind = sepic\nVg = 62 V\n")
     msg = str(err.value)
     assert "L1" in msg and "f_s" in msg
-
-
-def test_every_required_key_is_named_in_field_order():
     with pytest.raises(ParseError) as err:
         parse_config("[converter]\n")
     assert str(err.value) == (

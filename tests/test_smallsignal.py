@@ -330,6 +330,20 @@ def test_margins_skip_the_infinite_sample(row3, points):
         assert np.isfinite(m.gain_margin_db)
 
 
+def test_response_with_no_finite_sample_has_no_margins():
+    """Two lossless pairs ringing at the only two grid frequencies: every
+    sample is inf, so there is no phase and no crossing."""
+    w1, w2 = 2.0 ** 12, 2.0 ** 13
+    model = four_state_model(np.array([[0.0, w1, 0.0, 0.0],
+                                       [-w1, 0.0, 0.0, 0.0],
+                                       [0.0, 0.0, 0.0, w2],
+                                       [0.0, 0.0, -w2, 0.0]]))
+    resp = frequency_response(model, "duty", f=np.array([w1, w2]) / (2.0 * np.pi))
+    assert (resp.magnitude_db == np.inf).all()
+    assert np.isnan(resp.phase_deg).all()
+    assert resp.margins == smallsignal.Margins(None, None, np.inf, None)
+
+
 def counted_solves(monkeypatch):
     """Count the np.linalg.solve calls made from here on."""
     calls = [0]
